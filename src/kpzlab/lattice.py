@@ -88,6 +88,21 @@ def _site_mesh(d: int, L: int) -> List[np.ndarray]:
     return list(np.meshgrid(*axes, indexing="ij"))
 
 
+@lru_cache(maxsize=32)
+def _site_axes(d: int, L: int) -> Tuple[np.ndarray, ...]:
+    """Open (sparse) coordinate mesh: axis i has shape L along dimension i.
+
+    step() draws on it so each axis key is hashed on L values, not L^d.
+    Read-only, because the cache hands the same arrays to every caller.
+    """
+    lo = -(L // 2)
+    axes = np.meshgrid(*[np.arange(lo, lo + L, dtype=np.int64)] * d,
+                       indexing="ij", sparse=True)
+    for a in axes:
+        a.flags.writeable = False
+    return tuple(axes)
+
+
 @dataclass
 class HeightSlice:
     """Heights at one time over the full torus window."""
@@ -200,7 +215,8 @@ def step(slice_: HeightSlice, phi: DrivingFunction, noise: NoiseModel,
         U[k + 1] = np.roll(vals, +1, axis=axis)  # value at x - e_axis
         k += 2
     t_next = slice_.t + 1
-    new = phi.value_many(U) + epsilon * noise.sample_grid(t_next, g.site_mesh())
+    new = phi.value_many(U) + epsilon * noise.sample_grid(t_next,
+                                                          _site_axes(g.d, g.L))
     return HeightSlice(g, t_next, new)
 
 

@@ -7,7 +7,7 @@ any field can be evaluated independently, in any order, on any worker.
 """
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -53,13 +53,26 @@ def unit_open(h: int) -> float:
 # ---------------------------------------------------------------------------
 # vectorized twins; must stay bit-identical to the scalar path
 
+_M1_U = np.uint64(_M1)
+_M2_U = np.uint64(_M2)
+_INC_U = np.uint64(_INC)
+_S11, _S27, _S30, _S31 = (np.uint64(s) for s in (11, 27, 30, 31))
 
-def _mix64_vec(z: np.ndarray) -> np.ndarray:
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(_M1)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(_M2)
-    return z ^ (z >> np.uint64(31))
+
+def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> None:
+    """splitmix64 finalizer on z in place; tmp is scratch of z's shape.
+
+    uint64 array arithmetic wraps modulo 2^64 without warning, which is the
+    arithmetic the Python-int path spells out with & MASK64.
+    """
+    np.right_shift(z, _S30, out=tmp)
+    np.bitwise_xor(z, tmp, out=z)
+    np.multiply(z, _M1_U, out=z)
+    np.right_shift(z, _S27, out=tmp)
+    np.bitwise_xor(z, tmp, out=z)
+    np.multiply(z, _M2_U, out=z)
+    np.right_shift(z, _S31, out=tmp)
+    np.bitwise_xor(z, tmp, out=z)
 
 
 def hash_keys_vec(seed: int, scalar_keys: Iterable[int],
@@ -67,21 +80,36 @@ def hash_keys_vec(seed: int, scalar_keys: Iterable[int],
     """Vectorized hash_keys: scalar keys first, then per-element key arrays.
 
     Equivalent to hash_keys(seed, [*scalar_keys, k1[i], k2[i], ...]) for
-    every element i of the broadcast shape of key_arrays.
+    every element i of the broadcast shape of key_arrays. The key arrays
+    may form an open (sparse, broadcastable) mesh, such as the output of
+    np.meshgrid(..., sparse=True): the chain is mixed at the extent of the
+    prefix it has consumed so far, so a key of shape (M, 1) followed by one
+    of shape (1, V) costs M mixes for the first and M*V for the second.
+    Mixing runs in place on one fresh buffer per extent; the caller's key
+    arrays are read, never written. Returns an array (0-d when every key
+    array is 0-d or there are none).
     """
     h = mix64((seed + _INC) & MASK64)
     for k in scalar_keys:
         h = mix64((h ^ (k & MASK64)) + _INC)
-    out = None
-    with np.errstate(over="ignore"):
-        for arr in key_arrays:
-            a = np.asarray(arr, dtype=np.int64).astype(np.uint64)
-            acc = (np.uint64(h) ^ a) if out is None else (out ^ a)
-            out = _mix64_vec(acc + np.uint64(_INC))
-    if out is None:
+    acc = tmp = None
+    for arr in key_arrays:
+        a = np.asarray(arr, dtype=np.int64).view(np.uint64)
+        prev = np.uint64(h) if acc is None else acc
+        shape = np.broadcast(prev, a).shape
+        if acc is None or shape != acc.shape:
+            acc = np.empty(shape, dtype=np.uint64)
+            tmp = np.empty_like(acc)
+        np.bitwise_xor(prev, a, out=acc)
+        np.add(acc, _INC_U, out=acc)
+        _mix64_inplace(acc, tmp)
+    if acc is None:
         return np.array(h, dtype=np.uint64)
-    return out
+    return acc
 
 
-def unit_open_vec(h: np.ndarray) -> np.ndarray:
-    return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+def unit_open_vec(h: np.ndarray,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Vectorized unit_open; writes into out (float64) when given."""
+    u = np.add(h >> _S11, 0.5, out=out, dtype=np.float64)
+    return np.multiply(u, 2.0**-53, out=out)

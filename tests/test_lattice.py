@@ -129,6 +129,24 @@ def test_gradient_field_matches_pointwise():
             sl.value_at((x + 1,)) - sl.value_at((x,)), abs=0)
 
 
+@pytest.mark.parametrize("d,L", [(2, 9), (3, 7)])
+def test_step_equals_full_mesh_formula(d, L):
+    # step draws on cached open site axes; the full-mesh formula is the
+    # reference it replaced
+    g = LatticeGeometry(d, L)
+    phi = make_driving("gkpz", d)
+    nm = make_noise("triangular", 1.2, seed=17).perturb_at(4, (1,) * d, 0.5)
+    vals = np.random.default_rng(d).uniform(-1, 1, size=g.shape)
+    sl = HeightSlice(g, 3, vals)
+    U = [vals]
+    for axis in range(d):
+        U += [np.roll(vals, -1, axis=axis), np.roll(vals, 1, axis=axis)]
+    eps = 0.3
+    ref = phi.value_many(np.stack(U)) + eps * nm.sample_grid(4, g.site_mesh())
+    got = step(sl, phi, nm, eps).values
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
 def test_slice_shape_validation():
     g = LatticeGeometry(2, 4)
     with pytest.raises(ValueError):

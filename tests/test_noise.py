@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kpzlab.noise import DEFAULT_SCALE, NoiseModel, NoiseSpec, make_noise
+from kpzlab.noise import (_BLOCK, DEFAULT_SCALE, NoiseModel, NoiseSpec,
+                          _triangular_icdf, _uniform_icdf, make_noise)
 from kpzlab.rng import (derive_seed, hash_keys, hash_keys_vec, mix64,
                         unit_open, unit_open_vec)
 
@@ -64,6 +65,47 @@ def test_hash_keys_vec_matches_scalar():
 def test_hash_keys_vec_no_arrays_returns_scalar_hash():
     out = hash_keys_vec(5, (1, 2), [])
     assert int(out) == hash_keys(5, (1, 2))
+
+
+def test_hash_keys_vec_zero_dim_keys_match_scalar():
+    # 0-d ufunc results are numpy scalars; the in-place chain must not
+    # depend on getting an array back
+    out = hash_keys_vec(7, (3,), [np.array(5), np.array(-9)])
+    assert int(out) == hash_keys(7, (3, 5, -9))
+    out = hash_keys_vec(7, (), [np.int64(-1)])
+    assert int(out) == hash_keys(7, (-1,))
+    mixed = hash_keys_vec(7, (), [np.array(4), np.arange(-3, 3)])
+    assert [int(h) for h in mixed] == [hash_keys(7, (4, x))
+                                       for x in range(-3, 3)]
+
+
+def test_hash_keys_vec_open_mesh_matches_full_and_scalar():
+    ts = np.arange(1, 6).reshape(5, 1)
+    xs = np.arange(-4, 3).reshape(1, 7)
+    open_ = hash_keys_vec(11, (2,), [ts, xs])
+    full = hash_keys_vec(11, (2,), np.broadcast_arrays(ts, xs))
+    assert open_.shape == (5, 7)
+    assert np.array_equal(open_, full)
+    for i in range(5):
+        for j in range(7):
+            assert int(open_[i, j]) == hash_keys(11, (2, int(ts[i, 0]),
+                                                      int(xs[0, j])))
+    # a key spanning the full shape may come first, too
+    wide = np.broadcast_to(ts, (5, 7))
+    assert np.array_equal(hash_keys_vec(11, (2,), [wide, xs]), full)
+
+
+def test_hash_keys_vec_leaves_keys_untouched():
+    ts = np.arange(1, 6, dtype=np.int64).reshape(5, 1)
+    xs = np.arange(-4, 3, dtype=np.int64).reshape(1, 7)
+    lists = [[1, 2, 3], [-1, 0, 1]]
+    before = [ts.copy(), xs.copy()]
+    ts.flags.writeable = False  # any write into a caller's key would raise
+    hash_keys_vec(0, (1,), [ts, xs])
+    hash_keys_vec(0, (), [xs])
+    hash_keys_vec(0, (), lists)
+    assert np.array_equal(ts, before[0]) and np.array_equal(xs, before[1])
+    assert lists == [[1, 2, 3], [-1, 0, 1]]
 
 
 def test_unit_open_vec_matches_scalar():
@@ -151,6 +193,93 @@ def test_sample_spacetime_bit_identical():
     for i in range(2):
         for j in range(2):
             assert out[i, j] == nm.sample(int(ts[i, j]), (int(xs[i, j]),))
+
+
+# ---------------------------------------------------------------------------
+# open meshes and blocked draws against the one-shot full-mesh reference
+
+
+def _reference(nm, scalar_keys, keys):
+    """One-shot path: hash the full broadcast mesh, then map every word."""
+    u = unit_open_vec(hash_keys_vec(nm.spec.seed, scalar_keys,
+                                    np.broadcast_arrays(*keys)))
+    if nm.spec.family == "uniform":
+        return _uniform_icdf(u, nm.spec.scale)
+    return _triangular_icdf(u, nm.spec.scale)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+def _axes(shape, lo=-3):
+    """Coordinate axes of an axis-aligned box, as an open mesh."""
+    return np.meshgrid(*[np.arange(lo, lo + n) for n in shape],
+                       indexing="ij", sparse=True)
+
+
+def _block_shapes(inner):
+    """Shapes (n,) + inner around the block size: one row short of a
+    block, exactly one block, one row over, three blocks plus a ragged
+    tail."""
+    per = _BLOCK // math.prod(inner)
+    return [(n,) + inner for n in (per - 1, per, per + 1, 3 * per + 7)]
+
+
+@pytest.mark.parametrize("family", ["uniform", "triangular"])
+@pytest.mark.parametrize("inner", [(), (100,), (20, 20)],
+                         ids=["d1", "d2", "d3"])
+def test_sample_grid_open_mesh_equals_full_mesh(family, inner):
+    nm = make_noise(family, 1.7, seed=2**63 + 3)
+    for shape in _block_shapes(inner):
+        axes = _axes(shape)
+        full = np.meshgrid(*[a.ravel() for a in axes], indexing="ij")
+        ref = _reference(nm, (4,), full)
+        assert _same_bits(nm.sample_grid(4, axes), ref)
+        assert _same_bits(nm.sample_grid(4, full), ref)
+
+
+@pytest.mark.parametrize("family", ["uniform", "triangular"])
+@pytest.mark.parametrize("inner", [(100,), (20, 20), (8, 8, 8)],
+                         ids=["d1", "d2", "d3"])
+def test_sample_spacetime_open_mesh_equals_full_mesh(family, inner):
+    nm = make_noise(family, 0.9, seed=12)
+    for shape in _block_shapes(inner):
+        times = np.arange(1, shape[0] + 1).reshape((-1,) + (1,) * len(inner))
+        space = [c[np.newaxis] for c in _axes(inner)]
+        full = np.broadcast_arrays(times, *space)
+        ref = _reference(nm, (), full)
+        assert _same_bits(nm.sample_spacetime(times, space), ref)
+        assert _same_bits(nm.sample_spacetime(full[0], full[1:]), ref)
+
+
+@pytest.mark.parametrize("family", ["uniform", "triangular"])
+def test_edits_on_open_meshes_equal_full_meshes(family):
+    base = make_noise(family, 1.1, seed=5)
+    views = [base.with_override(2, (1, -2), 0.75),
+             base.perturb_at(2, (0, 0), 0.125).perturb_at(3, (-1, 4), -2.0),
+             base.zero_first_layer(),
+             base.zero_first_layer().with_override(1, (2, 2), 0.5)
+                 .perturb_at(1, (2, 2), 0.25).perturb_at(2, (2, 2), 1.0)]
+    axes = _axes((_BLOCK // 50 + 3, 50))
+    full = np.meshgrid(*[a.ravel() for a in axes], indexing="ij")
+    times = np.arange(1, 5).reshape(4, 1, 1)
+    space = [c[np.newaxis, :12, :9] for c in axes]
+    st_full = np.broadcast_arrays(times, *space)
+    for nm in views:
+        for t in (1, 2, 3):
+            got = nm.sample_grid(t, axes)
+            assert _same_bits(got, nm.sample_grid(t, full))
+            for site in ((1, -2), (0, 0), (-1, 4), (2, 2), (5, 7)):
+                idx = tuple(c - a.ravel()[0] for c, a in zip(site, axes))
+                assert got[idx] == nm.sample(t, site)
+        got = nm.sample_spacetime(times, space)
+        assert _same_bits(got, nm.sample_spacetime(st_full[0], st_full[1:]))
+        for i, j, k in ((1, 4, 1), (1, 3, 3), (0, 3, 3), (2, 2, 7), (0, 5, 5),
+                        (1, 5, 5)):
+            site = (int(st_full[1][i, j, k]), int(st_full[2][i, j, k]))
+            assert got[i, j, k] == nm.sample(i + 1, site)
 
 
 # ---------------------------------------------------------------------------

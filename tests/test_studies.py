@@ -261,6 +261,35 @@ def test_whitenoise_study_small_run():
                                    "skewness_small", "excess_kurtosis_small"}
 
 
+def test_whitenoise_row_equals_full_mesh_pairings():
+    # the study hashes an open cell mesh; the full meshgrid is the reference
+    plan = ExperimentPlan(epsilon_grid=(0.5, 0.4), replicas=30, seed=4,
+                          scheme_preset="intermediate-disorder-1d",
+                          scheme_params={})
+    res = whitenoise_pairing_study(plan)
+    scheme = plan.scheme()
+    fn = GaussianBump()
+    for row in res.tables["pairings"]:
+        alpha, beta = scheme.alpha(row["epsilon"]), scheme.beta(row["epsilon"])
+        m, v_ranges, cell_avg = _pairing_cells(fn, alpha, beta)
+        mesh = np.meshgrid(m + 1, *v_ranges, indexing="ij")
+        coef = math.sqrt(alpha) * beta ** 0.5 / plan.noise_for(0).sigma
+        pairings = np.array([
+            coef * float((plan.noise_for(k).sample_spacetime(mesh[0], mesh[1:])
+                          * cell_avg).sum()) for k in range(plan.replicas)])
+        assert row["mean"] == float(pairings.mean())
+        assert row["variance"] == float(pairings.var(ddof=1))
+
+
+def test_whitenoise_study_same_bits_for_any_worker_count():
+    plan = ExperimentPlan(epsilon_grid=(0.5, 0.4), replicas=30, seed=1,
+                          scheme_preset="intermediate-disorder-1d",
+                          scheme_params={})
+    one = whitenoise_pairing_study(plan, workers=1)
+    two = whitenoise_pairing_study(plan, workers=2)
+    assert repr(one.tables) == repr(two.tables)
+
+
 def test_whitenoise_study_rejects_mismatched_dimension():
     plan = ExperimentPlan(epsilon_grid=(0.5,), replicas=30,
                           scheme_preset="intermediate-disorder-1d",

@@ -13,17 +13,16 @@ __version__ = "0.1.0"
 from .assumptions import AssumptionReport, CheckResult, check_assumptions
 from .driving import (CallableDriving, DrivingFunction,
                       EdwardsWilkinsonDriving, GeneralizedKpzDriving,
-                      HessianAtOrigin, PolymerDriving, Stencil,
+                      HessianAtOrigin, PolymerDriving,
                       gkpz_monotone_threshold, make_driving, psi_example,
                       stencil_offsets)
 from .lattice import (ConeWrapWarning, EvolutionConfig, HeightHistory,
-                      HeightSlice, LatticeGeometry, evolve, load_slice,
-                      min_cone_side, polymer_path_sum, save_slice,
-                      slice_csv_rows, step)
-from .noise import NoiseModel, NoiseSpec, make_noise
+                      HeightSlice, LatticeGeometry, evolve, min_cone_side,
+                      polymer_path_sum, slice_csv_rows, step)
+from .noise import NoiseModel, NoiseSpec, make_noise, replica_noise
 from .rescale import (Coefficients, DecompositionSample, ScalingScheme,
-                      ceil_div, coefficients, decompose, lattice_point,
-                      macro_terms, make_scheme, rescaled_field, xi_value)
+                      coefficients, decompose, evolve_and_decompose,
+                      macro_terms, make_scheme)
 from .rng import derive_seed, hash_keys, mix64, unit_open
 from .studies import (ExperimentPlan, GaussianBump, QuantileSeries,
                       StudyResult, drift_bound_study, gradient_scaling_study,
@@ -36,16 +35,15 @@ __all__ = [
     "__version__",
     "AssumptionReport", "CheckResult", "check_assumptions",
     "CallableDriving", "DrivingFunction", "EdwardsWilkinsonDriving",
-    "GeneralizedKpzDriving", "HessianAtOrigin", "PolymerDriving", "Stencil",
+    "GeneralizedKpzDriving", "HessianAtOrigin", "PolymerDriving",
     "gkpz_monotone_threshold", "make_driving", "psi_example",
     "stencil_offsets",
     "ConeWrapWarning", "EvolutionConfig", "HeightHistory", "HeightSlice",
-    "LatticeGeometry", "evolve", "load_slice", "min_cone_side",
-    "polymer_path_sum", "save_slice", "slice_csv_rows", "step",
-    "NoiseModel", "NoiseSpec", "make_noise",
-    "Coefficients", "DecompositionSample", "ScalingScheme", "ceil_div",
-    "coefficients", "decompose", "lattice_point", "macro_terms",
-    "make_scheme", "rescaled_field", "xi_value",
+    "LatticeGeometry", "evolve", "min_cone_side", "polymer_path_sum",
+    "slice_csv_rows", "step",
+    "NoiseModel", "NoiseSpec", "make_noise", "replica_noise",
+    "Coefficients", "DecompositionSample", "ScalingScheme", "coefficients",
+    "decompose", "evolve_and_decompose", "macro_terms", "make_scheme",
     "derive_seed", "hash_keys", "mix64", "unit_open",
     "ExperimentPlan", "GaussianBump", "QuantileSeries", "StudyResult",
     "drift_bound_study", "gradient_scaling_study", "remainder_ratio_study",

@@ -21,12 +21,12 @@ from .config import (ConfigError, ENV_WORKERS, effective_workers,
                      dump_resolved, load_config, plan_from_config,
                      scheme_params)
 from .driving import make_driving
-from .lattice import (EvolutionConfig, HeightHistory, LatticeGeometry,
-                      evolve, min_cone_side, slice_csv_rows, step)
-from .noise import NoiseModel, NoiseSpec
+from .lattice import (EvolutionConfig, LatticeGeometry, evolve,
+                      min_cone_side, slice_csv_rows)
+from .noise import NoiseModel, replica_noise
 from .output import sha256_text, write_csv, write_json
-from .rescale import coefficients, decompose, macro_terms, make_scheme
-from .rng import derive_seed
+from .rescale import (coefficients, evolve_and_decompose, macro_terms,
+                      make_scheme)
 from .studies import (GaussianBump, drift_bound_study, gradient_scaling_study,
                       remainder_ratio_study, stationarity_study,
                       whitenoise_pairing_study)
@@ -62,8 +62,8 @@ def resolve_side(policy: str, side: int, horizon: int) -> int:
 
 def _noise(cfg: Dict, replica: int) -> NoiseModel:
     m = cfg["model"]
-    return NoiseModel(NoiseSpec(m["noise_family"], m["noise_scale"],
-                                derive_seed(cfg["run"]["seed"], replica)))
+    return replica_noise(m["noise_family"], m["noise_scale"],
+                         cfg["run"]["seed"], replica)
 
 
 # ---------------------------------------------------------------------------
@@ -100,18 +100,13 @@ def _cmd_decompose(cfg: Dict, workers: int):
     x0 = tuple(0 for _ in range(m["d"]))
     degenerate = abs(hess.q - hess.r) < 1e-14
     coef = None if degenerate else coefficients(scheme, eps, m["d"], hess,
-                                                NoiseSpec(m["noise_family"],
-                                                          m["noise_scale"],
-                                                          0).sigma)
+                                                _noise(cfg, 0).sigma)
     rows = []
     worst_lattice = 0.0
     worst_macro = 0.0
     for k in range(p["replicas"]):
         noise = _noise(cfg, k)
-        cur = evolve(EvolutionConfig(phi, noise, g, eps, T - 1,
-                                     keep_history=False))
-        hist = HeightHistory([cur, step(cur, phi, noise, eps)])
-        s = decompose(hist, phi, noise, eps, T - 1, x0)
+        s = evolve_and_decompose(phi, noise, g, eps, T - 1, x0)
         row = {"replica": k, "epsilon": eps, "t": s.t}
         for i, xi in enumerate(s.x, start=1):
             row[f"x{i}"] = xi
@@ -121,9 +116,7 @@ def _cmd_decompose(cfg: Dict, workers: int):
         row.update(A=s.A, B=s.B, C=s.C, D=s.D, increment=s.increment,
                    lattice_residual=resid)
         if coef is not None:
-            sm = macro_terms(s, scheme, eps, NoiseSpec(m["noise_family"],
-                                                       m["noise_scale"],
-                                                       0).sigma, hess, m["d"])
+            sm = macro_terms(s, scheme, eps, noise.sigma, hess, m["d"])
             mresid = sm.time_derivative - (sm.laplacian_term + sm.grad_sq_term
                                            + sm.noise_term + sm.remainder)
             mrel = abs(mresid) / max(abs(sm.time_derivative), 1e-300)

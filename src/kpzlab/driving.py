@@ -31,42 +31,7 @@ def stencil_offsets(d: int) -> List[Offset]:
     return offs
 
 
-def stencil_size(d: int) -> int:
-    return 2 * d + 1
-
-
-@dataclass(frozen=True)
-class Stencil:
-    """Heights on the closed neighborhood of one site, center first."""
-
-    d: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != (2 * self.d + 1,):
-            raise ValueError(f"stencil for d={self.d} needs {2*self.d+1} "
-                             f"values, got shape {v.shape}")
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def constant(cls, d: int, c: float = 0.0) -> "Stencil":
-        return cls(d, np.full(2 * d + 1, float(c)))
-
-    @property
-    def center(self) -> float:
-        return float(self.values[0])
-
-    @property
-    def mean(self) -> float:
-        return float(self.values.mean())
-
-
 def _as_values(u, d: int) -> np.ndarray:
-    if isinstance(u, Stencil):
-        if u.d != d:
-            raise ValueError(f"stencil dimension {u.d} != phi dimension {d}")
-        return u.values
     v = np.asarray(u, dtype=np.float64)
     if v.shape != (2 * d + 1,):
         raise ValueError(f"expected {2*d+1} stencil values, got {v.shape}")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import struct
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -72,20 +71,18 @@ class LatticeGeometry:
         return tuple(c - self.lo for c in w)
 
     def site_mesh(self) -> List[np.ndarray]:
-        """Coordinate arrays (one per axis) over the canonical window."""
-        return _site_mesh(self.d, self.L)
+        """Coordinate arrays (one per axis) over the canonical window.
+
+        Dense (d arrays of L^d sites) and built afresh on each call from
+        the cached open axes, so no full mesh outlives its caller.
+        """
+        return [np.broadcast_to(a, self.shape).copy()
+                for a in _site_axes(self.d, self.L)]
 
     def sites(self):
         """Iterate all canonical sites in row-major order."""
         rng = range(self.lo, self.lo + self.L)
         return itertools.product(*[rng] * self.d)
-
-
-@lru_cache(maxsize=32)
-def _site_mesh(d: int, L: int) -> List[np.ndarray]:
-    lo = -(L // 2)
-    axes = [np.arange(lo, lo + L, dtype=np.int64) for _ in range(d)]
-    return list(np.meshgrid(*axes, indexing="ij"))
 
 
 @lru_cache(maxsize=32)
@@ -132,20 +129,19 @@ class HeightSlice:
         return np.array([self.values[g.index(tuple(c + o for c, o in zip(xs, off)))]
                          for off in offs])
 
-    def local_average(self, x) -> float:
-        return float(self.stencil_at(x).mean())
+    def stencil_stack(self) -> np.ndarray:
+        """Heights over every site's closed neighborhood, stencil order.
 
-    def discrete_gradient(self, x) -> np.ndarray:
-        """Forward differences f(x+e_i) - f(x), one per axis."""
-        g = self.geometry
-        xs = g.wrap(x)
-        base = self.value_at(xs)
-        out = np.empty(g.d)
-        for axis in range(g.d):
-            nb = list(xs)
-            nb[axis] += 1
-            out[axis] = self.value_at(tuple(nb)) - base
-        return out
+        Shape (2d+1,) + lattice shape: row 0 is the slice itself, rows
+        2i+1 and 2i+2 hold the values at x + e_i and x - e_i (torus wrap).
+        """
+        vals = self.values
+        U = np.empty((2 * vals.ndim + 1,) + vals.shape)
+        U[0] = vals
+        for axis in range(vals.ndim):
+            U[2 * axis + 1] = np.roll(vals, -1, axis=axis)
+            U[2 * axis + 2] = np.roll(vals, +1, axis=axis)
+        return U
 
     def gradient_field(self, axis: int = 0) -> np.ndarray:
         """f(x+e_axis) - f(x) over the whole torus, as an array."""
@@ -206,17 +202,9 @@ def step(slice_: HeightSlice, phi: DrivingFunction, noise: NoiseModel,
          epsilon: float) -> HeightSlice:
     """One growth update: phi over each stencil plus fresh scaled noise."""
     g = slice_.geometry
-    vals = slice_.values
-    U = np.empty((2 * g.d + 1,) + vals.shape)
-    U[0] = vals
-    k = 1
-    for axis in range(g.d):
-        U[k] = np.roll(vals, -1, axis=axis)      # value at x + e_axis
-        U[k + 1] = np.roll(vals, +1, axis=axis)  # value at x - e_axis
-        k += 2
     t_next = slice_.t + 1
-    new = phi.value_many(U) + epsilon * noise.sample_grid(t_next,
-                                                          _site_axes(g.d, g.L))
+    new = (phi.value_many(slice_.stencil_stack())
+           + epsilon * noise.sample_grid(t_next, _site_axes(g.d, g.L)))
     return HeightSlice(g, t_next, new)
 
 
@@ -279,35 +267,7 @@ def polymer_path_sum(noise: NoiseModel, epsilon: float, t: int, x,
 
 
 # ---------------------------------------------------------------------------
-# slice snapshots: compact binary plus CSV export
-
-_MAGIC = b"KPZS"
-_VERSION = 1
-_HEADER = struct.Struct("<4sHHIqdQ")  # magic, version, d, L, t, epsilon, seed
-
-
-def save_slice(path, slice_: HeightSlice, epsilon: float, seed: int) -> None:
-    g = slice_.geometry
-    head = _HEADER.pack(_MAGIC, _VERSION, g.d, g.L, slice_.t,
-                        float(epsilon), seed & 0xFFFFFFFFFFFFFFFF)
-    with open(path, "wb") as fh:
-        fh.write(head)
-        fh.write(slice_.values.astype("<f8").ravel(order="C").tobytes())
-
-
-def load_slice(path) -> Tuple[HeightSlice, float, int]:
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) != _HEADER.size:
-            raise ValueError("not a height-slice snapshot")
-        magic, version, d, L, t, epsilon, seed = _HEADER.unpack(head)
-        if magic != _MAGIC or version != _VERSION:
-            raise ValueError("not a height-slice snapshot")
-        data = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
-    g = LatticeGeometry(d, L)
-    if data.size != g.n_sites:
-        raise ValueError("snapshot payload size mismatch")
-    return HeightSlice(g, t, data.reshape(g.shape)), epsilon, seed
+# CSV export
 
 
 def slice_csv_rows(slice_: HeightSlice, epsilon: float, seed: int):

@@ -13,7 +13,8 @@ from typing import Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .rng import hash_keys, hash_keys_vec, unit_open, unit_open_vec
+from .rng import (derive_seed, hash_keys, hash_keys_vec, unit_open,
+                  unit_open_vec)
 
 Site = Tuple[int, ...]
 
@@ -140,7 +141,7 @@ class NoiseModel:
         blocks, bit-identical to sample() at every cell.
         """
         times = np.asarray(times)
-        if times.min() < 1:
+        if times.size and times.min() < 1:
             raise ValueError("noise layers start at t=1")
         coords = [np.asarray(c) for c in coords]
         out = self._draws((), [times, *coords])
@@ -222,3 +223,9 @@ class NoiseModel:
 def make_noise(family: str = "uniform", scale: float = DEFAULT_SCALE,
                seed: int = 0) -> NoiseModel:
     return NoiseModel(NoiseSpec(family=family, scale=scale, seed=seed))
+
+
+def replica_noise(family: str, scale: float, seed: int,
+                  replica: int) -> NoiseModel:
+    """Noise field of one replica: keyed by the replica's derived seed."""
+    return make_noise(family, scale, derive_seed(seed, replica))

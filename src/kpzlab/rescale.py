@@ -1,9 +1,10 @@
 """Macroscopic rescaling and the exact four-term increment decomposition.
 
 The rescaled field is F(t, x) = gamma * f(ceil(t/alpha), ceil(x/beta))
-with ceil the least-integer-above map (so ceil(-0.3) = 0). Because the
-space map sends x + beta*a exactly to the lattice neighbor, the discrete
-operators below evaluate on lattice stencils with no interpolation.
+with ceil the least-integer-above map (so ceil(-0.3) = 0). Inside a cell
+the space map sends x + beta*a exactly to the lattice neighbor, so there
+nu times the discrete Laplacian of F is the laplacian_term below, up to
+rounding.
 
 At a lattice point the one-step increment splits exactly into
     A  local average minus center height,
@@ -20,10 +21,9 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence, Tuple
 
-import numpy as np
-
-from .driving import DrivingFunction, HessianAtOrigin, stencil_offsets
-from .lattice import HeightHistory
+from .driving import DrivingFunction, HessianAtOrigin
+from .lattice import (EvolutionConfig, HeightHistory, LatticeGeometry, evolve,
+                      step)
 from .noise import NoiseModel
 
 
@@ -118,25 +118,6 @@ def coefficients(scheme: ScalingScheme, epsilon: float, d: int,
     return Coefficients(nu=nu, lam=lam, D=Dco)
 
 
-def ceil_div(u: float) -> int:
-    """Least integer >= u (so -0.3 maps to 0)."""
-    return int(math.ceil(u))
-
-
-def lattice_point(scheme: ScalingScheme, epsilon: float, t: float,
-                  x: Sequence[float]) -> Tuple[int, Tuple[int, ...]]:
-    """Map a macroscopic point (t > 0, x) to its lattice cell indices."""
-    if t <= 0:
-        raise ValueError("macroscopic time must be positive")
-    a = scheme.alpha(epsilon)
-    b = scheme.beta(epsilon)
-    if isinstance(x, (int, float)):
-        x = (x,)
-    m = ceil_div(t / a)
-    v = tuple(ceil_div(c / b) for c in x)
-    return m, v
-
-
 @dataclass(frozen=True)
 class DecompositionSample:
     """One lattice increment split into its four exact pieces."""
@@ -187,6 +168,16 @@ def decompose(history: HeightHistory, phi: DrivingFunction, noise: NoiseModel,
                                A=A, B=B, C=C, D=D, increment=inc)
 
 
+def evolve_and_decompose(phi: DrivingFunction, noise: NoiseModel,
+                         geometry: LatticeGeometry, epsilon: float, t: int,
+                         x) -> DecompositionSample:
+    """Grow t steps from flat, take one more, and decompose at (t, x)."""
+    cur = evolve(EvolutionConfig(phi, noise, geometry, epsilon, T=t,
+                                 keep_history=False))
+    hist = HeightHistory([cur, step(cur, phi, noise, epsilon)])
+    return decompose(hist, phi, noise, epsilon, t, x)
+
+
 def macro_terms(sample: DecompositionSample, scheme: ScalingScheme,
                 epsilon: float, sigma: float, hessian: HessianAtOrigin,
                 d: int) -> DecompositionSample:
@@ -212,58 +203,3 @@ def macro_terms(sample: DecompositionSample, scheme: ScalingScheme,
         remainder=(g / a) * sample.D,
         xi=xi,
     )
-
-
-def xi_value(noise: NoiseModel, scheme: ScalingScheme, epsilon: float,
-             sigma: float, t: float, x) -> float:
-    """Rescaled noise field at a macroscopic point.
-
-    Piecewise constant on scheme cells; the lattice layer is the cell's
-    time index plus one (the noise that lands during the cell's update).
-    """
-    m, v = lattice_point(scheme, epsilon, t, x)
-    a = scheme.alpha(epsilon)
-    b = scheme.beta(epsilon)
-    d = len(v)
-    return noise.sample(m + 1, v) / (sigma * math.sqrt(a) * b ** (d / 2.0))
-
-
-# ---------------------------------------------------------------------------
-# discrete operators on macroscopic fields (any callable g(t, x_vector))
-
-
-def approx_time_derivative(gfun: Callable, t: float, x, alpha: float) -> float:
-    return (gfun(t + alpha, x) - gfun(t, x)) / alpha
-
-
-def local_mean(gfun: Callable, t: float, x, beta: float, d: int) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    tot = 0.0
-    for off in stencil_offsets(d):
-        tot += gfun(t, x + beta * np.asarray(off))
-    return tot / (2 * d + 1)
-
-
-def approx_laplacian(gfun: Callable, t: float, x, beta: float, d: int) -> float:
-    return (2 * d + 1) * (local_mean(gfun, t, x, beta, d) - gfun(t, np.asarray(x, dtype=np.float64))) / beta ** 2
-
-
-def approx_grad_sq(gfun: Callable, t: float, x, beta: float, d: int) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    m = local_mean(gfun, t, x, beta, d)
-    tot = 0.0
-    for off in stencil_offsets(d):
-        tot += ((gfun(t, x + beta * np.asarray(off)) - m) / beta) ** 2
-    return 0.5 * tot
-
-
-def rescaled_field(history: HeightHistory, scheme: ScalingScheme,
-                   epsilon: float) -> Callable:
-    """The step-function field F(t,x) = gamma f(ceil(t/alpha), ceil(x/beta))."""
-    g = scheme.gamma(epsilon)
-
-    def F(t: float, x) -> float:
-        m, v = lattice_point(scheme, epsilon, t, x)
-        return g * history.at(m).value_at(v)
-
-    return F

@@ -18,10 +18,11 @@ import numpy as np
 from scipy import special, stats
 
 from .driving import DrivingFunction, make_driving
-from .lattice import (EvolutionConfig, HeightHistory, HeightSlice,
-                      LatticeGeometry, min_cone_side, evolve, step)
-from .noise import NoiseModel, NoiseSpec
-from .rescale import ScalingScheme, decompose, macro_terms, make_scheme
+from .lattice import (EvolutionConfig, HeightSlice, LatticeGeometry,
+                      min_cone_side, evolve, step)
+from .noise import NoiseModel, NoiseSpec, replica_noise
+from .rescale import (ScalingScheme, evolve_and_decompose, macro_terms,
+                      make_scheme)
 from .rng import derive_seed
 
 CENTER = 0  # studies anchor at the origin site
@@ -76,8 +77,8 @@ class ExperimentPlan:
         return make_scheme(self.scheme_preset, **self.scheme_params)
 
     def noise_for(self, replica: int) -> NoiseModel:
-        return NoiseModel(NoiseSpec(self.noise_family, self.noise_scale,
-                                    derive_seed(self.seed, replica)))
+        return replica_noise(self.noise_family, self.noise_scale, self.seed,
+                             replica)
 
     def t_for(self, epsilon: float) -> int:
         if self.schedule == "adversarial":
@@ -179,11 +180,7 @@ def _remainder_worker(args) -> List[dict]:
     for eps in plan.epsilon_grid:
         t_eps = plan.t_for(eps)
         g = LatticeGeometry(plan.d, plan.side_for(t_eps + 1))
-        cfg = EvolutionConfig(phi, noise, g, eps, T=t_eps, keep_history=False)
-        cur = evolve(cfg)
-        nxt = step(cur, phi, noise, eps)
-        hist = HeightHistory([cur, nxt])
-        samp = decompose(hist, phi, noise, eps, t_eps, x0)
+        samp = evolve_and_decompose(phi, noise, g, eps, t_eps, x0)
         samp = macro_terms(samp, scheme, eps, noise.sigma, hess, plan.d)
         rows.append({
             "replica": replica, "epsilon": eps, "t": t_eps,

@@ -52,16 +52,7 @@ class WalkDistribution:
 
 def _gradient_field(phi: DrivingFunction, slice_: HeightSlice) -> np.ndarray:
     """grad phi over every site's stencil; shape (2d+1,) + lattice shape."""
-    g = slice_.geometry
-    vals = slice_.values
-    U = np.empty((2 * g.d + 1,) + vals.shape)
-    U[0] = vals
-    k = 1
-    for axis in range(g.d):
-        U[k] = np.roll(vals, -1, axis=axis)
-        U[k + 1] = np.roll(vals, +1, axis=axis)
-        k += 2
-    G = phi.gradient_many(U)
+    G = phi.gradient_many(slice_.stencil_stack())
     gmin = float(G.min())
     total_err = float(np.abs(G.sum(axis=0) - 1.0).max())
     if gmin < -WEIGHT_TOL or total_err > 1e-9:

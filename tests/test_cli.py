@@ -12,6 +12,7 @@ from kpzlab.cli import ConeRefusal, main, resolve_side
 from kpzlab.config import (ConfigError, ENV_WORKERS, effective_workers,
                            load_config)
 from kpzlab.output import sha256_text
+from kpzlab.studies import ExperimentPlan, remainder_ratio_study
 
 
 def read_doc(path):
@@ -141,6 +142,28 @@ def test_decompose_degenerate_update_skips_macro(tmp_path):
     assert doc["report"]["degenerate_hessian"] is True
     assert set(doc["assertions"]) == {"lattice_identity_1e-10"}
     assert "coefficients" not in doc["report"]
+
+
+def test_decompose_command_matches_remainder_study(tmp_path):
+    # both run evolve_and_decompose and macro_terms: decompose at
+    # plan.t = t_eps + 1 must give the study's bits at horizon t_eps
+    plan = ExperimentPlan(epsilon_grid=(0.2, 0.1), replicas=30, seed=5)
+    samples = remainder_ratio_study(plan).tables["samples"]
+    keys = ("A", "B", "C", "D", "remainder", "laplacian_term",
+            "grad_sq_term", "noise_term", "time_derivative")
+    for eps in plan.epsilon_grid:
+        out = tmp_path / str(eps)
+        assert main(["decompose", "--out", str(out), "--seed", "5",
+                     "--set", f"plan.t={plan.t_for(eps) + 1}",
+                     "--set", f"plan.epsilon={eps}",
+                     "--set", "plan.replicas=30"]) == 0
+        rows = read_rows(out / "decompose-5.csv")
+        ref = [r for r in samples if r["epsilon"] == eps]
+        assert len(rows) == len(ref) == 30
+        for cli_row, study_row in zip(rows, ref):
+            assert int(cli_row["replica"]) == study_row["replica"]
+            for key in keys:
+                assert float(cli_row[key]).hex() == study_row[key].hex(), key
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from kpzlab.assumptions import check_assumptions
 from kpzlab.driving import (CallableDriving, DrivingFunction,
                             EdwardsWilkinsonDriving, GeneralizedKpzDriving,
-                            PolymerDriving, Stencil, gkpz_monotone_threshold,
+                            PolymerDriving, gkpz_monotone_threshold,
                             make_driving, psi_example, psi_example_prime,
-                            stencil_offsets, stencil_size)
+                            stencil_offsets)
 
 ALL_BUILTINS = [make_driving(n, d) for n in ("polymer", "gkpz", "ew")
                 for d in (1, 2)]
@@ -25,17 +25,6 @@ ALL_BUILTINS = [make_driving(n, d) for n in ("polymer", "gkpz", "ew")
 def test_stencil_offsets_order():
     assert stencil_offsets(1) == [(0,), (1,), (-1,)]
     assert stencil_offsets(2) == [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
-    assert stencil_size(3) == 7
-
-
-def test_stencil_validation_and_props():
-    s = Stencil(1, [1.0, 2.0, 3.0])
-    assert s.center == 1.0
-    assert s.mean == 2.0
-    with pytest.raises(ValueError):
-        Stencil(2, [1.0, 2.0, 3.0])
-    flat = Stencil.constant(2, 0.5)
-    assert flat.values.shape == (5,)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Lattice geometry, growth recursion, path-sum oracle, snapshots.
+"""Lattice geometry, growth recursion, path-sum oracle, CSV export.
 
 The recursion is validated against closed forms at small horizons and
 against the independent path-enumeration oracle; the torus must reproduce
@@ -14,8 +14,8 @@ from kpzlab.driving import (EdwardsWilkinsonDriving, PolymerDriving,
                             make_driving)
 from kpzlab.lattice import (ConeWrapWarning, EvolutionConfig, HeightHistory,
                             HeightSlice, LatticeGeometry, evolve,
-                            load_slice, min_cone_side, polymer_path_sum,
-                            save_slice, slice_csv_rows, step)
+                            min_cone_side, polymer_path_sum, slice_csv_rows,
+                            step)
 from kpzlab.noise import make_noise
 
 
@@ -84,7 +84,6 @@ def test_slice_stencil_order_and_wrap():
     assert list(sl.stencil_at((0,))) == [12.0, 13.0, 11.0]
     # wrap at the window edge
     assert list(sl.stencil_at((2,))) == [14.0, 10.0, 13.0]
-    assert sl.local_average((0,)) == pytest.approx(12.0)
 
 
 def test_stencil_2d_order():
@@ -97,26 +96,6 @@ def test_stencil_2d_order():
     vals[g.index((0, -1))] = 5.0
     sl = HeightSlice(g, 0, vals)
     assert list(sl.stencil_at((0, 0))) == [1.0, 2.0, 3.0, 4.0, 5.0]
-
-
-def test_local_average_worked():
-    g = LatticeGeometry(1, 5)
-    vals = np.zeros(5)
-    sl = HeightSlice(g, 0, vals)
-    sl.values[g.index((0,))] = 0.0
-    sl.values[g.index((1,))] = 0.2
-    sl.values[g.index((-1,))] = 0.1
-    assert sl.local_average((0,)) == pytest.approx(0.1, abs=1e-16)
-
-
-def test_discrete_gradient():
-    g = LatticeGeometry(2, 5)
-    mesh = g.site_mesh()
-    sl = HeightSlice(g, 0, mesh[0].astype(float))  # f = x1
-    grad = sl.discrete_gradient((0, 0))
-    assert grad[0] == 1.0 and grad[1] == 0.0
-    const = HeightSlice.flat(g, height=2.5)
-    assert np.all(const.discrete_gradient((1, 1)) == 0.0)
 
 
 def test_gradient_field_matches_pointwise():
@@ -191,7 +170,7 @@ def test_ew_step_closed_form():
     nm = make_noise(seed=5)
     nxt = step(sl, EdwardsWilkinsonDriving(1), nm, 0.2)
     for x in range(g.lo, g.lo + g.L):
-        expect = sl.local_average((x,)) + 0.2 * nm.sample(4, (x,))
+        expect = sl.stencil_at((x,)).mean() + 0.2 * nm.sample(4, (x,))
         assert nxt.value_at((x,)) == pytest.approx(expect, abs=1e-15)
 
 
@@ -362,30 +341,7 @@ def test_path_sum_budget_guard():
 
 
 # ---------------------------------------------------------------------------
-# snapshots
-
-
-def test_snapshot_roundtrip(tmp_path):
-    g = LatticeGeometry(2, 5)
-    rng = np.random.default_rng(2)
-    sl = HeightSlice(g, 7, rng.uniform(size=(5, 5)))
-    path = tmp_path / "slice.kpzs"
-    save_slice(path, sl, 0.25, 99)
-    back, eps, seed = load_slice(path)
-    assert np.array_equal(back.values, sl.values)
-    assert back.t == 7 and back.geometry == g
-    assert eps == 0.25 and seed == 99
-
-
-def test_snapshot_rejects_garbage(tmp_path):
-    short = tmp_path / "short.bin"
-    short.write_bytes(b"too short")
-    with pytest.raises(ValueError):
-        load_slice(short)
-    wrong = tmp_path / "wrong.bin"
-    wrong.write_bytes(b"X" * 64)  # full header size, bad magic
-    with pytest.raises(ValueError):
-        load_slice(wrong)
+# CSV export
 
 
 def test_csv_rows_cover_all_sites():

@@ -222,14 +222,16 @@ def _axes(shape, lo=-3):
 def _block_shapes(inner):
     """Shapes (n,) + inner around the block size: one row short of a
     block, exactly one block, one row over, three blocks plus a ragged
-    tail."""
+    tail. An empty inner shape gives empty grids with 0 and 3 rows."""
+    if math.prod(inner) == 0:
+        return [(0,) + inner, (3,) + inner]
     per = _BLOCK // math.prod(inner)
     return [(n,) + inner for n in (per - 1, per, per + 1, 3 * per + 7)]
 
 
 @pytest.mark.parametrize("family", ["uniform", "triangular"])
-@pytest.mark.parametrize("inner", [(), (100,), (20, 20)],
-                         ids=["d1", "d2", "d3"])
+@pytest.mark.parametrize("inner", [(), (100,), (20, 20), (0,)],
+                         ids=["d1", "d2", "d3", "empty"])
 def test_sample_grid_open_mesh_equals_full_mesh(family, inner):
     nm = make_noise(family, 1.7, seed=2**63 + 3)
     for shape in _block_shapes(inner):
@@ -241,8 +243,8 @@ def test_sample_grid_open_mesh_equals_full_mesh(family, inner):
 
 
 @pytest.mark.parametrize("family", ["uniform", "triangular"])
-@pytest.mark.parametrize("inner", [(100,), (20, 20), (8, 8, 8)],
-                         ids=["d1", "d2", "d3"])
+@pytest.mark.parametrize("inner", [(100,), (20, 20), (8, 8, 8), (0,)],
+                         ids=["d1", "d2", "d3", "empty"])
 def test_sample_spacetime_open_mesh_equals_full_mesh(family, inner):
     nm = make_noise(family, 0.9, seed=12)
     for shape in _block_shapes(inner):

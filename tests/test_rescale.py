@@ -2,7 +2,8 @@
 
 The four-piece split of a one-step increment is checked on hand-built
 stencils, on degenerate dynamics, and against the macroscopic identity;
-the discrete operators must converge at their advertised rates.
+the Laplacian term must equal nu times the discrete Laplacian of the
+rescaled field at every cell interior, up to rounding.
 """
 import math
 
@@ -10,49 +11,17 @@ import numpy as np
 import pytest
 
 from kpzlab.driving import (EdwardsWilkinsonDriving, PolymerDriving,
-                            make_driving)
+                            make_driving, stencil_offsets)
 from kpzlab.lattice import (EvolutionConfig, HeightHistory, HeightSlice,
-                            LatticeGeometry, evolve, step)
+                            LatticeGeometry, evolve, min_cone_side, step)
 from kpzlab.noise import make_noise
-from kpzlab.rescale import (Coefficients, DecompositionSample,
-                            approx_grad_sq, approx_laplacian,
-                            approx_time_derivative, ceil_div, coefficients,
+from kpzlab.rescale import (Coefficients, DecompositionSample, coefficients,
                             decompose, exponential_2d,
-                            intermediate_disorder_1d, lattice_point,
-                            macro_terms, make_scheme, power_law,
-                            rescaled_field, xi_value)
+                            intermediate_disorder_1d, macro_terms,
+                            make_scheme, power_law)
 
 # ---------------------------------------------------------------------------
-# schemes and the cell map
-
-
-def test_ceil_div_least_integer_above():
-    assert ceil_div(-0.6) == 0
-    assert ceil_div(-0.3) == 0
-    assert ceil_div(0.2) == 1
-    assert ceil_div(4.0) == 4
-
-
-def test_lattice_point_examples():
-    sch = power_law(alpha_exp=0, beta_exp=0, alpha_coef=0.25, beta_coef=0.5)
-    m, v = lattice_point(sch, 0.1, 1.0, (-0.3,))
-    assert (m, v) == (4, (0,))
-    m, v = lattice_point(sch, 0.1, 0.9, (0.6,))
-    assert (m, v) == (4, (2,))
-    # scalar space argument accepted
-    assert lattice_point(sch, 0.1, 1.0, -0.3) == (4, (0,))
-    with pytest.raises(ValueError):
-        lattice_point(sch, 0.1, 0.0, (0.0,))
-
-
-def test_lattice_point_steps_one_cell_per_alpha():
-    # advancing macroscopic time by exactly alpha moves one lattice layer
-    sch = power_law(alpha_exp=0, beta_exp=0, alpha_coef=0.25)
-    for k in range(1, 8):
-        t = k * 0.25
-        m0, _ = lattice_point(sch, 0.5, t, (0.0,))
-        m1, _ = lattice_point(sch, 0.5, t + 0.25, (0.0,))
-        assert m1 == m0 + 1
+# schemes
 
 
 def test_scheme_presets():
@@ -241,78 +210,62 @@ def test_macro_terms_scale_each_piece():
 
 def test_xi_value_scaling():
     # sigma 1, alpha 1e-4, beta 1e-2, d=1: xi is 1000 times the raw draw
+    hess = PolymerDriving(1).hessian_origin()
     sch = intermediate_disorder_1d()
-    nm = make_noise(seed=0)
     eps = 0.1
-    m, v = lattice_point(sch, eps, 0.5, (0.25,))
-    edited = nm.with_override(m + 1, v, 0.5)
-    assert xi_value(edited, sch, eps, 1.0, 0.5, (0.25,)) == pytest.approx(
-        500.0, abs=1e-9)
-    raw = nm.sample(m + 1, v)
-    assert xi_value(nm, sch, eps, 0.5, 0.5, (0.25,)) == pytest.approx(
-        2000.0 * raw, rel=1e-12)
-
-
-def test_xi_constant_on_cells():
-    sch = intermediate_disorder_1d()
-    nm = make_noise(seed=4)
-    eps = 0.5  # alpha = 0.0625, beta = 0.25
-    a = xi_value(nm, sch, eps, 1.0, 0.07, (0.30,))
-    b = xi_value(nm, sch, eps, 1.0, 0.12, (0.26,))  # same (m, v) cell
-    c = xi_value(nm, sch, eps, 1.0, 0.13, (0.26,))  # next time cell
-    assert a == b
-    assert a != c
+    s = DecompositionSample(epsilon=eps, t=3, x=(0,), A=0.0, B=0.0,
+                            C=eps * 0.5, D=0.0, increment=eps * 0.5)
+    assert macro_terms(s, sch, eps, 1.0, hess, 1).xi == pytest.approx(
+        500.0, rel=1e-12)
+    assert macro_terms(s, sch, eps, 0.5, hess, 1).xi == pytest.approx(
+        1000.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# discrete operators on smooth fields
+# the Laplacian term against the rescaled field
 
 
-def _smooth(t, x):
-    x = np.atleast_1d(x)
-    return math.sin(float(x[0])) * math.exp(-t)
+def _rescaled(hist, alpha, beta, gamma):
+    """F(t, x) = gamma f(ceil(t/alpha), ceil(x/beta)), a step function."""
+    def F(t, x):
+        v = tuple(math.ceil(c / beta) for c in x)
+        return gamma * hist.at(math.ceil(t / alpha)).value_at(v)
+    return F
 
 
-def test_time_derivative_first_order_rate():
-    t, x = 0.7, (0.4,)
-    exact = -_smooth(t, x)
-    e1 = abs(approx_time_derivative(_smooth, t, x, 0.08) - exact)
-    e2 = abs(approx_time_derivative(_smooth, t, x, 0.02) - exact)
-    assert 3.2 <= e1 / e2 <= 4.8
+def _discrete_laplacian(F, t, x, beta, d):
+    """(2d+1)/beta^2 times (mean of F over x + beta*a, minus F at x)."""
+    x = np.asarray(x, dtype=np.float64)
+    mean = sum(F(t, x + beta * np.asarray(off))
+               for off in stencil_offsets(d)) / (2 * d + 1)
+    return (2 * d + 1) * (mean - F(t, x)) / beta ** 2
 
 
-def test_laplacian_second_order_rate():
-    # for d=1 the operator reduces to the centered second difference
-    t, x = 0.3, (0.5,)
-    exact = -math.sin(0.5) * math.exp(-0.3)
-    assert approx_laplacian(_smooth, t, x, 1e-4, 1) == pytest.approx(exact,
-                                                                     abs=1e-6)
-    e1 = abs(approx_laplacian(_smooth, t, x, 0.2, 1) - exact)
-    e2 = abs(approx_laplacian(_smooth, t, x, 0.1, 1) - exact)
-    assert 3.2 <= e1 / e2 <= 4.8
-
-
-def test_grad_sq_second_order_rate():
-    t, x = 0.3, (0.5,)
-    fine = approx_grad_sq(_smooth, t, x, 1e-4, 1)
-    assert fine == pytest.approx((math.cos(0.5) * math.exp(-0.3)) ** 2,
-                                 abs=1e-6)
-    e1 = abs(approx_grad_sq(_smooth, t, x, 0.2, 1) - fine)
-    e2 = abs(approx_grad_sq(_smooth, t, x, 0.1, 1) - fine)
-    assert 3.2 <= e1 / e2 <= 4.8
-
-
-def test_rescaled_field_is_step_function():
-    g = LatticeGeometry(1, 11)
-    nm = make_noise(seed=6)
-    hist = evolve(EvolutionConfig(PolymerDriving(1), nm, g, 0.5, T=4))
-    sch = power_law(alpha_exp=0, beta_exp=0, gamma_exp=0,
-                    alpha_coef=0.5, beta_coef=1.0, gamma_coef=2.0)
-    F = rescaled_field(hist, sch, 0.5)
-    # t in (0.5, 1.0] maps to layer 2; x in (0, 1] maps to site 1
-    assert F(0.8, (0.7,)) == 2.0 * hist.at(2).value_at((1,))
-    assert F(0.8, (0.2,)) == F(1.0, (1.0,))
-    assert F(1.2, (0.0,)) == 2.0 * hist.at(3).value_at((0,))
+@pytest.mark.parametrize("name", ["polymer", "gkpz"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_laplacian_term_equals_discrete_laplacian_in_cells(name, d):
+    # at a cell interior ((m - 1/2) alpha, (v - 1/2) beta) the stencil
+    # x + beta*a lands in the cells of the lattice neighbours v + a; at
+    # the cell corners (m alpha, v beta) ceil can land one cell off
+    phi = make_driving(name, d)
+    hess = phi.hessian_origin()
+    sch = power_law(alpha_exp=2, beta_exp=1, gamma_exp=0.5)
+    g = LatticeGeometry(d, min_cone_side(5))
+    nm = make_noise(seed=11)
+    for eps in (0.5, 0.3, 0.1):
+        hist = evolve(EvolutionConfig(phi, nm, g, eps, T=5))
+        a, b, gam = sch.alpha(eps), sch.beta(eps), sch.gamma(eps)
+        F = _rescaled(hist, a, b, gam)
+        nu = coefficients(sch, eps, d, hess, nm.sigma).nu
+        for m in range(1, 5):
+            for v in g.sites():
+                s = macro_terms(decompose(hist, phi, nm, eps, m, v), sch,
+                                eps, nm.sigma, hess, d)
+                oracle = nu * _discrete_laplacian(
+                    F, (m - 0.5) * a, [(c - 0.5) * b for c in v], b, d)
+                scale = (nu * (2 * d + 1) * gam / b ** 2
+                         * np.abs(hist.at(m).stencil_at(v)).max())
+                assert abs(s.laplacian_term - oracle) <= 1e-13 * scale
 
 
 def test_coefficients_dataclass_fields():

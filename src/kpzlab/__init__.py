@@ -18,7 +18,7 @@ from .driving import (CallableDriving, DrivingFunction,
                       stencil_offsets)
 from .lattice import (ConeWrapWarning, EvolutionConfig, HeightHistory,
                       HeightSlice, LatticeGeometry, evolve, min_cone_side,
-                      polymer_path_sum, slice_csv_rows, step)
+                      polymer_path_sum, slice_csv_rows, step, trajectory)
 from .noise import NoiseModel, NoiseSpec, make_noise, replica_noise
 from .rescale import (Coefficients, DecompositionSample, ScalingScheme,
                       coefficients, decompose, evolve_and_decompose,
@@ -40,7 +40,7 @@ __all__ = [
     "stencil_offsets",
     "ConeWrapWarning", "EvolutionConfig", "HeightHistory", "HeightSlice",
     "LatticeGeometry", "evolve", "min_cone_side", "polymer_path_sum",
-    "slice_csv_rows", "step",
+    "slice_csv_rows", "step", "trajectory",
     "NoiseModel", "NoiseSpec", "make_noise", "replica_noise",
     "Coefficients", "DecompositionSample", "ScalingScheme", "coefficients",
     "decompose", "evolve_and_decompose", "macro_terms", "make_scheme",

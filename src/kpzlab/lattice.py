@@ -8,6 +8,13 @@ at different L agree exactly wherever their windows overlap. Information
 moves one site per step, so with L >= 2T+1 the torus run reproduces the
 infinite-lattice values at the central site through time T (cone
 exactness).
+
+Every evolution runs through trajectory(), which yields the slices at
+t = 0..T. Because the noise is a pure function of (seed, t, x), it hashes
+the layers ahead of time in blocks of about _BLOCK draws (many layers of a
+small lattice per call, one layer of a large one), and hands each layer's
+row to step(); the draws are bit for bit those step() takes on its own.
+Each block's last slice is checked for nonfinite heights.
 """
 from __future__ import annotations
 
@@ -16,12 +23,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .driving import DrivingFunction, stencil_offsets
-from .noise import NoiseModel, Site
+from .noise import _BLOCK, NoiseModel, Site
 
 
 class ConeWrapWarning(UserWarning):
@@ -89,7 +96,8 @@ class LatticeGeometry:
 def _site_axes(d: int, L: int) -> Tuple[np.ndarray, ...]:
     """Open (sparse) coordinate mesh: axis i has shape L along dimension i.
 
-    step() draws on it so each axis key is hashed on L values, not L^d.
+    step() and trajectory() draw on it so each axis key is hashed on L
+    values, not L^d; trajectory() prepends a (k, 1, ..., 1) time key.
     Read-only, because the cache hands the same arrays to every caller.
     """
     lo = -(L // 2)
@@ -98,6 +106,27 @@ def _site_axes(d: int, L: int) -> Tuple[np.ndarray, ...]:
     for a in axes:
         a.flags.writeable = False
     return tuple(axes)
+
+
+@lru_cache(maxsize=32)
+def _shift_pairs(d: int, L: int) -> Tuple[Tuple[tuple, tuple], ...]:
+    """(destination, source) index pairs that fill a stencil stack's rows.
+
+    Row 2i+1 holds x + e_i and row 2i+2 holds x - e_i along axis i: each
+    is one bulk slice copy plus the one wrapped edge, as np.roll would
+    move them.
+    """
+    pairs = []
+    for axis in range(d):
+        lead = (slice(None),) * axis
+        head, tail = slice(0, L - 1), slice(1, L)
+        first, last = slice(0, 1), slice(L - 1, L)
+        up, down = 2 * axis + 1, 2 * axis + 2
+        pairs += [((up,) + lead + (head,), lead + (tail,)),
+                  ((up,) + lead + (last,), lead + (first,)),
+                  ((down,) + lead + (tail,), lead + (head,)),
+                  ((down,) + lead + (first,), lead + (last,))]
+    return tuple(pairs)
 
 
 @dataclass
@@ -136,11 +165,11 @@ class HeightSlice:
         2i+1 and 2i+2 hold the values at x + e_i and x - e_i (torus wrap).
         """
         vals = self.values
-        U = np.empty((2 * vals.ndim + 1,) + vals.shape)
+        g = self.geometry
+        U = np.empty((2 * g.d + 1,) + vals.shape)
         U[0] = vals
-        for axis in range(vals.ndim):
-            U[2 * axis + 1] = np.roll(vals, -1, axis=axis)
-            U[2 * axis + 2] = np.roll(vals, +1, axis=axis)
+        for dst, src in _shift_pairs(g.d, g.L):
+            U[dst] = vals[src]
         return U
 
     def gradient_field(self, axis: int = 0) -> np.ndarray:
@@ -199,13 +228,62 @@ class EvolutionConfig:
 
 
 def step(slice_: HeightSlice, phi: DrivingFunction, noise: NoiseModel,
-         epsilon: float) -> HeightSlice:
-    """One growth update: phi over each stencil plus fresh scaled noise."""
+         epsilon: float, z: Optional[np.ndarray] = None) -> HeightSlice:
+    """One growth update: phi over each stencil plus fresh scaled noise.
+
+    z, when given, is the layer t+1 of noise over the window, as
+    trajectory() draws it ahead of time; otherwise step draws it itself.
+    """
     g = slice_.geometry
     t_next = slice_.t + 1
-    new = (phi.value_many(slice_.stencil_stack())
-           + epsilon * noise.sample_grid(t_next, _site_axes(g.d, g.L)))
+    if z is None:
+        z = noise.sample_grid(t_next, _site_axes(g.d, g.L))
+    new = phi.value_many(slice_.stencil_stack()) + epsilon * z
     return HeightSlice(g, t_next, new)
+
+
+def trajectory(config: EvolutionConfig) -> Iterator[HeightSlice]:
+    """Yield the slices at t = 0..T, grown from the flat zero surface.
+
+    The noise is drawn k = max(1, _BLOCK // L^d) layers at a time in one
+    sample_spacetime call, and never past T. Raises FloatingPointError
+    when the last slice of a block holds a nonfinite height. Never warns
+    about torus wrap; evolve() does.
+    """
+    g = config.geometry
+    axes = _site_axes(g.d, g.L)
+    k = max(1, _BLOCK // g.n_sites)
+    cur = HeightSlice.flat(g, t=0)
+    yield cur
+    for t0 in range(1, config.T + 1, k):
+        t_last = min(t0 + k, config.T + 1) - 1
+        times = np.arange(t0, t_last + 1, dtype=np.int64)
+        z = config.noise.sample_spacetime(times.reshape((-1,) + (1,) * g.d),
+                                          axes)
+        for z_t in z:
+            cur = step(cur, config.phi, config.noise, config.epsilon, z=z_t)
+            if cur.t == t_last:
+                _check_finite(cur)
+            yield cur
+
+
+def _check_finite(slice_: HeightSlice) -> None:
+    bad = ~np.isfinite(slice_.values)
+    if bad.any():
+        g = slice_.geometry
+        site = tuple(int(i) + g.lo for i in np.argwhere(bad)[0])
+        raise FloatingPointError(
+            f"nonfinite height {slice_.values[bad][0]} at t={slice_.t}, "
+            f"site {site}")
+
+
+def _warn_if_wrapped(T: int, g: LatticeGeometry) -> None:
+    """Warn, at the caller's caller, when a horizon outruns the torus."""
+    if T > 0 and g.L < min_cone_side(T):
+        warnings.warn(
+            f"horizon T={T} outruns torus side L={g.L} "
+            f"(need L >= {min_cone_side(T)} for cone exactness); "
+            "values carry torus wrap bias", ConeWrapWarning, stacklevel=3)
 
 
 def evolve(config: EvolutionConfig) -> Union[HeightHistory, HeightSlice]:
@@ -214,20 +292,11 @@ def evolve(config: EvolutionConfig) -> Union[HeightHistory, HeightSlice]:
     Returns the full history when keep_history, else the final slice.
     Warns when the dependence cone of late times wraps the torus.
     """
-    g = config.geometry
-    if config.T > 0 and g.L < min_cone_side(config.T):
-        warnings.warn(
-            f"horizon T={config.T} outruns torus side L={g.L} "
-            f"(need L >= {min_cone_side(config.T)} for cone exactness); "
-            "values carry torus wrap bias", ConeWrapWarning, stacklevel=2)
-    cur = HeightSlice.flat(g, t=0)
-    slices = [cur]
-    for _ in range(config.T):
-        cur = step(cur, config.phi, config.noise, config.epsilon)
-        if config.keep_history:
-            slices.append(cur)
+    _warn_if_wrapped(config.T, config.geometry)
     if config.keep_history:
-        return HeightHistory(slices)
+        return HeightHistory(list(trajectory(config)))
+    for cur in trajectory(config):
+        pass
     return cur
 
 

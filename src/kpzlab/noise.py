@@ -156,9 +156,10 @@ class NoiseModel:
         """Keyed draws over the broadcast shape of key_arrays.
 
         Grids of up to _BLOCK elements are hashed in one call. Larger ones
-        are cut along axis 0 into blocks of about _BLOCK elements, so the
-        scratch of each block stays in cache; every block is hashed, mapped
-        to floats and written into one preallocated output.
+        are cut along their leading axis of extent > 1 into blocks of about
+        _BLOCK elements, so the scratch of each block stays in cache (a
+        single (1, L, L) layer is cut along its rows); every block is
+        hashed, mapped to floats and written into one preallocated output.
         """
         shape = np.broadcast(*key_arrays).shape
         out = np.empty(shape)
@@ -166,14 +167,19 @@ class NoiseModel:
             self._fill(hash_keys_vec(self.spec.seed, scalar_keys, key_arrays),
                        out)
             return out
-        rows = max(1, _BLOCK // (out.size // shape[0]))
-        # only arrays spanning axis 0 are cut; the rest broadcast to each block
-        cut = [a.ndim == out.ndim and a.shape[0] != 1 for a in key_arrays]
-        for r0 in range(0, shape[0], rows):
-            block = [a[r0:r0 + rows] if c else a
-                     for a, c in zip(key_arrays, cut)]
+        axis = next(i for i, n in enumerate(shape) if n > 1)
+        rows = max(1, _BLOCK // (out.size // shape[axis]))
+        # key arrays align with the output from the right; only those
+        # spanning the cut axis are cut, the rest broadcast to each block
+        lead = (slice(None),) * axis
+        cut = [a.ndim > out.ndim - 1 - axis
+               and a.shape[axis - out.ndim + a.ndim] != 1 for a in key_arrays]
+        for r0 in range(0, shape[axis], rows):
+            rs = slice(r0, r0 + rows)
+            block = [a[(slice(None),) * (axis - out.ndim + a.ndim) + (rs,)]
+                     if c else a for a, c in zip(key_arrays, cut)]
             self._fill(hash_keys_vec(self.spec.seed, scalar_keys, block),
-                       out[r0:r0 + rows])
+                       out[lead + (rs,)])
         return out
 
     def _fill(self, h: np.ndarray, dst: np.ndarray) -> None:

@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence, Tuple
 
 from .driving import DrivingFunction, HessianAtOrigin
-from .lattice import (EvolutionConfig, HeightHistory, LatticeGeometry, evolve,
-                      step)
+from .lattice import (EvolutionConfig, HeightHistory, LatticeGeometry,
+                      _warn_if_wrapped, trajectory)
 from .noise import NoiseModel
 
 
@@ -171,11 +171,16 @@ def decompose(history: HeightHistory, phi: DrivingFunction, noise: NoiseModel,
 def evolve_and_decompose(phi: DrivingFunction, noise: NoiseModel,
                          geometry: LatticeGeometry, epsilon: float, t: int,
                          x) -> DecompositionSample:
-    """Grow t steps from flat, take one more, and decompose at (t, x)."""
-    cur = evolve(EvolutionConfig(phi, noise, geometry, epsilon, T=t,
-                                 keep_history=False))
-    hist = HeightHistory([cur, step(cur, phi, noise, epsilon)])
-    return decompose(hist, phi, noise, epsilon, t, x)
+    """Grow t + 1 steps from flat and decompose at (t, x).
+
+    Warns, as evolve() to t would, when the cone of time t wraps the torus.
+    """
+    _warn_if_wrapped(t, geometry)
+    prev = cur = None
+    for nxt in trajectory(EvolutionConfig(phi, noise, geometry, epsilon,
+                                          T=t + 1, keep_history=False)):
+        prev, cur = cur, nxt
+    return decompose(HeightHistory([prev, cur]), phi, noise, epsilon, t, x)
 
 
 def macro_terms(sample: DecompositionSample, scheme: ScalingScheme,

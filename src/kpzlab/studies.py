@@ -18,9 +18,9 @@ import numpy as np
 from scipy import special, stats
 
 from .driving import DrivingFunction, make_driving
-from .lattice import (EvolutionConfig, HeightSlice, LatticeGeometry,
-                      min_cone_side, evolve, step)
-from .noise import NoiseModel, NoiseSpec, replica_noise
+from .lattice import (EvolutionConfig, LatticeGeometry, min_cone_side,
+                      evolve, trajectory)
+from .noise import NoiseModel, replica_noise
 from .rescale import (ScalingScheme, evolve_and_decompose, macro_terms,
                       make_scheme)
 from .rng import derive_seed
@@ -300,19 +300,17 @@ def _drift_worker(args) -> List[dict]:
     rows = []
     for eps in plan.epsilon_grid:
         g = LatticeGeometry(plan.d, plan.side_for(horizon))
-        cur = HeightSlice.flat(g, t=0)
+        cfg = EvolutionConfig(phi, noise, g, eps, T=horizon,
+                              keep_history=False)
         want = set(times)
-        for t in range(horizon):
-            capture = t in want
-            if capture:
-                st = cur.stencil_at(x0)
-                f_prev = float(st[0])
-                gap = float(phi.value(st) - st.mean())
-            cur = step(cur, phi, noise, eps)
-            if capture:
-                rows.append({"replica": replica, "epsilon": eps, "t": t,
-                             "increment": cur.value_at(x0) - f_prev,
-                             "phi_gap": gap})
+        prev = None
+        for cur in trajectory(cfg):
+            if prev is not None and prev.t in want:
+                st = prev.stencil_at(x0)
+                rows.append({"replica": replica, "epsilon": eps, "t": prev.t,
+                             "increment": cur.value_at(x0) - float(st[0]),
+                             "phi_gap": float(phi.value(st) - st.mean())})
+            prev = cur
     return rows
 
 
@@ -324,7 +322,7 @@ def drift_bound_study(plan: ExperimentPlan, times: Sequence[int] = (10, 100, 100
                        [(plan, k, times) for k in range(plan.replicas)],
                        workers)
     rows = [r for chunk in raw for r in chunk]
-    bound_scale = NoiseSpec(plan.noise_family, plan.noise_scale, 0).bound
+    bound_scale = plan.noise_for(0).bound
     table = []
     assertions: Dict[str, bool] = {}
     for eps in plan.epsilon_grid:
@@ -485,7 +483,7 @@ def whitenoise_pairing_study(plan: ExperimentPlan,
     scheme = plan.scheme()
     scheme.validate_on_grid(plan.epsilon_grid)
     target = fn.squared_norm()
-    sigma = NoiseSpec(plan.noise_family, plan.noise_scale, 0).sigma
+    sigma = plan.noise_for(0).sigma
     grids, lattice_vars = [], []
     for eps in plan.epsilon_grid:
         alpha = scheme.alpha(eps)
@@ -540,16 +538,13 @@ def _stationarity_worker(args) -> Dict[int, np.ndarray]:
     noise = plan.noise_for(replica)
     eps = plan.epsilon_grid[0]
     g = LatticeGeometry(plan.d, plan.L)
-    cur = HeightSlice.flat(g, t=0)
-    out: Dict[int, np.ndarray] = {}
-    horizon = max(checkpoints)
+    cfg = EvolutionConfig(phi, noise, g, eps, T=max(checkpoints),
+                          keep_history=False)
     cps = set(checkpoints)
-    if 0 in cps:
-        out[0] = cur.gradient_field(axis=0).ravel().copy()
-    for t in range(1, horizon + 1):
-        cur = step(cur, phi, noise, eps)
-        if t in cps:
-            out[t] = cur.gradient_field(axis=0).ravel().copy()
+    out: Dict[int, np.ndarray] = {}
+    for cur in trajectory(cfg):
+        if cur.t in cps:
+            out[cur.t] = cur.gradient_field(axis=0).ravel().copy()
     return out
 
 

@@ -10,13 +10,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from kpzlab.driving import (EdwardsWilkinsonDriving, PolymerDriving,
-                            make_driving)
+import kpzlab.lattice as lattice_mod
+import kpzlab.noise as noise_mod
+from kpzlab.driving import (CallableDriving, EdwardsWilkinsonDriving,
+                            PolymerDriving, make_driving)
 from kpzlab.lattice import (ConeWrapWarning, EvolutionConfig, HeightHistory,
                             HeightSlice, LatticeGeometry, evolve,
                             min_cone_side, polymer_path_sum, slice_csv_rows,
-                            step)
-from kpzlab.noise import make_noise
+                            step, trajectory)
+from kpzlab.noise import _BLOCK, NoiseModel, make_noise
+from kpzlab.rescale import evolve_and_decompose
 
 
 class ShiftedNoise:
@@ -32,6 +35,10 @@ class ShiftedNoise:
 
     def sample_grid(self, t, coords):
         return self.base.sample_grid(t, [coords[0] + self.dx, *coords[1:]])
+
+    def sample_spacetime(self, times, coords):
+        return self.base.sample_spacetime(times,
+                                          [coords[0] + self.dx, *coords[1:]])
 
     def sample(self, t, x):
         return self.base.sample(t, (x[0] + self.dx, *x[1:]))
@@ -106,6 +113,18 @@ def test_gradient_field_matches_pointwise():
     for x in range(g.lo, g.lo + g.L):
         assert gf[g.index((x,))] == pytest.approx(
             sl.value_at((x + 1,)) - sl.value_at((x,)), abs=0)
+
+
+@pytest.mark.parametrize("d,L", [(1, 3), (1, 4), (2, 3), (2, 6), (3, 3),
+                                 (3, 4)])
+def test_stencil_stack_equals_roll_oracle(d, L):
+    g = LatticeGeometry(d, L)
+    vals = np.random.default_rng(L + d).uniform(-1, 1, size=g.shape)
+    U = [vals]
+    for axis in range(d):
+        U += [np.roll(vals, -1, axis=axis), np.roll(vals, 1, axis=axis)]
+    got = HeightSlice(g, 0, vals).stencil_stack()
+    assert np.array_equal(got.view(np.uint64), np.stack(U).view(np.uint64))
 
 
 @pytest.mark.parametrize("d,L", [(2, 9), (3, 7)])
@@ -263,6 +282,113 @@ def test_wrap_warning_when_cone_outruns_torus():
     cfg = EvolutionConfig(PolymerDriving(1), make_noise(), g, 0.5, T=3)
     with pytest.warns(ConeWrapWarning):
         evolve(cfg)
+    # the generator itself never warns (the torus runs rely on it)
+    assert len(list(trajectory(cfg))) == 4
+
+
+# ---------------------------------------------------------------------------
+# time-blocked noise: trajectory against a plain loop of step
+
+
+def _stepped(config):
+    """Reference: step draws each layer itself through sample_grid."""
+    cur = HeightSlice.flat(config.geometry, t=0)
+    out = [cur]
+    for _ in range(config.T):
+        cur = step(cur, config.phi, config.noise, config.epsilon)
+        out.append(cur)
+    return out
+
+
+def _horizons(d, L):
+    """T inside one block, an exact multiple of it and a ragged last
+    block; with k = 1 every layer exceeds _BLOCK and is cut inside."""
+    k = max(1, _BLOCK // L ** d)
+    return (max(1, k - 1), 2 * k, 2 * k + 1)
+
+
+@pytest.mark.parametrize("family", ["uniform", "triangular"])
+@pytest.mark.parametrize("d,L", [(1, 4001), (2, 101), (3, 25), (1, 40001),
+                                 (2, 191), (3, 33)])
+def test_evolve_equals_stepwise_draws(family, d, L):
+    base = make_noise(family, 1.3, seed=31)
+    origin, ones = (0,) * d, (1,) * d
+    views = [base, base.perturb_at(2, origin, 0.5).perturb_at(3, ones, -1.0),
+             base.with_override(2, ones, 0.75), base.zero_first_layer()]
+    phi = PolymerDriving(d)
+    for nm in views:
+        ref = _stepped(EvolutionConfig(phi, nm, LatticeGeometry(d, L), 0.4,
+                                       T=max(_horizons(d, L))))
+        for T in _horizons(d, L):
+            cfg = EvolutionConfig(phi, nm, LatticeGeometry(d, L), 0.4, T)
+            got = evolve(cfg).slices
+            assert [s.t for s in got] == list(range(T + 1))
+            for a, b in zip(got, ref):
+                assert np.array_equal(a.values.view(np.uint64),
+                                      b.values.view(np.uint64))
+
+
+def _count_work(monkeypatch):
+    """Count step calls, keyed hash draws and the layers drawn in blocks."""
+    counts = {"steps": 0, "keys": 0, "layers": []}
+    real_step, real_hash = lattice_mod.step, noise_mod.hash_keys_vec
+    real_spacetime = NoiseModel.sample_spacetime
+
+    def counted_step(*args, **kwargs):
+        counts["steps"] += 1
+        return real_step(*args, **kwargs)
+
+    def counted_hash(*args, **kwargs):
+        h = real_hash(*args, **kwargs)
+        counts["keys"] += h.size
+        return h
+
+    def recorded_spacetime(self, times, coords):
+        counts["layers"] += np.asarray(times).ravel().tolist()
+        return real_spacetime(self, times, coords)
+
+    monkeypatch.setattr(lattice_mod, "step", counted_step)
+    monkeypatch.setattr(noise_mod, "hash_keys_vec", counted_hash)
+    monkeypatch.setattr(NoiseModel, "sample_spacetime", recorded_spacetime)
+    return counts
+
+
+@pytest.mark.parametrize("d,L,T", [(1, 9, 0), (1, 9, 4), (1, 4001, 19),
+                                   (2, 191, 2), (3, 7, 3)])
+def test_evolution_work_counts(monkeypatch, d, L, T):
+    # the benchmark's traced self-test relies on exactly one step call and
+    # one keyed draw per site per step, whatever the blocking
+    counts = _count_work(monkeypatch)
+    g = LatticeGeometry(d, L)
+    evolve(EvolutionConfig(PolymerDriving(d), make_noise(seed=2), g, 0.3, T))
+    assert counts["steps"] == T
+    assert counts["keys"] == T * L ** d
+    assert counts["layers"] == list(range(1, T + 1))
+
+
+@pytest.mark.parametrize("d,L,t", [(1, 9, 0), (1, 9, 3), (2, 191, 1)])
+def test_evolve_and_decompose_work_counts(monkeypatch, d, L, t):
+    counts = _count_work(monkeypatch)
+    evolve_and_decompose(PolymerDriving(d), make_noise(seed=4),
+                         LatticeGeometry(d, L), 0.3, t, (0,) * d)
+    assert counts["steps"] == t + 1
+    assert counts["keys"] == (t + 1) * L ** d
+    assert counts["layers"] == list(range(1, t + 2))
+
+
+def test_nonfinite_heights_raise_with_time_and_site():
+    # heights reach 50 at site 1 at t=2; phi turns any stencil above 10
+    # into inf, so sites 0, 1 and 2 are inf at t=3, the block's last slice
+    phi = CallableDriving(1, lambda u: math.inf if u.max() > 10
+                          else float(u.mean()))
+    nm = make_noise(seed=9).with_override(2, (1,), 100.0)
+    cfg = EvolutionConfig(phi, nm, LatticeGeometry(1, 7), 0.5, T=3)
+    with pytest.raises(FloatingPointError, match=r"t=3, site \(0,\)") as exc:
+        evolve(cfg)
+    assert not isinstance(exc.value, ValueError)
+    # a finite run of the same driving passes the check
+    evolve(EvolutionConfig(phi, make_noise(seed=9), LatticeGeometry(1, 7),
+                           0.5, T=3))
 
 
 def test_translation_equivariance_literal():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kpzlab.noise as noise_mod
 from kpzlab.noise import (_BLOCK, DEFAULT_SCALE, NoiseModel, NoiseSpec,
                           _triangular_icdf, _uniform_icdf, make_noise)
 from kpzlab.rng import (derive_seed, hash_keys, hash_keys_vec, mix64,
@@ -254,6 +255,30 @@ def test_sample_spacetime_open_mesh_equals_full_mesh(family, inner):
         ref = _reference(nm, (), full)
         assert _same_bits(nm.sample_spacetime(times, space), ref)
         assert _same_bits(nm.sample_spacetime(full[0], full[1:]), ref)
+
+
+@pytest.mark.parametrize("family", ["uniform", "triangular"])
+@pytest.mark.parametrize("inner", [(40001,), (191, 191), (33, 33, 33)],
+                         ids=["d1", "d2", "d3"])
+def test_sample_spacetime_single_layer_over_block_equals_sample_grid(
+        monkeypatch, family, inner):
+    # one (1, L, ..., L) layer larger than a block is cut inside the layer
+    assert math.prod(inner) > _BLOCK
+    nm = make_noise(family, 1.4, seed=8).perturb_at(5, (2,) * len(inner), 0.5)
+    axes = _axes(inner)
+    times = np.full((1,) * (len(inner) + 1), 5)
+    sizes = []
+
+    def recorded(*args):
+        h = hash_keys_vec(*args)
+        sizes.append(h.size)
+        return h
+
+    monkeypatch.setattr(noise_mod, "hash_keys_vec", recorded)
+    got = nm.sample_spacetime(times, axes)
+    assert max(sizes) <= _BLOCK and sum(sizes) == math.prod(inner)
+    assert got.shape == (1,) + inner
+    assert _same_bits(got[0], nm.sample_grid(5, axes))
 
 
 @pytest.mark.parametrize("family", ["uniform", "triangular"])

@@ -16,9 +16,9 @@ from .driving import (CallableDriving, DrivingFunction,
                       HessianAtOrigin, PolymerDriving,
                       gkpz_monotone_threshold, make_driving, psi_example,
                       stencil_offsets)
-from .lattice import (ConeWrapWarning, EvolutionConfig, HeightHistory,
-                      HeightSlice, LatticeGeometry, evolve, min_cone_side,
-                      polymer_path_sum, slice_csv_rows, step, trajectory)
+from .lattice import (ConeWrapWarning, EvolutionConfig, HeightSlice,
+                      LatticeGeometry, evolve, min_cone_side, slice_csv_rows,
+                      step, trajectory)
 from .noise import NoiseModel, NoiseSpec, make_noise, replica_noise
 from .rescale import (Coefficients, DecompositionSample, ScalingScheme,
                       coefficients, decompose, evolve_and_decompose,
@@ -29,7 +29,7 @@ from .studies import (ExperimentPlan, GaussianBump, QuantileSeries,
                       remainder_ratio_study, stationarity_study,
                       whitenoise_pairing_study)
 from .walk import (WalkDistribution, backward_walk_distribution,
-                   derivative_fd, derivative_via_walk, zero_layer_shift)
+                   derivative_fd, derivative_via_walk)
 
 __all__ = [
     "__version__",
@@ -38,9 +38,8 @@ __all__ = [
     "GeneralizedKpzDriving", "HessianAtOrigin", "PolymerDriving",
     "gkpz_monotone_threshold", "make_driving", "psi_example",
     "stencil_offsets",
-    "ConeWrapWarning", "EvolutionConfig", "HeightHistory", "HeightSlice",
-    "LatticeGeometry", "evolve", "min_cone_side", "polymer_path_sum",
-    "slice_csv_rows", "step", "trajectory",
+    "ConeWrapWarning", "EvolutionConfig", "HeightSlice", "LatticeGeometry",
+    "evolve", "min_cone_side", "slice_csv_rows", "step", "trajectory",
     "NoiseModel", "NoiseSpec", "make_noise", "replica_noise",
     "Coefficients", "DecompositionSample", "ScalingScheme", "coefficients",
     "decompose", "evolve_and_decompose", "macro_terms", "make_scheme",
@@ -49,5 +48,5 @@ __all__ = [
     "drift_bound_study", "gradient_scaling_study", "remainder_ratio_study",
     "stationarity_study", "whitenoise_pairing_study",
     "WalkDistribution", "backward_walk_distribution", "derivative_fd",
-    "derivative_via_walk", "zero_layer_shift",
+    "derivative_via_walk",
 ]

@@ -22,7 +22,7 @@ from .config import (ConfigError, ENV_WORKERS, effective_workers,
                      scheme_params)
 from .driving import make_driving
 from .lattice import (EvolutionConfig, LatticeGeometry, evolve,
-                      min_cone_side, slice_csv_rows)
+                      min_cone_side, slice_csv_rows, trajectory)
 from .noise import NoiseModel, replica_noise
 from .output import sha256_text, write_csv, write_json
 from .rescale import (coefficients, evolve_and_decompose, macro_terms,
@@ -32,10 +32,6 @@ from .studies import (GaussianBump, drift_bound_study, gradient_scaling_study,
                       whitenoise_pairing_study)
 from .walk import (_l1_ball, backward_walk_distribution, derivative_fd,
                    derivative_via_walk)
-
-COMMANDS = ("simulate", "decompose", "check-phi", "walk-check", "remainder",
-            "gradient", "drift", "whitenoise", "stationarity")
-
 
 class ConeRefusal(Exception):
     def __init__(self, needed: int, got: int, horizon: int):
@@ -77,8 +73,7 @@ def _cmd_simulate(cfg: Dict, workers: int):
     L = resolve_side(p["geometry"], p["l"], T)
     g = LatticeGeometry(m["d"], L)
     noise = _noise(cfg, 0)
-    sl = evolve(EvolutionConfig(phi, noise, g, p["epsilon"], T,
-                                keep_history=False))
+    sl = evolve(EvolutionConfig(phi, noise, g, p["epsilon"], T))
     rows = slice_csv_rows(sl, p["epsilon"], noise.spec.seed)
     v = sl.values
     payload = {"t": T, "L": L, "d": m["d"], "epsilon": p["epsilon"],
@@ -162,8 +157,8 @@ def _cmd_walk_check(cfg: Dict, workers: int):
     g = LatticeGeometry(d, L)
     noise = _noise(cfg, 0)
     x0 = tuple(0 for _ in range(d))
-    hist = evolve(EvolutionConfig(phi, noise, g, eps, T))
-    dist = backward_walk_distribution(hist, phi, T, x0)
+    slices = list(trajectory(EvolutionConfig(phi, noise, g, eps, T)))
+    dist = backward_walk_distribution(slices, phi, T, x0)
     tol = max(1e-8, 1e-4 * eps)
     rows = []
     worst = 0.0
@@ -190,31 +185,61 @@ def _cmd_walk_check(cfg: Dict, workers: int):
     return rows, payload, assertions
 
 
-def _cmd_study(cfg: Dict, workers: int, command: str):
+def _study(res, table: str):
+    return res.tables[table], res.summary, res.assertions
+
+
+def _cmd_remainder(cfg: Dict, workers: int):
+    return _study(remainder_ratio_study(plan_from_config(cfg),
+                                        workers=workers), "series")
+
+
+def _cmd_gradient(cfg: Dict, workers: int):
+    return _study(gradient_scaling_study(plan_from_config(cfg),
+                                         workers=workers), "series")
+
+
+def _cmd_drift(cfg: Dict, workers: int):
+    return _study(drift_bound_study(plan_from_config(cfg),
+                                    times=cfg["plan"]["times"],
+                                    workers=workers), "estimates")
+
+
+def _cmd_whitenoise(cfg: Dict, workers: int):
     plan = plan_from_config(cfg)
-    if command == "remainder":
-        res = remainder_ratio_study(plan, workers=workers)
-        rows = res.tables["series"]
-    elif command == "gradient":
-        res = gradient_scaling_study(plan, workers=workers)
-        rows = res.tables["series"]
-    elif command == "drift":
-        res = drift_bound_study(plan, times=cfg["plan"]["times"],
-                                workers=workers)
-        rows = res.tables["estimates"]
-    elif command == "whitenoise":
-        tf = cfg["test_function"]
-        fn = GaussianBump(d=plan.d, amplitude=tf["amplitude"],
-                          center_t=tf["center_t"], width_t=tf["width_t"],
-                          center_x=tuple(tf["center_x"]),
-                          width_x=tuple(tf["width_x"]))
-        res = whitenoise_pairing_study(plan, fn, workers=workers)
-        rows = res.tables["pairings"]
-    else:
-        res = stationarity_study(plan, checkpoints=cfg["plan"]["checkpoints"],
-                                 workers=workers)
-        rows = res.tables["quantiles"]
-    return rows, res.summary, res.assertions
+    tf = cfg["test_function"]
+    fn = GaussianBump(d=plan.d, amplitude=tf["amplitude"],
+                      center_t=tf["center_t"], width_t=tf["width_t"],
+                      center_x=tuple(tf["center_x"]),
+                      width_x=tuple(tf["width_x"]))
+    return _study(whitenoise_pairing_study(plan, fn, workers=workers),
+                  "pairings")
+
+
+def _cmd_stationarity(cfg: Dict, workers: int):
+    return _study(stationarity_study(plan_from_config(cfg),
+                                     checkpoints=cfg["plan"]["checkpoints"],
+                                     workers=workers), "quantiles")
+
+
+# name -> (help, handler); each handler returns (rows, payload, assertions)
+COMMANDS = {
+    "simulate": ("grow a surface and export the final height slice",
+                 _cmd_simulate),
+    "decompose": ("decompose one-step increments into the four parts",
+                  _cmd_decompose),
+    "check-phi": ("audit a driving function against the model axioms",
+                  _cmd_check_phi),
+    "walk-check": ("compare walk derivatives with finite differences",
+                   _cmd_walk_check),
+    "remainder": ("remainder-to-term ratio decay study", _cmd_remainder),
+    "gradient": ("normalized nearest-neighbor gradient scale study",
+                 _cmd_gradient),
+    "drift": ("one-step drift upper-bound study", _cmd_drift),
+    "whitenoise": ("rescaled-noise pairing normality study", _cmd_whitenoise),
+    "stationarity": ("long-run gradient-field stability study",
+                     _cmd_stationarity),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,19 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version",
                     version=f"kpzlab {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-    helps = {
-        "simulate": "grow a surface and export the final height slice",
-        "decompose": "decompose one-step increments into the four parts",
-        "check-phi": "audit a driving function against the model axioms",
-        "walk-check": "compare walk derivatives with finite differences",
-        "remainder": "remainder-to-term ratio decay study",
-        "gradient": "normalized nearest-neighbor gradient scale study",
-        "drift": "one-step drift upper-bound study",
-        "whitenoise": "rescaled-noise pairing normality study",
-        "stationarity": "long-run gradient-field stability study",
-    }
-    for name in COMMANDS:
-        sp = sub.add_parser(name, help=helps[name])
+    for name, (help_text, _) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", metavar="FILE",
                         help="INI config file (see docs/config.md)")
         sp.add_argument("--seed", type=int, help="master seed (wins over file)")
@@ -264,20 +278,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             cfg["run"]["workers"] = args.workers
         workers = effective_workers(cfg)
 
-        if args.command == "simulate":
-            rows, payload, assertions = _cmd_simulate(cfg, workers)
-        elif args.command == "decompose":
-            rows, payload, assertions = _cmd_decompose(cfg, workers)
-        elif args.command == "check-phi":
-            rows, payload, assertions = _cmd_check_phi(cfg, workers)
-        elif args.command == "walk-check":
-            rows, payload, assertions = _cmd_walk_check(cfg, workers)
-        else:
-            rows, payload, assertions = _cmd_study(cfg, workers, args.command)
-    except (ConfigError, ConeRefusal) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+        rows, payload, assertions = COMMANDS[args.command][1](cfg, workers)
+    except (ValueError, ConeRefusal) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

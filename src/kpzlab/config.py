@@ -29,15 +29,6 @@ def _ints(text: str) -> Tuple[int, ...]:
     return tuple(int(p) for p in text.replace(",", " ").split())
 
 
-def _bool(text: str):
-    t = text.strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 # section -> key -> (parser, default, help). None default means "unset".
 SCHEMA: Dict[str, Dict[str, tuple]] = {
     "run": {
@@ -193,7 +184,7 @@ def effective_workers(cfg: Dict[str, Dict]) -> int:
 
 def scheme_params(cfg: Dict[str, Dict]) -> Dict:
     s = cfg["scheme"]
-    if s["preset"] in ("power-law", "custom"):
+    if s["preset"] == "power-law":
         return {"alpha_exp": s["alpha_exp"], "beta_exp": s["beta_exp"],
                 "gamma_exp": s["gamma_exp"], "alpha_coef": s["alpha_coef"],
                 "beta_coef": s["beta_coef"], "gamma_coef": s["gamma_coef"]}

@@ -70,12 +70,12 @@ PSI_EXAMPLE_CURVATURE = 2.0  # psi''(0)
 PSI_EXAMPLE_MAX_SLOPE = 2.0
 
 
-def gkpz_monotone_threshold(d: int, max_slope: float = PSI_EXAMPLE_MAX_SLOPE) -> float:
+def gkpz_monotone_threshold(d: int) -> float:
     """Largest coupling keeping the gkpz update monotone, 1/(4d*sup|psi'|).
 
     The worst-case gradient component is (1 - 4d*c*sup|psi'|)/(2d+1).
     """
-    return 1.0 / (4.0 * d * max_slope)
+    return 1.0 / (4.0 * d * PSI_EXAMPLE_MAX_SLOPE)
 
 
 class DrivingFunction:
@@ -180,31 +180,25 @@ class GeneralizedKpzDriving(DrivingFunction):
 
     name = "gkpz"
 
-    def __init__(self, d: int, coupling: float | None = None,
-                 psi: Callable = psi_example,
-                 psi_prime: Callable = psi_example_prime,
-                 psi_curvature: float = PSI_EXAMPLE_CURVATURE):
+    def __init__(self, d: int, coupling: float | None = None):
         super().__init__(d)
         self.coupling = float(coupling) if coupling is not None else 1.0 / (16.0 * d)
         if self.coupling <= 0:
             raise ValueError("coupling must be positive")
-        self.psi = psi
-        self.psi_prime = psi_prime
-        self.psi_curvature = float(psi_curvature)
 
     def value_many(self, U: np.ndarray) -> np.ndarray:
         U = np.asarray(U, dtype=np.float64)
         ubar = U.mean(axis=0)
-        return ubar + self.coupling * self.psi(U - ubar).sum(axis=0)
+        return ubar + self.coupling * psi_example(U - ubar).sum(axis=0)
 
     def gradient_many(self, U: np.ndarray) -> np.ndarray:
         U = np.asarray(U, dtype=np.float64)
         ubar = U.mean(axis=0)
-        P = self.psi_prime(U - ubar)
+        P = psi_example_prime(U - ubar)
         return 1.0 / self.n + self.coupling * (P - P.sum(axis=0) / self.n)
 
     def hessian_origin(self) -> HessianAtOrigin:
-        cw = self.coupling * self.psi_curvature
+        cw = self.coupling * PSI_EXAMPLE_CURVATURE
         return HessianAtOrigin(q=cw * (self.n - 1) / self.n, r=-cw / self.n)
 
 

@@ -10,20 +10,20 @@ infinite-lattice values at the central site through time T (cone
 exactness).
 
 Every evolution runs through trajectory(), which yields the slices at
-t = 0..T. Because the noise is a pure function of (seed, t, x), it hashes
-the layers ahead of time in blocks of about _BLOCK draws (many layers of a
-small lattice per call, one layer of a large one), and hands each layer's
-row to step(); the draws are bit for bit those step() takes on its own.
-Each block's last slice is checked for nonfinite heights.
+t = 0..T; evolve() keeps only the last one. Because the noise is a pure
+function of (seed, t, x), trajectory() hashes the layers ahead of time in
+blocks of about _BLOCK draws (many layers of a small lattice per call, one
+layer of a large one) and hands each layer's row to step(), which only
+does the arithmetic. Each block's last slice is checked for nonfinite
+heights.
 """
 from __future__ import annotations
 
 import itertools
-import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -54,10 +54,6 @@ class LatticeGeometry:
     @property
     def lo(self) -> int:
         return -(self.L // 2)
-
-    @property
-    def hi(self) -> int:
-        return self.lo + self.L - 1
 
     @property
     def n_sites(self) -> int:
@@ -96,8 +92,8 @@ class LatticeGeometry:
 def _site_axes(d: int, L: int) -> Tuple[np.ndarray, ...]:
     """Open (sparse) coordinate mesh: axis i has shape L along dimension i.
 
-    step() and trajectory() draw on it so each axis key is hashed on L
-    values, not L^d; trajectory() prepends a (k, 1, ..., 1) time key.
+    trajectory() draws on it, with a (k, 1, ..., 1) time key prepended,
+    so each axis key is hashed on L values, not L^d.
     Read-only, because the cache hands the same arrays to every caller.
     """
     lo = -(L // 2)
@@ -144,8 +140,8 @@ class HeightSlice:
         self.values = v
 
     @classmethod
-    def flat(cls, geometry: LatticeGeometry, t: int = 0, height: float = 0.0):
-        return cls(geometry, t, np.full(geometry.shape, float(height)))
+    def flat(cls, geometry: LatticeGeometry, t: int = 0):
+        return cls(geometry, t, np.zeros(geometry.shape))
 
     def value_at(self, x) -> float:
         return float(self.values[self.geometry.index(x)])
@@ -172,41 +168,9 @@ class HeightSlice:
             U[dst] = vals[src]
         return U
 
-    def gradient_field(self, axis: int = 0) -> np.ndarray:
-        """f(x+e_axis) - f(x) over the whole torus, as an array."""
-        return np.roll(self.values, -1, axis=axis) - self.values
-
-
-@dataclass
-class HeightHistory:
-    slices: List[HeightSlice]
-
-    def __post_init__(self):
-        if not self.slices:
-            raise ValueError("history needs at least one slice")
-        t0 = self.slices[0].t
-        for k, s in enumerate(self.slices):
-            if s.t != t0 + k:
-                raise ValueError("history slices must be consecutive in t")
-
-    @property
-    def start_t(self) -> int:
-        return self.slices[0].t
-
-    @property
-    def end_t(self) -> int:
-        return self.slices[-1].t
-
-    def at(self, t: int) -> HeightSlice:
-        k = t - self.start_t
-        if not (0 <= k < len(self.slices)):
-            raise KeyError(f"time {t} outside stored range "
-                           f"[{self.start_t}, {self.end_t}]")
-        return self.slices[k]
-
-    @property
-    def final(self) -> HeightSlice:
-        return self.slices[-1]
+    def gradient_field(self) -> np.ndarray:
+        """f(x+e_1) - f(x) over the whole torus, as an array."""
+        return np.roll(self.values, -1, axis=0) - self.values
 
 
 @dataclass(frozen=True)
@@ -216,7 +180,6 @@ class EvolutionConfig:
     geometry: LatticeGeometry
     epsilon: float
     T: int
-    keep_history: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.epsilon <= 1.0):
@@ -227,19 +190,14 @@ class EvolutionConfig:
             raise ValueError("phi dimension != lattice dimension")
 
 
-def step(slice_: HeightSlice, phi: DrivingFunction, noise: NoiseModel,
-         epsilon: float, z: Optional[np.ndarray] = None) -> HeightSlice:
-    """One growth update: phi over each stencil plus fresh scaled noise.
+def step(slice_: HeightSlice, phi: DrivingFunction, epsilon: float,
+         z: np.ndarray) -> HeightSlice:
+    """One growth update: phi over each stencil plus epsilon times z.
 
-    z, when given, is the layer t+1 of noise over the window, as
-    trajectory() draws it ahead of time; otherwise step draws it itself.
+    z is the noise layer t+1 over the window, as trajectory() draws it.
     """
-    g = slice_.geometry
-    t_next = slice_.t + 1
-    if z is None:
-        z = noise.sample_grid(t_next, _site_axes(g.d, g.L))
     new = phi.value_many(slice_.stencil_stack()) + epsilon * z
-    return HeightSlice(g, t_next, new)
+    return HeightSlice(slice_.geometry, slice_.t + 1, new)
 
 
 def trajectory(config: EvolutionConfig) -> Iterator[HeightSlice]:
@@ -261,7 +219,7 @@ def trajectory(config: EvolutionConfig) -> Iterator[HeightSlice]:
         z = config.noise.sample_spacetime(times.reshape((-1,) + (1,) * g.d),
                                           axes)
         for z_t in z:
-            cur = step(cur, config.phi, config.noise, config.epsilon, z=z_t)
+            cur = step(cur, config.phi, config.epsilon, z_t)
             if cur.t == t_last:
                 _check_finite(cur)
             yield cur
@@ -286,53 +244,16 @@ def _warn_if_wrapped(T: int, g: LatticeGeometry) -> None:
             "values carry torus wrap bias", ConeWrapWarning, stacklevel=3)
 
 
-def evolve(config: EvolutionConfig) -> Union[HeightHistory, HeightSlice]:
+def evolve(config: EvolutionConfig) -> HeightSlice:
     """Run the recursion from the flat zero surface to time T.
 
-    Returns the full history when keep_history, else the final slice.
-    Warns when the dependence cone of late times wraps the torus.
+    Returns the final slice. Warns when the dependence cone of late times
+    wraps the torus.
     """
     _warn_if_wrapped(config.T, config.geometry)
-    if config.keep_history:
-        return HeightHistory(list(trajectory(config)))
     for cur in trajectory(config):
         pass
     return cur
-
-
-# ---------------------------------------------------------------------------
-# independent polymer oracle: brute-force sum over lazy paths
-
-
-def polymer_path_sum(noise: NoiseModel, epsilon: float, t: int, x,
-                     d: int, budget: int = 5000) -> float:
-    """f(t, x) for the polymer update via explicit path enumeration.
-
-    log of the (2d+1)^(t-1)-normalized sum over lazy nearest-neighbor
-    paths (p_0 = 0, each step stays or moves to a neighbor) of
-    exp(epsilon * sum_i z_{t-i, x+p_i}). Enumerates every path, so it is
-    an oracle independent of the recursion; guarded by a path budget.
-    """
-    if t < 1:
-        raise ValueError("path sum needs t >= 1")
-    offs = stencil_offsets(d)
-    n_paths = (2 * d + 1) ** (t - 1)
-    if n_paths > budget:
-        raise ValueError(f"{n_paths} paths exceed budget {budget}")
-    if isinstance(x, (int, np.integer)):
-        x = (int(x),)
-    x = tuple(int(c) for c in x)
-    exponents = np.empty(n_paths)
-    for idx, steps in enumerate(itertools.product(offs, repeat=t - 1)):
-        pos = x
-        acc = noise.sample(t, pos)  # i = 0 term
-        for i, st in enumerate(steps, start=1):
-            pos = tuple(p + o for p, o in zip(pos, st))
-            acc += noise.sample(t - i, pos)
-        exponents[idx] = epsilon * acc
-    m = exponents.max()
-    return float(m + math.log(np.exp(exponents - m).sum())
-                 - (t - 1) * math.log(2 * d + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence, Tuple
 
 from .driving import DrivingFunction, HessianAtOrigin
-from .lattice import (EvolutionConfig, HeightHistory, LatticeGeometry,
+from .lattice import (EvolutionConfig, HeightSlice, LatticeGeometry,
                       _warn_if_wrapped, trajectory)
 from .noise import NoiseModel
 
@@ -85,7 +85,7 @@ def make_scheme(preset: str, **kw) -> ScalingScheme:
         return intermediate_disorder_1d()
     if preset == "2d-exponential":
         return exponential_2d(kw.get("C", 1.0))
-    if preset in ("power-law", "custom"):
+    if preset == "power-law":
         return power_law(kw["alpha_exp"], kw["beta_exp"],
                          kw.get("gamma_exp", 0.0),
                          kw.get("alpha_coef", 1.0), kw.get("beta_coef", 1.0),
@@ -143,16 +143,17 @@ class DecompositionSample:
         return self.A + self.B + self.C + self.D
 
 
-def decompose(history: HeightHistory, phi: DrivingFunction, noise: NoiseModel,
-              epsilon: float, t_lattice: int, x) -> DecompositionSample:
+def decompose(cur: HeightSlice, nxt: HeightSlice, phi: DrivingFunction,
+              noise: NoiseModel, epsilon: float, x) -> DecompositionSample:
     """Split f(t+1,x) - f(t,x) into A + B + C + D at one lattice point.
 
-    Needs slices t and t+1 in the history; D is defined as the difference,
-    so the reconstruction identity is exact by construction and the
-    interesting content is D's smallness.
+    cur and nxt are the slices at t and t+1; D is defined as the
+    difference, so the reconstruction identity is exact by construction
+    and the interesting content is D's smallness.
     """
-    cur = history.at(t_lattice)
-    nxt = history.at(t_lattice + 1)
+    if nxt.t != cur.t + 1:
+        raise ValueError(f"decompose needs consecutive slices, got "
+                         f"t={cur.t} and t={nxt.t}")
     g = cur.geometry
     xs = g.wrap(x)
     stencil = cur.stencil_at(xs)
@@ -161,10 +162,10 @@ def decompose(history: HeightHistory, phi: DrivingFunction, noise: NoiseModel,
     hess = phi.hessian_origin()
     A = fbar - f
     B = 0.5 * hess.q_minus_r * float(((stencil - fbar) ** 2).sum())
-    C = epsilon * noise.sample(t_lattice + 1, xs)
+    C = epsilon * noise.sample(cur.t + 1, xs)
     inc = nxt.value_at(xs) - f
     D = inc - A - B - C
-    return DecompositionSample(epsilon=epsilon, t=t_lattice, x=xs,
+    return DecompositionSample(epsilon=epsilon, t=cur.t, x=xs,
                                A=A, B=B, C=C, D=D, increment=inc)
 
 
@@ -178,9 +179,9 @@ def evolve_and_decompose(phi: DrivingFunction, noise: NoiseModel,
     _warn_if_wrapped(t, geometry)
     prev = cur = None
     for nxt in trajectory(EvolutionConfig(phi, noise, geometry, epsilon,
-                                          T=t + 1, keep_history=False)):
+                                          T=t + 1)):
         prev, cur = cur, nxt
-    return decompose(HeightHistory([prev, cur]), phi, noise, epsilon, t, x)
+    return decompose(prev, cur, phi, noise, epsilon, x)
 
 
 def macro_terms(sample: DecompositionSample, scheme: ScalingScheme,

@@ -258,7 +258,7 @@ def _gradient_worker(args) -> List[dict]:
     for eps in plan.epsilon_grid:
         t_eps = plan.t_for(eps)
         g = LatticeGeometry(plan.d, plan.side_for(t_eps))
-        cfg = EvolutionConfig(phi, noise, g, eps, T=t_eps, keep_history=False)
+        cfg = EvolutionConfig(phi, noise, g, eps, T=t_eps)
         sl = evolve(cfg)
         st = sl.stencil_at(x0)
         stat = float(np.abs(st[1:] - st[0]).max() / math.sqrt(eps))
@@ -267,8 +267,10 @@ def _gradient_worker(args) -> List[dict]:
     return rows
 
 
-def gradient_scaling_study(plan: ExperimentPlan, workers: int = 1,
-                           band_limit: float = 3.0) -> StudyResult:
+BAND_LIMIT = 3.0  # largest allowed ratio of p95s across the epsilon grid
+
+
+def gradient_scaling_study(plan: ExperimentPlan, workers: int = 1) -> StudyResult:
     """max_a |f(t,x)-f(t,x+a)| / sqrt(eps): p95 must stay in a flat band."""
     raw = map_replicas(_gradient_worker,
                        [(plan, k) for k in range(plan.replicas)], workers)
@@ -279,10 +281,10 @@ def gradient_scaling_study(plan: ExperimentPlan, workers: int = 1,
     qs = _quantile_series("normalized_gradient", per_eps, plan.seed)
     p95 = qs.p95s()
     band = max(p95) / min(p95) if min(p95) > 0 else float("inf")
-    assertions = {"p95_band_bounded": band <= band_limit,
+    assertions = {"p95_band_bounded": band <= BAND_LIMIT,
                   "p95_positive": min(p95) > 0}
     summary = {"plan": _plan_dict(plan), "assertions": assertions,
-               "band": band, "band_limit": band_limit, "series": qs.rows()}
+               "band": band, "band_limit": BAND_LIMIT, "series": qs.rows()}
     return StudyResult("gradient", assertions, summary,
                        {"series": qs.rows(), "samples": rows})
 
@@ -300,8 +302,7 @@ def _drift_worker(args) -> List[dict]:
     rows = []
     for eps in plan.epsilon_grid:
         g = LatticeGeometry(plan.d, plan.side_for(horizon))
-        cfg = EvolutionConfig(phi, noise, g, eps, T=horizon,
-                              keep_history=False)
+        cfg = EvolutionConfig(phi, noise, g, eps, T=horizon)
         want = set(times)
         prev = None
         for cur in trajectory(cfg):
@@ -538,13 +539,12 @@ def _stationarity_worker(args) -> Dict[int, np.ndarray]:
     noise = plan.noise_for(replica)
     eps = plan.epsilon_grid[0]
     g = LatticeGeometry(plan.d, plan.L)
-    cfg = EvolutionConfig(phi, noise, g, eps, T=max(checkpoints),
-                          keep_history=False)
+    cfg = EvolutionConfig(phi, noise, g, eps, T=max(checkpoints))
     cps = set(checkpoints)
     out: Dict[int, np.ndarray] = {}
     for cur in trajectory(cfg):
         if cur.t in cps:
-            out[cur.t] = cur.gradient_field(axis=0).ravel().copy()
+            out[cur.t] = cur.gradient_field().ravel().copy()
     return out
 
 

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .driving import DrivingFunction, stencil_offsets
-from .lattice import (EvolutionConfig, HeightHistory, HeightSlice,
-                      LatticeGeometry, evolve)
+from .lattice import EvolutionConfig, HeightSlice, LatticeGeometry, evolve
 from .noise import NoiseModel
 
 WEIGHT_TOL = 1e-12
@@ -63,23 +62,27 @@ def _gradient_field(phi: DrivingFunction, slice_: HeightSlice) -> np.ndarray:
     return G
 
 
-def backward_walk_distribution(history: HeightHistory, phi: DrivingFunction,
-                               t: int, x) -> WalkDistribution:
+def backward_walk_distribution(slices: Sequence[HeightSlice],
+                               phi: DrivingFunction, t: int,
+                               x) -> WalkDistribution:
     """Propagate the walk's law from (t, x) down to time 0.
 
-    Needs history slices t-1 ... 0. Masses are conserved exactly up to
-    float addition; support grows one site per backward step.
+    slices[s] is the slice at time s, as trajectory() yields them; slices
+    0 ... t-1 must be present. Masses are conserved exactly up to float
+    addition; support grows one site per backward step.
     """
-    first = history.at(history.start_t)
-    g = first.geometry
+    need = max(t, 1)
+    if [s.t for s in slices[:need]] != list(range(need)):
+        raise ValueError(f"the walk from t={t} needs the slices at "
+                         f"t = 0..{need - 1} in order")
+    g = slices[0].geometry
     xs = g.wrap(x)
     offs = stencil_offsets(g.d)
     cur = np.zeros(g.shape)
     cur[g.index(xs)] = 1.0
     masses = [cur]
     for s in range(t, 0, -1):
-        below = history.at(s - 1)
-        G = _gradient_field(phi, below)
+        G = _gradient_field(phi, slices[s - 1])
         nxt = np.zeros(g.shape)
         for k, off in enumerate(offs):
             W = cur * G[k]
@@ -108,31 +111,9 @@ def derivative_fd(phi: DrivingFunction, noise: NoiseModel,
     vals = []
     for sign in (+1.0, -1.0):
         cfg = EvolutionConfig(phi, noise.perturb_at(s, y, sign * h),
-                              geometry, epsilon, T=t, keep_history=False)
+                              geometry, epsilon, T=t)
         vals.append(evolve(cfg).value_at(x))
     return (vals[0] - vals[1]) / (2.0 * h)
-
-
-def zero_layer_shift(phi: DrivingFunction, noise: NoiseModel,
-                     geometry: LatticeGeometry, epsilon: float, t: int, x
-                     ) -> Tuple[float, float]:
-    """Effect of erasing the first noise layer, with its a-priori bound.
-
-    Returns (shift, bound): shift = f(t,x) - g(t,x) where g grows under
-    the zeroed-layer view, and bound = epsilon * max |z_{1,y}| over the
-    sites y within L1 distance < t of x.
-    """
-    cfg = EvolutionConfig(phi, noise, geometry, epsilon, T=t,
-                          keep_history=False)
-    cfg0 = EvolutionConfig(phi, noise.zero_first_layer(), geometry, epsilon,
-                           T=t, keep_history=False)
-    f = evolve(cfg).value_at(x)
-    g = evolve(cfg0).value_at(x)
-    xs = geometry.wrap(x)
-    zmax = 0.0
-    for y in _l1_ball(xs, t - 1, geometry.d):
-        zmax = max(zmax, abs(noise.sample(1, geometry.wrap(y))))
-    return f - g, epsilon * zmax
 
 
 def _l1_ball(center: Tuple[int, ...], radius: int, d: int):

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from kpzlab.driving import make_driving
-from kpzlab.lattice import (EvolutionConfig, LatticeGeometry, evolve,
-                            min_cone_side, polymer_path_sum)
+from kpzlab.lattice import (EvolutionConfig, LatticeGeometry, min_cone_side,
+                            trajectory)
 from kpzlab.noise import make_noise
 from kpzlab.rescale import (coefficients, decompose, intermediate_disorder_1d,
                             macro_terms)
@@ -22,7 +22,8 @@ from kpzlab.studies import (ExperimentPlan, drift_bound_study,
                             gradient_scaling_study, remainder_ratio_study,
                             stationarity_study, whitenoise_pairing_study)
 from kpzlab.walk import (_l1_ball, backward_walk_distribution, derivative_fd,
-                         derivative_via_walk, zero_layer_shift)
+                         derivative_via_walk)
+from oracles import polymer_path_sum, zero_layer_shift
 
 
 def test_criterion_01_path_sum_matches_direct_recursion():
@@ -38,9 +39,9 @@ def test_criterion_01_path_sum_matches_direct_recursion():
     worst = 0.0
     for seed in range(50):
         noise = make_noise(seed=seed)
-        hist = evolve(EvolutionConfig(phi, noise, g, eps, T=6))
+        slices = list(trajectory(EvolutionConfig(phi, noise, g, eps, T=6)))
         for t in range(1, 7):
-            direct = hist.at(t).value_at((0,))
+            direct = slices[t].value_at((0,))
             oracle = polymer_path_sum(noise, eps, t, (0,), 1)
             rel = abs(direct - oracle) / max(abs(direct), abs(oracle), 1e-300)
             worst = max(worst, rel)
@@ -88,8 +89,8 @@ def test_criterion_03_walk_derivatives_match_finite_differences():
         g = LatticeGeometry(d, min_cone_side(T))
         noise = make_noise(seed=2026)
         x0 = (0,) * d
-        hist = evolve(EvolutionConfig(phi, noise, g, eps, T=T))
-        dist = backward_walk_distribution(hist, phi, T, x0)
+        slices = list(trajectory(EvolutionConfig(phi, noise, g, eps, T=T)))
+        dist = backward_walk_distribution(slices, phi, T, x0)
         for s in range(1, T + 1):
             assert abs(eps * dist.total_mass(s) - eps) <= 1e-6 * eps
             for y in _l1_ball(x0, T - s, d):
@@ -133,10 +134,10 @@ def test_criterion_05_increment_decomposition_identities():
     worst_macro = 0.0
     for rep in range(20):
         noise = make_noise(seed=rep)
-        hist = evolve(EvolutionConfig(phi, noise, g, eps, T=10))
+        slices = list(trajectory(EvolutionConfig(phi, noise, g, eps, T=10)))
         for t in range(10):
             for site in g.sites():
-                s = decompose(hist, phi, noise, eps, t, site)
+                s = decompose(slices[t], slices[t + 1], phi, noise, eps, site)
                 lrel = abs(s.increment - s.reconstruction) / \
                     max(abs(s.increment), 1e-300)
                 worst_lattice = max(worst_lattice, lrel)

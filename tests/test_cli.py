@@ -11,6 +11,7 @@ import pytest
 from kpzlab.cli import ConeRefusal, main, resolve_side
 from kpzlab.config import (ConfigError, ENV_WORKERS, effective_workers,
                            load_config)
+from kpzlab.lattice import ConeWrapWarning
 from kpzlab.output import sha256_text
 from kpzlab.studies import ExperimentPlan, remainder_ratio_study
 
@@ -224,6 +225,15 @@ def test_walk_check_passes_at_default_horizon(tmp_path, capsys):
     assert doc["report"]["worst_abs_diff"] <= doc["report"]["tolerance"]
 
 
+def test_walk_check_on_small_torus_warns_wrap(tmp_path):
+    # T = 4 needs side 9; the accepted torus of side 5 wraps the cone
+    with pytest.warns(ConeWrapWarning, match="outruns torus side L=5"):
+        rc = main(["walk-check", "--out", str(tmp_path),
+                   "--set", "plan.geometry=torus", "--set", "plan.l=5"])
+    assert rc in (0, 1)  # accepted, not refused
+    assert read_doc(tmp_path / "walk-check-0.json")["report"]["t"] == 4
+
+
 # ---------------------------------------------------------------------------
 # study dispatch
 
@@ -285,6 +295,12 @@ def test_missing_config_file(capsys):
 def test_bad_set_syntax(capsys):
     assert main(["simulate", "--set", "replicas=50"]) == 2
     assert "--set expects section.key=value" in capsys.readouterr().err
+
+
+def test_unknown_scheme_preset_exits_2(tmp_path, capsys):
+    assert run_decompose(tmp_path, "--set", "scheme.preset=custom") == 2
+    assert "unknown scheme preset 'custom'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_unknown_set_key(capsys):

@@ -14,12 +14,12 @@ import kpzlab.lattice as lattice_mod
 import kpzlab.noise as noise_mod
 from kpzlab.driving import (CallableDriving, EdwardsWilkinsonDriving,
                             PolymerDriving, make_driving)
-from kpzlab.lattice import (ConeWrapWarning, EvolutionConfig, HeightHistory,
-                            HeightSlice, LatticeGeometry, evolve,
-                            min_cone_side, polymer_path_sum, slice_csv_rows,
-                            step, trajectory)
+from kpzlab.lattice import (ConeWrapWarning, EvolutionConfig, HeightSlice,
+                            LatticeGeometry, _site_axes, evolve,
+                            min_cone_side, slice_csv_rows, step, trajectory)
 from kpzlab.noise import _BLOCK, NoiseModel, make_noise
 from kpzlab.rescale import evolve_and_decompose
+from oracles import polymer_path_sum
 
 
 class ShiftedNoise:
@@ -33,15 +33,9 @@ class ShiftedNoise:
         self.base = base
         self.dx = dx
 
-    def sample_grid(self, t, coords):
-        return self.base.sample_grid(t, [coords[0] + self.dx, *coords[1:]])
-
     def sample_spacetime(self, times, coords):
         return self.base.sample_spacetime(times,
                                           [coords[0] + self.dx, *coords[1:]])
-
-    def sample(self, t, x):
-        return self.base.sample(t, (x[0] + self.dx, *x[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +44,7 @@ class ShiftedNoise:
 
 def test_geometry_window():
     g = LatticeGeometry(1, 5)
-    assert (g.lo, g.hi, g.n_sites) == (-2, 2, 5)
+    assert (g.lo, g.n_sites) == (-2, 5)
     assert g.wrap(3) == (-2,)
     assert g.wrap(-3) == (2,)
     assert g.index((2,)) == (4,)
@@ -59,7 +53,7 @@ def test_geometry_window():
 
 def test_geometry_2d():
     g = LatticeGeometry(2, 4)
-    assert g.lo == -2 and g.hi == 1
+    assert g.lo == -2 and list(g.sites())[-1] == (1, 1)
     assert g.wrap((2, -3)) == (-2, 1)
     assert g.shape == (4, 4)
     mesh = g.site_mesh()
@@ -109,7 +103,7 @@ def test_gradient_field_matches_pointwise():
     g = LatticeGeometry(1, 7)
     rng = np.random.default_rng(0)
     sl = HeightSlice(g, 0, rng.uniform(size=7))
-    gf = sl.gradient_field(axis=0)
+    gf = sl.gradient_field()
     for x in range(g.lo, g.lo + g.L):
         assert gf[g.index((x,))] == pytest.approx(
             sl.value_at((x + 1,)) - sl.value_at((x,)), abs=0)
@@ -129,8 +123,8 @@ def test_stencil_stack_equals_roll_oracle(d, L):
 
 @pytest.mark.parametrize("d,L", [(2, 9), (3, 7)])
 def test_step_equals_full_mesh_formula(d, L):
-    # step draws on cached open site axes; the full-mesh formula is the
-    # reference it replaced
+    # step's arithmetic on a layer drawn over the cached open site axes;
+    # np.roll stencils and a full-mesh draw are the reference
     g = LatticeGeometry(d, L)
     phi = make_driving("gkpz", d)
     nm = make_noise("triangular", 1.2, seed=17).perturb_at(4, (1,) * d, 0.5)
@@ -141,7 +135,7 @@ def test_step_equals_full_mesh_formula(d, L):
         U += [np.roll(vals, -1, axis=axis), np.roll(vals, 1, axis=axis)]
     eps = 0.3
     ref = phi.value_many(np.stack(U)) + eps * nm.sample_grid(4, g.site_mesh())
-    got = step(sl, phi, nm, eps).values
+    got = step(sl, phi, eps, nm.sample_grid(4, _site_axes(d, L))).values
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
@@ -151,22 +145,12 @@ def test_slice_shape_validation():
         HeightSlice(g, 0, np.zeros(16))
 
 
-def test_history_consecutive():
-    g = LatticeGeometry(1, 3)
-    a = HeightSlice.flat(g, t=0)
-    b = HeightSlice.flat(g, t=1)
-    h = HeightHistory([a, b])
-    assert h.start_t == 0 and h.end_t == 1 and h.final is b
-    with pytest.raises(KeyError):
-        h.at(2)
-    with pytest.raises(ValueError):
-        HeightHistory([a, HeightSlice.flat(g, t=2)])
-    with pytest.raises(ValueError):
-        HeightHistory([])
-
-
 # ---------------------------------------------------------------------------
 # one growth step
+
+
+def _layer(nm, t, g):
+    return nm.sample_grid(t, g.site_mesh())
 
 
 def test_first_step_is_pure_noise():
@@ -175,7 +159,7 @@ def test_first_step_is_pure_noise():
     nm = make_noise(seed=2)
     eps = 0.3
     for phi in (PolymerDriving(1), EdwardsWilkinsonDriving(1)):
-        nxt = step(HeightSlice.flat(g, t=0), phi, nm, eps)
+        nxt = step(HeightSlice.flat(g, t=0), phi, eps, _layer(nm, 1, g))
         assert nxt.t == 1
         for x in range(g.lo, g.lo + g.L):
             assert nxt.value_at((x,)) == pytest.approx(
@@ -187,7 +171,7 @@ def test_ew_step_closed_form():
     rng = np.random.default_rng(1)
     sl = HeightSlice(g, 3, rng.uniform(size=7))
     nm = make_noise(seed=5)
-    nxt = step(sl, EdwardsWilkinsonDriving(1), nm, 0.2)
+    nxt = step(sl, EdwardsWilkinsonDriving(1), 0.2, _layer(nm, 4, g))
     for x in range(g.lo, g.lo + g.L):
         expect = sl.stencil_at((x,)).mean() + 0.2 * nm.sample(4, (x,))
         assert nxt.value_at((x,)) == pytest.approx(expect, abs=1e-15)
@@ -198,12 +182,12 @@ def test_polymer_two_steps_closed_form():
     g = LatticeGeometry(1, 7)
     nm = make_noise(seed=8)
     eps = 0.4
-    hist = evolve(EvolutionConfig(PolymerDriving(1), nm, g, eps, T=2))
+    final = evolve(EvolutionConfig(PolymerDriving(1), nm, g, eps, T=2))
     x = 0
     z1 = [nm.sample(1, (x + a,)) for a in (0, 1, -1)]
     expect = eps * nm.sample(2, (x,)) + math.log(
         sum(math.exp(eps * z) for z in z1) / 3.0)
-    assert hist.final.value_at((x,)) == pytest.approx(expect, abs=1e-13)
+    assert final.value_at((x,)) == pytest.approx(expect, abs=1e-13)
 
 
 def test_step_shift_covariance():
@@ -213,8 +197,9 @@ def test_step_shift_covariance():
     shifted = HeightSlice(g, 0, sl.values + 5.0)
     nm = make_noise(seed=3)
     phi = PolymerDriving(1)
-    a = step(sl, phi, nm, 0.3)
-    b = step(shifted, phi, nm, 0.3)
+    z = _layer(nm, 1, g)
+    a = step(sl, phi, 0.3, z)
+    b = step(shifted, phi, 0.3, z)
     assert np.abs(b.values - a.values - 5.0).max() < 1e-12
 
 
@@ -225,15 +210,14 @@ def test_step_shift_covariance():
 def test_evolve_zero_horizon():
     g = LatticeGeometry(1, 5)
     cfg = EvolutionConfig(PolymerDriving(1), make_noise(), g, 0.5, T=0)
-    hist = evolve(cfg)
-    assert isinstance(hist, HeightHistory)
-    assert len(hist.slices) == 1 and np.all(hist.final.values == 0.0)
+    flat = evolve(cfg)
+    assert isinstance(flat, HeightSlice)
+    assert flat.t == 0 and np.all(flat.values == 0.0)
 
 
 def test_evolve_deterministic():
     g = LatticeGeometry(2, 7)
-    cfg = EvolutionConfig(PolymerDriving(2), make_noise(seed=13), g, 0.3, T=3,
-                          keep_history=False)
+    cfg = EvolutionConfig(PolymerDriving(2), make_noise(seed=13), g, 0.3, T=3)
     a = evolve(cfg)
     b = evolve(cfg)
     assert np.array_equal(a.values, b.values)
@@ -258,10 +242,8 @@ def test_cone_exactness_torus_size_invariance():
     nm = make_noise(seed=21)
     phi = PolymerDriving(1)
     T, eps = 3, 0.5
-    small = evolve(EvolutionConfig(phi, nm, LatticeGeometry(1, 9), eps, T,
-                                   keep_history=False))
-    big = evolve(EvolutionConfig(phi, nm, LatticeGeometry(1, 101), eps, T,
-                                 keep_history=False))
+    small = evolve(EvolutionConfig(phi, nm, LatticeGeometry(1, 9), eps, T))
+    big = evolve(EvolutionConfig(phi, nm, LatticeGeometry(1, 101), eps, T))
     for x in (-1, 0, 1):  # |x| + T <= (9-1)/2
         assert small.value_at((x,)) == big.value_at((x,))
 
@@ -269,10 +251,8 @@ def test_cone_exactness_torus_size_invariance():
 def test_cone_exactness_2d():
     nm = make_noise(seed=22)
     phi = PolymerDriving(2)
-    small = evolve(EvolutionConfig(phi, nm, LatticeGeometry(2, 5), 0.5, 2,
-                                   keep_history=False))
-    big = evolve(EvolutionConfig(phi, nm, LatticeGeometry(2, 11), 0.5, 2,
-                                 keep_history=False))
+    small = evolve(EvolutionConfig(phi, nm, LatticeGeometry(2, 5), 0.5, 2))
+    big = evolve(EvolutionConfig(phi, nm, LatticeGeometry(2, 11), 0.5, 2))
     # only the anchor's cone fits inside the 5-wide canonical window
     assert small.value_at((0, 0)) == big.value_at((0, 0))
 
@@ -291,11 +271,12 @@ def test_wrap_warning_when_cone_outruns_torus():
 
 
 def _stepped(config):
-    """Reference: step draws each layer itself through sample_grid."""
-    cur = HeightSlice.flat(config.geometry, t=0)
+    """Reference: each layer drawn alone through sample_grid on a full mesh."""
+    g = config.geometry
+    cur = HeightSlice.flat(g, t=0)
     out = [cur]
-    for _ in range(config.T):
-        cur = step(cur, config.phi, config.noise, config.epsilon)
+    for t in range(1, config.T + 1):
+        cur = step(cur, config.phi, config.epsilon, _layer(config.noise, t, g))
         out.append(cur)
     return out
 
@@ -321,11 +302,15 @@ def test_evolve_equals_stepwise_draws(family, d, L):
                                        T=max(_horizons(d, L))))
         for T in _horizons(d, L):
             cfg = EvolutionConfig(phi, nm, LatticeGeometry(d, L), 0.4, T)
-            got = evolve(cfg).slices
+            got = list(trajectory(cfg))
             assert [s.t for s in got] == list(range(T + 1))
             for a, b in zip(got, ref):
                 assert np.array_equal(a.values.view(np.uint64),
                                       b.values.view(np.uint64))
+            final = evolve(cfg)
+            assert final.t == T
+            assert np.array_equal(final.values.view(np.uint64),
+                                  ref[T].values.view(np.uint64))
 
 
 def _count_work(monkeypatch):
@@ -397,10 +382,9 @@ def test_translation_equivariance_literal():
     phi = PolymerDriving(1)
     T, dx, eps = 3, 2, 0.5
     base = evolve(EvolutionConfig(phi, nm, LatticeGeometry(1, 2 * T + 1 + 2 * dx),
-                                  eps, T, keep_history=False))
+                                  eps, T))
     moved = evolve(EvolutionConfig(phi, ShiftedNoise(nm, dx),
-                                   LatticeGeometry(1, 2 * T + 1), eps, T,
-                                   keep_history=False))
+                                   LatticeGeometry(1, 2 * T + 1), eps, T))
     assert moved.value_at((0,)) == base.value_at((dx,))
 
 
@@ -413,8 +397,7 @@ def test_translation_invariance_in_law():
         out = []
         for s in seeds:
             sl = evolve(EvolutionConfig(phi, make_noise(seed=s),
-                                        LatticeGeometry(1, L), eps, T,
-                                        keep_history=False))
+                                        LatticeGeometry(1, L), eps, T))
             out.append(sl.value_at((site + 1,)) - sl.value_at((site,)))
         return np.array(out)
 
@@ -447,11 +430,11 @@ def test_path_sum_matches_recursion_small():
     nm = make_noise(seed=30)
     eps, T = 0.4, 4
     # window wide enough that the cones of |x| <= 2 never wrap keys
-    hist = evolve(EvolutionConfig(PolymerDriving(1), nm,
-                                  LatticeGeometry(1, 2 * T + 1 + 4), eps, T))
+    slices = list(trajectory(EvolutionConfig(
+        PolymerDriving(1), nm, LatticeGeometry(1, 2 * T + 1 + 4), eps, T)))
     for t in (1, 2, 3, 4):
         for x in (-1, 0, 2):
-            assert hist.at(t).value_at((x,)) == pytest.approx(
+            assert slices[t].value_at((x,)) == pytest.approx(
                 polymer_path_sum(nm, eps, t, (x,), 1), abs=1e-12)
 
 

@@ -12,8 +12,8 @@ import pytest
 
 from kpzlab.driving import (EdwardsWilkinsonDriving, PolymerDriving,
                             make_driving, stencil_offsets)
-from kpzlab.lattice import (EvolutionConfig, HeightHistory, HeightSlice,
-                            LatticeGeometry, evolve, min_cone_side, step)
+from kpzlab.lattice import (EvolutionConfig, HeightSlice, LatticeGeometry,
+                            min_cone_side, step, trajectory)
 from kpzlab.noise import make_noise
 from kpzlab.rescale import (Coefficients, DecompositionSample, coefficients,
                             decompose, exponential_2d,
@@ -104,9 +104,9 @@ def test_coefficients_reject_degenerate():
 # the four-piece split
 
 
-def _two_slice_history(values, phi, nm, eps, g):
+def _two_slices(values, phi, nm, eps, g):
     cur = HeightSlice(g, 0, values)
-    return HeightHistory([cur, step(cur, phi, nm, eps)])
+    return cur, step(cur, phi, eps, nm.sample_grid(1, g.site_mesh()))
 
 
 def test_decompose_flat_start():
@@ -114,8 +114,8 @@ def test_decompose_flat_start():
     phi = PolymerDriving(1)
     nm = make_noise(seed=3)
     eps = 0.3
-    hist = _two_slice_history(np.zeros(5), phi, nm, eps, g)
-    s = decompose(hist, phi, nm, eps, 0, (0,))
+    cur, nxt = _two_slices(np.zeros(5), phi, nm, eps, g)
+    s = decompose(cur, nxt, phi, nm, eps, (0,))
     assert s.A == 0.0 and s.B == 0.0 and s.D == 0.0
     assert s.C == pytest.approx(eps * nm.sample(1, (0,)), abs=0)
     assert s.increment == s.C
@@ -130,8 +130,8 @@ def test_decompose_worked_stencil():
     vals = np.zeros(5)
     vals[g.index((1,))] = 0.2
     vals[g.index((-1,))] = 0.1
-    hist = _two_slice_history(vals, phi, nm, eps, g)
-    s = decompose(hist, phi, nm, eps, 0, (0,))
+    cur, nxt = _two_slices(vals, phi, nm, eps, g)
+    s = decompose(cur, nxt, phi, nm, eps, (0,))
     assert s.A == pytest.approx(0.1, abs=1e-16)
     assert s.B == pytest.approx(1 / 300, abs=1e-15)
     assert s.C == pytest.approx(eps * nm.sample(1, (0,)), abs=0)
@@ -151,20 +151,22 @@ def test_decompose_plain_mean_has_no_taylor_defect():
     nm = make_noise(seed=9)
     rng = np.random.default_rng(2)
     vals = rng.uniform(-1, 1, size=7)
-    hist = _two_slice_history(vals, phi, nm, 0.4, g)
+    cur, nxt = _two_slices(vals, phi, nm, 0.4, g)
     for x in range(-3, 4):
-        s = decompose(hist, phi, nm, 0.4, 0, (x,))
+        s = decompose(cur, nxt, phi, nm, 0.4, (x,))
         assert s.B == 0.0
         assert abs(s.D) <= 1e-15 * (1.0 + abs(s.increment))
 
 
-def test_decompose_needs_both_slices():
+def test_decompose_needs_consecutive_slices():
     g = LatticeGeometry(1, 5)
     phi = PolymerDriving(1)
     nm = make_noise()
-    hist = HeightHistory([HeightSlice.flat(g, t=0)])
-    with pytest.raises(KeyError):
-        decompose(hist, phi, nm, 0.3, 0, (0,))
+    s0, s1, s2 = trajectory(EvolutionConfig(phi, nm, g, 0.3, T=2))
+    assert decompose(s1, s2, phi, nm, 0.3, (0,)).t == 1
+    for cur, nxt in ((s0, s2), (s1, s1), (s2, s1)):
+        with pytest.raises(ValueError, match="consecutive"):
+            decompose(cur, nxt, phi, nm, 0.3, (0,))
 
 
 def test_reconstruction_property():
@@ -225,11 +227,11 @@ def test_xi_value_scaling():
 # the Laplacian term against the rescaled field
 
 
-def _rescaled(hist, alpha, beta, gamma):
+def _rescaled(slices, alpha, beta, gamma):
     """F(t, x) = gamma f(ceil(t/alpha), ceil(x/beta)), a step function."""
     def F(t, x):
         v = tuple(math.ceil(c / beta) for c in x)
-        return gamma * hist.at(math.ceil(t / alpha)).value_at(v)
+        return gamma * slices[math.ceil(t / alpha)].value_at(v)
     return F
 
 
@@ -253,18 +255,18 @@ def test_laplacian_term_equals_discrete_laplacian_in_cells(name, d):
     g = LatticeGeometry(d, min_cone_side(5))
     nm = make_noise(seed=11)
     for eps in (0.5, 0.3, 0.1):
-        hist = evolve(EvolutionConfig(phi, nm, g, eps, T=5))
+        slices = list(trajectory(EvolutionConfig(phi, nm, g, eps, T=5)))
         a, b, gam = sch.alpha(eps), sch.beta(eps), sch.gamma(eps)
-        F = _rescaled(hist, a, b, gam)
+        F = _rescaled(slices, a, b, gam)
         nu = coefficients(sch, eps, d, hess, nm.sigma).nu
         for m in range(1, 5):
             for v in g.sites():
-                s = macro_terms(decompose(hist, phi, nm, eps, m, v), sch,
-                                eps, nm.sigma, hess, d)
+                s = macro_terms(decompose(slices[m], slices[m + 1], phi, nm,
+                                          eps, v), sch, eps, nm.sigma, hess, d)
                 oracle = nu * _discrete_laplacian(
                     F, (m - 0.5) * a, [(c - 0.5) * b for c in v], b, d)
                 scale = (nu * (2 * d + 1) * gam / b ** 2
-                         * np.abs(hist.at(m).stencil_at(v)).max())
+                         * np.abs(slices[m].stencil_at(v)).max())
                 assert abs(s.laplacian_term - oracle) <= 1e-13 * scale
 
 

@@ -11,16 +11,17 @@ import pytest
 
 from kpzlab.driving import (CallableDriving, EdwardsWilkinsonDriving,
                             PolymerDriving)
-from kpzlab.lattice import (EvolutionConfig, HeightHistory, HeightSlice,
-                            LatticeGeometry, evolve)
+from kpzlab.lattice import (EvolutionConfig, HeightSlice, LatticeGeometry,
+                            trajectory)
 from kpzlab.noise import make_noise
 from kpzlab.walk import (backward_walk_distribution, derivative_fd,
-                         derivative_via_walk, zero_layer_shift, _l1_ball)
+                         derivative_via_walk, _l1_ball)
+from oracles import zero_layer_shift
 
 
 def _grown(phi, nm, L, eps, T, d=1):
     g = LatticeGeometry(d, L)
-    return g, evolve(EvolutionConfig(phi, nm, g, eps, T))
+    return g, list(trajectory(EvolutionConfig(phi, nm, g, eps, T)))
 
 
 def _lazy_uniform_masses(T, L, x_index):
@@ -35,8 +36,8 @@ def _lazy_uniform_masses(T, L, x_index):
 
 
 def test_one_step_walk_is_point_mass():
-    g, hist = _grown(PolymerDriving(1), make_noise(seed=1), 7, 0.4, 1)
-    dist = backward_walk_distribution(hist, PolymerDriving(1), 1, (0,))
+    g, slices = _grown(PolymerDriving(1), make_noise(seed=1), 7, 0.4, 1)
+    dist = backward_walk_distribution(slices, PolymerDriving(1), 1, (0,))
     assert dist.mass_at(1, (0,)) == 1.0
     # one backward step spreads mass over the whole stencil
     assert 0.0 < dist.mass_at(0, (0,)) < 1.0
@@ -46,16 +47,16 @@ def test_one_step_walk_is_point_mass():
 
 def test_mass_conserved_every_layer():
     phi = PolymerDriving(1)
-    g, hist = _grown(phi, make_noise(seed=2), 13, 0.6, 5)
-    dist = backward_walk_distribution(hist, phi, 5, (1,))
+    g, slices = _grown(phi, make_noise(seed=2), 13, 0.6, 5)
+    dist = backward_walk_distribution(slices, phi, 5, (1,))
     for s in range(0, 6):
         assert dist.total_mass(s) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_walk_stays_inside_cone():
     phi = PolymerDriving(1)
-    g, hist = _grown(phi, make_noise(seed=3), 15, 0.5, 4)
-    dist = backward_walk_distribution(hist, phi, 4, (0,))
+    g, slices = _grown(phi, make_noise(seed=3), 15, 0.5, 4)
+    dist = backward_walk_distribution(slices, phi, 4, (0,))
     for s in range(0, 5):
         reach = 4 - s
         for x in range(g.lo, g.lo + g.L):
@@ -67,9 +68,8 @@ def test_walk_on_flat_history_is_lazy_convolution():
     # constant gradient weights 1/3 each: the law is the T-fold lazy kernel
     g = LatticeGeometry(1, 11)
     slices = [HeightSlice.flat(g, t=k) for k in range(5)]
-    hist = HeightHistory(slices)
     phi = PolymerDriving(1)
-    dist = backward_walk_distribution(hist, phi, 4, (0,))
+    dist = backward_walk_distribution(slices, phi, 4, (0,))
     ref = _lazy_uniform_masses(4, 11, g.index((0,))[0])
     for k in range(5):
         assert np.abs(dist.masses[k] - ref[k]).max() < 1e-14
@@ -78,8 +78,8 @@ def test_walk_on_flat_history_is_lazy_convolution():
 def test_plain_mean_walk_ignores_environment():
     # the mean update has constant weights on any surface
     phi = EdwardsWilkinsonDriving(1)
-    g, hist = _grown(phi, make_noise(seed=8), 11, 0.9, 4)
-    dist = backward_walk_distribution(hist, phi, 4, (2,))
+    g, slices = _grown(phi, make_noise(seed=8), 11, 0.9, 4)
+    dist = backward_walk_distribution(slices, phi, 4, (2,))
     ref = _lazy_uniform_masses(4, 11, g.index((2,))[0])
     for k in range(5):
         assert np.abs(dist.masses[k] - ref[k]).max() < 1e-14
@@ -88,8 +88,8 @@ def test_plain_mean_walk_ignores_environment():
 def test_derivative_at_anchor_is_epsilon():
     phi = PolymerDriving(1)
     eps = 0.35
-    g, hist = _grown(phi, make_noise(seed=4), 9, eps, 3)
-    dist = backward_walk_distribution(hist, phi, 3, (0,))
+    g, slices = _grown(phi, make_noise(seed=4), 9, eps, 3)
+    dist = backward_walk_distribution(slices, phi, 3, (0,))
     assert derivative_via_walk(dist, 3, (0,), eps) == eps
     with pytest.raises(ValueError):
         derivative_via_walk(dist, 0, (0,), eps)  # layers start at 1
@@ -100,8 +100,8 @@ def test_derivative_at_anchor_is_epsilon():
 def test_derivative_layer_sums_equal_epsilon():
     phi = PolymerDriving(1)
     eps = 0.5
-    g, hist = _grown(phi, make_noise(seed=5), 13, eps, 5)
-    dist = backward_walk_distribution(hist, phi, 5, (0,))
+    g, slices = _grown(phi, make_noise(seed=5), 13, eps, 5)
+    dist = backward_walk_distribution(slices, phi, 5, (0,))
     for s in range(1, 6):
         total = sum(derivative_via_walk(dist, s, (y,), eps)
                     for y in range(g.lo, g.lo + g.L))
@@ -115,8 +115,8 @@ def test_linear_dynamics_fd_is_exact_at_any_step():
     nm = make_noise(seed=6)
     g = LatticeGeometry(1, 11)
     eps = 0.7
-    hist = evolve(EvolutionConfig(phi, nm, g, eps, T=4))
-    dist = backward_walk_distribution(hist, phi, 4, (0,))
+    slices = list(trajectory(EvolutionConfig(phi, nm, g, eps, T=4)))
+    dist = backward_walk_distribution(slices, phi, 4, (0,))
     for (s, y) in [(1, 0), (1, 2), (2, -1), (4, 0)]:
         walk = derivative_via_walk(dist, s, (y,), eps)
         fd = derivative_fd(phi, nm, g, eps, 4, (0,), s, (y,), h=0.3)
@@ -129,8 +129,8 @@ def test_walk_matches_fd_polymer():
     g = LatticeGeometry(1, 11)
     eps = 0.4
     T = 5
-    hist = evolve(EvolutionConfig(phi, nm, g, eps, T))
-    dist = backward_walk_distribution(hist, phi, T, (0,))
+    slices = list(trajectory(EvolutionConfig(phi, nm, g, eps, T)))
+    dist = backward_walk_distribution(slices, phi, T, (0,))
     for s in range(1, T + 1):
         for y in _l1_ball((0,), T - s, 1):
             walk = derivative_via_walk(dist, s, y, eps)
@@ -144,8 +144,8 @@ def test_fd_richardson_rate():
     nm = make_noise(seed=7)
     g = LatticeGeometry(1, 9)
     eps = 0.5
-    hist = evolve(EvolutionConfig(phi, nm, g, eps, T=3))
-    dist = backward_walk_distribution(hist, phi, 3, (0,))
+    slices = list(trajectory(EvolutionConfig(phi, nm, g, eps, T=3)))
+    dist = backward_walk_distribution(slices, phi, 3, (0,))
     exact = derivative_via_walk(dist, 1, (1,), eps)
     e1 = abs(derivative_fd(phi, nm, g, eps, 3, (0,), 1, (1,), h=1e-2) - exact)
     e2 = abs(derivative_fd(phi, nm, g, eps, 3, (0,), 1, (1,), h=5e-3) - exact)
@@ -200,6 +200,19 @@ def test_walk_rejects_non_monotone_update():
     phi = CallableDriving(1, skew, name="skew")
     g = LatticeGeometry(1, 7)
     slices = [HeightSlice.flat(g, t=k) for k in range(3)]
-    hist = HeightHistory(slices)
     with pytest.raises(ArithmeticError, match="monotone"):
-        backward_walk_distribution(hist, phi, 2, (0,))
+        backward_walk_distribution(slices, phi, 2, (0,))
+
+
+def test_backward_walk_needs_slices_from_zero():
+    # the walk from (t, x) reads slices 0..t-1, indexed by their time
+    phi = PolymerDriving(1)
+    g, slices = _grown(phi, make_noise(seed=13), 9, 0.4, 4)
+    full = backward_walk_distribution(slices, phi, 4, (0,))
+    # slices past t-1 are never read
+    short = backward_walk_distribution(slices[:4], phi, 4, (0,))
+    assert all(np.array_equal(a, b) for a, b in zip(full.masses, short.masses))
+    for bad in (slices[:3], slices[1:], [slices[0], slices[2], slices[1],
+                                         slices[3]], []):
+        with pytest.raises(ValueError, match="needs the slices"):
+            backward_walk_distribution(bad, phi, 4, (0,))

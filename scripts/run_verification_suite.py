@@ -14,7 +14,7 @@ import time
 
 from kpzlab.cli import main as kpzlab_main
 
-# (command, extra --set overrides at full scale, extra overrides at --quick)
+# (command, extra --set items at full scale, extra items at --quick)
 SUITE = [
     ("check-phi", [], []),
     ("walk-check", [], []),
@@ -43,11 +43,11 @@ def run(argv=None) -> int:
     failures = []
     t0 = time.monotonic()
     for command, full, quick in SUITE:
-        overrides = full + (quick if args.quick else [])
+        sets = full + (quick if args.quick else [])
         argv_cmd = [command, "--out", f"{args.out}/{command}",
                     "--seed", str(args.seed),
                     "--workers", str(args.workers)]
-        for item in overrides:
+        for item in sets:
             argv_cmd += ["--set", item]
         print(f"=== {command} ===", flush=True)
         rc = kpzlab_main(argv_cmd)

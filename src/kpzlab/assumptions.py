@@ -1,12 +1,13 @@
 """Sampled verification of the axioms a driving function must satisfy.
 
-Checked properties, each on randomized stencils inside a configurable
-radius: additivity under constant shifts, zero at the flat stencil, full
-permutation symmetry, monotonicity (nonnegative gradient), C2 behavior
-near the origin (stable symmetric finite-difference Hessian), a
-nondegenerate origin Hessian, domination of the plain-mean update, and
-strict domination quantified by a radial profile on the zero-mean
-hyperplane together with a fitted quadratic-lower-bound witness (M, c).
+Checked properties, each on randomized stencils inside the inf-ball of
+radius DEFAULT_RADIUS and to tolerance DEFAULT_TOL: additivity under
+constant shifts, zero at the flat stencil, full permutation symmetry,
+monotonicity (nonnegative gradient), C2 behavior near the origin (stable
+symmetric finite-difference Hessian), a nondegenerate origin Hessian,
+domination of the plain-mean update, and strict domination quantified by
+a radial profile on the zero-mean hyperplane together with a fitted
+quadratic-lower-bound witness (M, c).
 """
 from __future__ import annotations
 
@@ -21,6 +22,10 @@ from .rng import derive_seed
 DEFAULT_TOL = 1e-9
 DEFAULT_SAMPLES = 100_000
 DEFAULT_RADIUS = 5.0
+# radial domination profile: geometric radii from 1e-3 to DEFAULT_RADIUS,
+# each probed with PROFILE_PER_RADIUS zero-mean stencils
+PROFILE_RADII = 24
+PROFILE_PER_RADIUS = 2000
 
 
 @dataclass
@@ -71,10 +76,10 @@ class AssumptionReport:
         }
 
 
-def _sample_stencils(rng: np.random.Generator, n: int, count: int,
-                     radius: float) -> np.ndarray:
-    """Stencil batch (n, count) filling the inf-ball of the given radius."""
-    U = rng.uniform(-radius, radius, size=(n, count))
+def _sample_stencils(rng: np.random.Generator, n: int,
+                     count: int) -> np.ndarray:
+    """Stencil batch (n, count) filling the inf-ball of DEFAULT_RADIUS."""
+    U = rng.uniform(-DEFAULT_RADIUS, DEFAULT_RADIUS, size=(n, count))
     # sprinkle small-radius samples so the near-origin regime is covered
     small = rng.uniform(-1e-3, 1e-3, size=(n, count // 10))
     return np.concatenate([U, small], axis=1)
@@ -82,19 +87,18 @@ def _sample_stencils(rng: np.random.Generator, n: int, count: int,
 
 def check_assumptions(phi: DrivingFunction,
                       samples: int = DEFAULT_SAMPLES,
-                      radius: float = DEFAULT_RADIUS,
-                      tol: float = DEFAULT_TOL,
                       seed: int = 0) -> AssumptionReport:
     n = phi.n
+    tol = DEFAULT_TOL
     rng = np.random.default_rng(derive_seed(seed, 0xA5) & 0x7FFFFFFFFFFFFFFF)
-    U = _sample_stencils(rng, n, samples, radius)
+    U = _sample_stencils(rng, n, samples)
     count = U.shape[1]
     vals = phi.value_many(U)
 
     checks: List[CheckResult] = []
 
     # shift additivity: phi(u + c 1) = phi(u) + c
-    shifts = rng.uniform(-2 * radius, 2 * radius, size=count)
+    shifts = rng.uniform(-2 * DEFAULT_RADIUS, 2 * DEFAULT_RADIUS, size=count)
     err = np.abs(phi.value_many(U + shifts) - (vals + shifts)).max()
     checks.append(CheckResult("shift_additivity", err <= tol, float(err)))
 
@@ -138,7 +142,7 @@ def check_assumptions(phi: DrivingFunction,
     checks.append(CheckResult("mean_domination", dom >= -tol, dom))
 
     # strict domination profile on the zero-mean hyperplane
-    profile, m_hat, c_hat, delta_hat = _domination_profile(phi, hess, rng, radius)
+    profile, m_hat, c_hat, delta_hat = _domination_profile(phi, hess, rng)
     floor = 0.9 * hess.q_minus_r / 4.0
     strict_ok = (hess.q_minus_r > tol) and np.isfinite(delta_hat) and c_hat >= floor > 0
     checks.append(CheckResult(
@@ -154,8 +158,7 @@ def check_assumptions(phi: DrivingFunction,
 
 
 def _domination_profile(phi: DrivingFunction, hess: HessianAtOrigin,
-                        rng: np.random.Generator, radius: float,
-                        n_radii: int = 24, per_radius: int = 2000):
+                        rng: np.random.Generator):
     """Radial minima of phi on the zero-mean hyperplane and the (M, c) fit.
 
     c(rho) = min phi / rho^2 per radius; the quadratic regime is the largest
@@ -164,11 +167,11 @@ def _domination_profile(phi: DrivingFunction, hess: HessianAtOrigin,
     so that on the sample phi(u) <= M_hat forces u into the fitted regime.
     """
     n = phi.n
-    radii = np.geomspace(1e-3, radius, n_radii)
+    radii = np.geomspace(1e-3, DEFAULT_RADIUS, PROFILE_RADII)
     profile: List[Tuple[float, float, float]] = []
     floor = 0.9 * hess.q_minus_r / 4.0
     for rho in radii:
-        W = rng.standard_normal(size=(n, per_radius))
+        W = rng.standard_normal(size=(n, PROFILE_PER_RADIUS))
         W -= W.mean(axis=0)
         norms = np.linalg.norm(W, axis=0)
         norms[norms == 0] = 1.0

@@ -123,8 +123,8 @@ def _find_line(path: str, section: str, key: Optional[str]) -> int:
 
 
 def load_config(path: Optional[str], command: str,
-                overrides: Optional[List[str]] = None) -> Dict[str, Dict]:
-    """Resolve defaults <- command overlay <- file <- --set overrides."""
+                sets: Optional[List[str]] = None) -> Dict[str, Dict]:
+    """Resolve defaults <- command overlay <- file <- --set items."""
     resolved = {sec: {k: spec[1] for k, spec in keys.items()}
                 for sec, keys in SCHEMA.items()}
     for (sec, key), val in COMMAND_OVERLAYS.get(command, {}).items():
@@ -152,7 +152,7 @@ def load_config(path: Optional[str], command: str,
                                                  where=f"{path}, line "
                                                  f"{_find_line(path, sec, key)}")
 
-    for item in overrides or []:
+    for item in sets or []:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"--set expects section.key=value, got {item!r}")
         dotted, raw = item.split("=", 1)

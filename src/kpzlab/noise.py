@@ -1,9 +1,10 @@
 """Space-time noise fields z_{t,x}.
 
 A NoiseModel is a pure function of (seed, t, x): i.i.d. in law across
-sites and layers, mean zero, bounded, continuous. Views (overrides, zeroed
-layers, single-site perturbations) share the base draws and cost O(#edits)
-memory regardless of lattice size.
+sites and layers, mean zero, bounded, continuous. The one edit is an
+additive shift of single draws (perturb_at), which a finite difference in
+one noise variable needs; a shifted view shares the base draws and costs
+O(#shifts) memory regardless of lattice size.
 """
 from __future__ import annotations
 
@@ -73,16 +74,13 @@ def _triangular_icdf(u, scale):
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Keyed noise field with optional sparse edits.
+    """Keyed noise field plus sparse additive shifts.
 
-    Precedence at (t, x): absolute override if present, else zero if t is a
-    zeroed layer, else the keyed draw; additive shifts apply on top.
+    The value at (t, x) is the keyed draw plus shifts[(t, x)], if any.
     """
 
     spec: NoiseSpec
-    overrides: Mapping[Tuple[int, Site], float] = field(default_factory=dict)
     shifts: Mapping[Tuple[int, Site], float] = field(default_factory=dict)
-    zeroed_times: frozenset = frozenset()
 
     @property
     def sigma(self) -> float:
@@ -104,33 +102,15 @@ class NoiseModel:
         if t < 1:
             raise ValueError("noise layers start at t=1")
         xs = _as_site(x)
-        key = (t, xs)
-        if key in self.overrides:
-            v = self.overrides[key]
-        elif t in self.zeroed_times:
-            v = 0.0
-        else:
-            v = self._raw(t, xs)
-        return v + self.shifts.get(key, 0.0)
+        return self._raw(t, xs) + self.shifts.get((t, xs), 0.0)
 
     def sample_grid(self, t: int, coords: Sequence[np.ndarray]) -> np.ndarray:
-        """Vectorized draws at layer t for coordinate arrays (one per axis).
+        """Draws at layer t for coordinate arrays (one per axis).
 
-        coords may be a full mesh or an open one (np.meshgrid(...,
-        sparse=True)); each axis key is hashed at its own extent and the
-        draws are computed in row blocks. Returns the draws over the
-        broadcast shape of coords, bit-identical to sample() at every site.
+        coords may be a full or an open mesh; sample_spacetime with a 0-d
+        time key does the work.
         """
-        if t < 1:
-            raise ValueError("noise layers start at t=1")
-        coords = [np.asarray(c) for c in coords]
-        if t in self.zeroed_times:
-            out = np.zeros(np.broadcast(*coords).shape)
-        else:
-            out = self._draws((t,), coords)
-        if self.overrides or self.shifts:
-            self._apply_edits(out, t, coords)
-        return out
+        return self.sample_spacetime(np.asarray(t), coords)
 
     def sample_spacetime(self, times, coords: Sequence[np.ndarray]) -> np.ndarray:
         """Vectorized draws where the layer index varies across the grid.
@@ -144,15 +124,17 @@ class NoiseModel:
         if times.size and times.min() < 1:
             raise ValueError("noise layers start at t=1")
         coords = [np.asarray(c) for c in coords]
-        out = self._draws((), [times, *coords])
-        if self.zeroed_times:
-            zero = np.isin(times, sorted(self.zeroed_times))
-            out[np.broadcast_to(zero, out.shape)] = 0.0
-        if self.overrides or self.shifts:
-            self._apply_edits(out, times, coords)
+        out = self._draws([times, *coords])
+        # shifts, in place: one boolean mask per shifted site; shift counts
+        # are tiny by contract, the keys may be any broadcastable mesh
+        for (tt, xs), dv in self.shifts.items():
+            m = times == tt
+            for c, xc in zip(coords, xs):
+                m = m & (c == xc)
+            out[np.broadcast_to(m, out.shape)] += dv
         return out
 
-    def _draws(self, scalar_keys, key_arrays) -> np.ndarray:
+    def _draws(self, key_arrays) -> np.ndarray:
         """Keyed draws over the broadcast shape of key_arrays.
 
         Grids of up to _BLOCK elements are hashed in one call. Larger ones
@@ -164,8 +146,7 @@ class NoiseModel:
         shape = np.broadcast(*key_arrays).shape
         out = np.empty(shape)
         if out.size <= _BLOCK:
-            self._fill(hash_keys_vec(self.spec.seed, scalar_keys, key_arrays),
-                       out)
+            self._fill(hash_keys_vec(self.spec.seed, (), key_arrays), out)
             return out
         axis = next(i for i, n in enumerate(shape) if n > 1)
         rows = max(1, _BLOCK // (out.size // shape[axis]))
@@ -178,7 +159,7 @@ class NoiseModel:
             rs = slice(r0, r0 + rows)
             block = [a[(slice(None),) * (axis - out.ndim + a.ndim) + (rs,)]
                      if c else a for a, c in zip(key_arrays, cut)]
-            self._fill(hash_keys_vec(self.spec.seed, scalar_keys, block),
+            self._fill(hash_keys_vec(self.spec.seed, (), block),
                        out[lead + (rs,)])
         return out
 
@@ -193,30 +174,7 @@ class NoiseModel:
         else:
             dst[...] = _triangular_icdf(u, self.spec.scale)
 
-    def _apply_edits(self, out, times, coords) -> None:
-        # sparse edits, in place: one boolean mask per edited site; edit
-        # counts are tiny by contract, the keys may be any broadcastable mesh
-        def mask(tt, xs):
-            m = np.asarray(times) == tt
-            for c, xc in zip(coords, xs):
-                m = m & (c == xc)
-            return np.broadcast_to(m, out.shape)
-
-        for (tt, xs), val in self.overrides.items():
-            out[mask(tt, xs)] = val
-        for (tt, xs), dv in self.shifts.items():
-            out[mask(tt, xs)] += dv
-
     # views -----------------------------------------------------------------
-
-    def with_override(self, t: int, x, value: float) -> "NoiseModel":
-        new = dict(self.overrides)
-        new[(t, _as_site(x))] = float(value)
-        return replace(self, overrides=new)
-
-    def zero_first_layer(self) -> "NoiseModel":
-        """View with every t=1 draw replaced by 0."""
-        return replace(self, zeroed_times=self.zeroed_times | {1})
 
     def perturb_at(self, s: int, y, delta: float) -> "NoiseModel":
         """View with the draw at (s, y) shifted by delta."""

@@ -237,7 +237,6 @@ def remainder_ratio_study(plan: ExperimentPlan, workers: int = 1) -> StudyResult
     table = [row for qs in series for row in qs.rows()]
     summary = {
         "plan": _plan_dict(plan),
-        "assertions": assertions,
         "remainder_at_rounding_level": at_rounding,
         "series": {qs.statistic: qs.rows() for qs in series},
     }
@@ -283,8 +282,8 @@ def gradient_scaling_study(plan: ExperimentPlan, workers: int = 1) -> StudyResul
     band = max(p95) / min(p95) if min(p95) > 0 else float("inf")
     assertions = {"p95_band_bounded": band <= BAND_LIMIT,
                   "p95_positive": min(p95) > 0}
-    summary = {"plan": _plan_dict(plan), "assertions": assertions,
-               "band": band, "band_limit": BAND_LIMIT, "series": qs.rows()}
+    summary = {"plan": _plan_dict(plan), "band": band,
+               "band_limit": BAND_LIMIT, "series": qs.rows()}
     return StudyResult("gradient", assertions, summary,
                        {"series": qs.rows(), "samples": rows})
 
@@ -342,13 +341,15 @@ def drift_bound_study(plan: ExperimentPlan, times: Sequence[int] = (10, 100, 100
                               "within": ok_hi and ok_lo})
                 assertions[f"{key}_within_bound_eps{eps}_t{t}"] = ok_hi and ok_lo
     summary = {"plan": _plan_dict(plan), "times": list(times),
-               "bound_scale": bound_scale, "assertions": assertions,
-               "rows": table}
+               "bound_scale": bound_scale, "rows": table}
     return StudyResult("drift", assertions, summary, {"estimates": table})
 
 
 # ---------------------------------------------------------------------------
 # white-noise pairing
+
+
+SUPPORT_THRESHOLD = 1e-12  # relative size of the bump at its window's edge
 
 
 @dataclass(frozen=True)
@@ -386,9 +387,9 @@ class GaussianBump:
             out *= w * math.sqrt(math.pi / 2.0)
         return float(out)
 
-    def support_halfwidth(self, threshold: float = 1e-12) -> float:
-        """Radius (in scaled units) beyond which |f| < threshold * A."""
-        return math.sqrt(math.log(1.0 / threshold))
+    def support_halfwidth(self) -> float:
+        """Radius (in scaled units) beyond which |f| < SUPPORT_THRESHOLD * A."""
+        return math.sqrt(math.log(1.0 / SUPPORT_THRESHOLD))
 
     def axis_integrals(self, edges: np.ndarray, center: float,
                        width: float) -> np.ndarray:
@@ -525,7 +526,7 @@ def whitenoise_pairing_study(plan: ExperimentPlan,
             assertions["skewness_small"] = abs(skew) <= 0.15
             assertions["excess_kurtosis_small"] = abs(exkurt) <= 0.30
     summary = {"plan": _plan_dict(plan), "target_variance": target,
-               "assertions": assertions, "rows": table}
+               "rows": table}
     return StudyResult("whitenoise", assertions, summary, {"pairings": table})
 
 
@@ -597,7 +598,7 @@ def stationarity_study(plan: ExperimentPlan,
 
     summary = {"plan": _plan_dict(plan), "checkpoints": list(checkpoints),
                "geometry_policy": plan.geometry_policy, "L": plan.L,
-               "assertions": assertions, "quantiles": qrows,
+               "quantiles": qrows,
                "ks_distances": ks_rows}
     return StudyResult("stationarity", assertions, summary,
                        {"quantiles": qrows, "ks_distances": ks_rows})

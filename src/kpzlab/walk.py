@@ -107,10 +107,15 @@ def derivative_via_walk(dist: WalkDistribution, s: int, y,
 def derivative_fd(phi: DrivingFunction, noise: NoiseModel,
                   geometry: LatticeGeometry, epsilon: float, t: int, x,
                   s: int, y, h: float = 1e-5) -> float:
-    """Central finite difference of f(t,x) in the single draw z_{s,y}."""
+    """Central finite difference of f(t,x) in the single draw z_{s,y}.
+
+    The torus reads the noise only at canonical sites, so the draw that
+    is shifted is the one at the wrapped y.
+    """
+    yw = geometry.wrap(y)
     vals = []
     for sign in (+1.0, -1.0):
-        cfg = EvolutionConfig(phi, noise.perturb_at(s, y, sign * h),
+        cfg = EvolutionConfig(phi, noise.perturb_at(s, yw, sign * h),
                               geometry, epsilon, T=t)
         vals.append(evolve(cfg).value_at(x))
     return (vals[0] - vals[1]) / (2.0 * h)

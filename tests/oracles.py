@@ -10,7 +10,8 @@ from typing import Tuple
 import numpy as np
 
 from kpzlab.driving import DrivingFunction, stencil_offsets
-from kpzlab.lattice import EvolutionConfig, LatticeGeometry, evolve
+from kpzlab.lattice import (EvolutionConfig, HeightSlice, LatticeGeometry,
+                            evolve, step)
 from kpzlab.noise import NoiseModel
 from kpzlab.walk import _l1_ball
 
@@ -51,13 +52,17 @@ def zero_layer_shift(phi: DrivingFunction, noise: NoiseModel,
                      ) -> Tuple[float, float]:
     """Effect of erasing the first noise layer, with its a-priori bound.
 
-    Returns (shift, bound): shift = f(t,x) - g(t,x) where g grows under
-    the zeroed-layer view, and bound = epsilon * max |z_{1,y}| over the
-    sites y within L1 distance < t of x.
+    Returns (shift, bound): shift = f(t,x) - g(t,x) where g is stepped
+    with a zero first layer and each later layer drawn on its own, and
+    bound = epsilon * max |z_{1,y}| over the sites y within L1 distance
+    < t of x.
     """
     f = evolve(EvolutionConfig(phi, noise, geometry, epsilon, T=t))
-    g = evolve(EvolutionConfig(phi, noise.zero_first_layer(), geometry,
-                               epsilon, T=t))
+    g = HeightSlice.flat(geometry, t=0)
+    for s in range(1, t + 1):
+        z = (np.zeros(geometry.shape) if s == 1
+             else noise.sample_grid(s, geometry.site_mesh()))
+        g = step(g, phi, epsilon, z)
     xs = geometry.wrap(x)
     zmax = 0.0
     for y in _l1_ball(xs, t - 1, geometry.d):

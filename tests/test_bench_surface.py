@@ -1,0 +1,66 @@
+"""The names the benchmark in perfbench/ calls or wraps still exist and work.
+
+perfbench/ times kpzlab from outside: its tracer rebinds named functions
+and methods at every kpzlab import site, and its workloads spot-check the
+vectorized noise against the scalar path. These tests load both modules
+from their files (without writing bytecode next to them) and run those
+two entry points, so a rename or a broken noise view fails here first.
+"""
+import importlib
+import importlib.util
+import pathlib
+import sys
+
+import numpy as np
+import pytest
+
+from kpzlab import noise
+from kpzlab.noise import make_noise
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(monkeypatch, name):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  BENCH / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, mod)  # dataclasses need it
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _resolve(modname, attr):
+    obj = importlib.import_module(modname)
+    for part in attr.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_tracer_layers_resolve_and_bind_every_import_site(monkeypatch):
+    _load(monkeypatch, "workloads")  # imports the kpzlab modules it runs
+    tracer = _load(monkeypatch, "tracer")
+    for name, modname, attr, _ in tracer.LAYERS:
+        assert callable(_resolve(modname, attr)), name
+    original = noise.NoiseModel.__dict__["sample_grid"]
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert noise.NoiseModel.__dict__["sample_grid"] is not original
+        assert t.unbound_sites() == []
+    finally:
+        t.uninstall()
+    assert noise.NoiseModel.__dict__["sample_grid"] is original
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_spot_check_grid_accepts_a_shifted_view(monkeypatch, d):
+    workloads = _load(monkeypatch, "workloads")
+    y = (1,) + (0,) * (d - 1)
+    base = make_noise("triangular", 1.2, seed=4)
+    model = base.perturb_at(2, y, 0.5)
+    assert model.sample(2, y) != base.sample(2, y)
+    bad = workloads.spot_check_grid(model, d, 9, (1, 2),
+                                    np.random.default_rng(d),
+                                    extra_sites=[(2, y)])
+    assert bad == []

@@ -2,8 +2,8 @@
 
 The noise layer must behave like a pure function of (seed, t, x): stable
 across instances and vectorization paths, mean zero, bounded, with the
-advertised standard deviation, and with edits (overrides, zeroed layers,
-single-site shifts) that touch exactly the requested draws.
+advertised standard deviation, and with single-draw shifts that touch
+exactly the requested draws.
 """
 import math
 
@@ -284,11 +284,10 @@ def test_sample_spacetime_single_layer_over_block_equals_sample_grid(
 @pytest.mark.parametrize("family", ["uniform", "triangular"])
 def test_edits_on_open_meshes_equal_full_meshes(family):
     base = make_noise(family, 1.1, seed=5)
-    views = [base.with_override(2, (1, -2), 0.75),
+    views = [base.perturb_at(2, (1, -2), 0.75),
              base.perturb_at(2, (0, 0), 0.125).perturb_at(3, (-1, 4), -2.0),
-             base.zero_first_layer(),
-             base.zero_first_layer().with_override(1, (2, 2), 0.5)
-                 .perturb_at(1, (2, 2), 0.25).perturb_at(2, (2, 2), 1.0)]
+             base.perturb_at(1, (2, 2), 0.5).perturb_at(1, (2, 2), 0.25)
+                 .perturb_at(2, (2, 2), 1.0)]
     axes = _axes((_BLOCK // 50 + 3, 50))
     full = np.meshgrid(*[a.ravel() for a in axes], indexing="ij")
     times = np.arange(1, 5).reshape(4, 1, 1)
@@ -310,25 +309,7 @@ def test_edits_on_open_meshes_equal_full_meshes(family):
 
 
 # ---------------------------------------------------------------------------
-# views: overrides, zeroed layer, shifts
-
-
-def test_override_replaces_single_draw():
-    nm = make_noise(seed=0)
-    edited = nm.with_override(1, (0,), 0.0)
-    assert edited.sample(1, (0,)) == 0.0
-    assert edited.sample(1, (1,)) == nm.sample(1, (1,))
-    assert edited.sample(2, (0,)) == nm.sample(2, (0,))
-
-
-def test_zero_first_layer_only_zeroes_t1():
-    nm = make_noise(seed=3)
-    z = nm.zero_first_layer()
-    for x in range(-3, 4):
-        assert z.sample(1, (x,)) == 0.0
-        assert z.sample(2, (x,)) == nm.sample(2, (x,))
-    grid = z.sample_grid(1, [np.arange(-3, 4)])
-    assert np.all(grid == 0.0)
+# views: single-draw shifts
 
 
 def test_perturb_at_shifts_one_draw():
@@ -345,24 +326,17 @@ def test_perturb_at_shifts_one_draw():
     assert nm.perturb_at(2, (1,), 0.0).sample(2, (1,)) == nm.sample(2, (1,))
 
 
-def test_edit_precedence_override_then_shift():
-    nm = make_noise(seed=1)
-    v = nm.with_override(1, (0,), 0.5).perturb_at(1, (0,), 0.1)
-    assert v.sample(1, (0,)) == pytest.approx(0.6, abs=1e-15)
-    z = nm.zero_first_layer().perturb_at(1, (2,), -0.3)
-    assert z.sample(1, (2,)) == pytest.approx(-0.3, abs=0)
-
-
 def test_edits_apply_on_grids_and_spacetime():
-    nm = make_noise(seed=6).with_override(1, (0,), 7.0).perturb_at(2, (1,), 0.5)
+    base = make_noise(seed=6)
+    nm = base.perturb_at(1, (0,), 7.0).perturb_at(2, (1,), 0.5)
     xs = np.arange(-2, 3)
     g1 = nm.sample_grid(1, [xs])
-    assert g1[2] == 7.0
-    base = make_noise(seed=6)
+    assert g1[2] == base.sample(1, (0,)) + 7.0
+    assert g1[3] == base.sample(1, (1,))
     ts = np.array([1, 2, 2])
     xv = np.array([0, 1, 0])
     out = nm.sample_spacetime(ts, [xv])
-    assert out[0] == 7.0
+    assert out[0] == base.sample(1, (0,)) + 7.0
     assert out[1] == pytest.approx(base.sample(2, (1,)) + 0.5, abs=1e-15)
     assert out[2] == base.sample(2, (0,))
 

@@ -11,8 +11,8 @@ import pytest
 
 from kpzlab.driving import (CallableDriving, EdwardsWilkinsonDriving,
                             PolymerDriving)
-from kpzlab.lattice import (EvolutionConfig, HeightSlice, LatticeGeometry,
-                            trajectory)
+from kpzlab.lattice import (ConeWrapWarning, EvolutionConfig, HeightSlice,
+                            LatticeGeometry, trajectory)
 from kpzlab.noise import make_noise
 from kpzlab.walk import (backward_walk_distribution, derivative_fd,
                          derivative_via_walk, _l1_ball)
@@ -136,6 +136,25 @@ def test_walk_matches_fd_polymer():
             walk = derivative_via_walk(dist, s, y, eps)
             fd = derivative_fd(phi, nm, g, eps, T, (0,), s, y, h=1e-6)
             assert fd == pytest.approx(walk, rel=1e-6, abs=1e-9)
+
+
+def test_fd_shifts_the_wrapped_site_on_a_small_torus():
+    # T = 4 on side 5: the cone site y = 3 wraps to -2, the only key of
+    # that site the torus reads, so the finite difference must shift it
+    phi = PolymerDriving(1)
+    nm = make_noise(seed=0)
+    g = LatticeGeometry(1, 5)
+    eps, T = 0.1, 4
+    slices = list(trajectory(EvolutionConfig(phi, nm, g, eps, T)))
+    dist = backward_walk_distribution(slices, phi, T, (0,))
+    walk = derivative_via_walk(dist, 1, (3,), eps)
+    assert walk > 1e-3
+    with pytest.warns(ConeWrapWarning):
+        fd = derivative_fd(phi, nm, g, eps, T, (0,), 1, (3,), h=1e-6)
+        fd_canonical = derivative_fd(phi, nm, g, eps, T, (0,), 1, (-2,),
+                                     h=1e-6)
+    assert fd == fd_canonical
+    assert fd == pytest.approx(walk, rel=1e-6, abs=1e-9)
 
 
 def test_fd_richardson_rate():

@@ -17,7 +17,7 @@ from .driving import (CallableDriving, DrivingFunction,
                       gkpz_monotone_threshold, make_driving, psi_example,
                       stencil_offsets)
 from .lattice import (ConeWrapWarning, EvolutionConfig, HeightSlice,
-                      LatticeGeometry, evolve, min_cone_side, slice_csv_rows,
+                      LatticeGeometry, evolve, min_cone_side, slice_columns,
                       step, trajectory)
 from .noise import NoiseModel, NoiseSpec, make_noise, replica_noise
 from .rescale import (Coefficients, DecompositionSample, ScalingScheme,
@@ -39,7 +39,7 @@ __all__ = [
     "gkpz_monotone_threshold", "make_driving", "psi_example",
     "stencil_offsets",
     "ConeWrapWarning", "EvolutionConfig", "HeightSlice", "LatticeGeometry",
-    "evolve", "min_cone_side", "slice_csv_rows", "step", "trajectory",
+    "evolve", "min_cone_side", "slice_columns", "step", "trajectory",
     "NoiseModel", "NoiseSpec", "make_noise", "replica_noise",
     "Coefficients", "DecompositionSample", "ScalingScheme", "coefficients",
     "decompose", "evolve_and_decompose", "macro_terms", "make_scheme",

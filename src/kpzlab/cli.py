@@ -22,9 +22,9 @@ from .config import (ConfigError, ENV_WORKERS, effective_workers,
                      scheme_params)
 from .driving import make_driving
 from .lattice import (EvolutionConfig, LatticeGeometry, evolve,
-                      min_cone_side, slice_csv_rows, trajectory)
+                      min_cone_side, slice_columns, trajectory)
 from .noise import NoiseModel, replica_noise
-from .output import sha256_text, write_csv, write_json
+from .output import rows_to_columns, sha256_text, write_csv, write_json
 from .rescale import (coefficients, evolve_and_decompose, macro_terms,
                       make_scheme)
 from .studies import (GaussianBump, drift_bound_study, gradient_scaling_study,
@@ -63,7 +63,7 @@ def _noise(cfg: Dict, replica: int) -> NoiseModel:
 
 
 # ---------------------------------------------------------------------------
-# command implementations: each returns (rows, json_payload, assertions)
+# command implementations: each returns (columns, json_payload, assertions)
 
 
 def _cmd_simulate(cfg: Dict, workers: int):
@@ -74,12 +74,12 @@ def _cmd_simulate(cfg: Dict, workers: int):
     g = LatticeGeometry(m["d"], L)
     noise = _noise(cfg, 0)
     sl = evolve(EvolutionConfig(phi, noise, g, p["epsilon"], T))
-    rows = slice_csv_rows(sl, p["epsilon"], noise.spec.seed)
+    columns = slice_columns(sl, p["epsilon"], noise.spec.seed)
     v = sl.values
     payload = {"t": T, "L": L, "d": m["d"], "epsilon": p["epsilon"],
                "height_min": float(v.min()), "height_max": float(v.max()),
                "height_mean": float(v.mean()), "height_std": float(v.std())}
-    return rows, payload, {}
+    return columns, payload, {}
 
 
 def _cmd_decompose(cfg: Dict, workers: int):
@@ -134,7 +134,7 @@ def _cmd_decompose(cfg: Dict, workers: int):
         payload["worst_macro_residual_rel"] = worst_macro
         payload["coefficients"] = {"nu": coef.nu, "lambda": coef.lam,
                                    "D": coef.D}
-    return rows, payload, assertions
+    return rows_to_columns(rows), payload, assertions
 
 
 def _cmd_check_phi(cfg: Dict, workers: int):
@@ -144,7 +144,7 @@ def _cmd_check_phi(cfg: Dict, workers: int):
     rows = [{"check": c.name, "passed": c.passed, "worst": c.worst,
              "detail": c.detail} for c in report.checks]
     assertions = {c.name: c.passed for c in report.checks}
-    return rows, report.as_dict(), assertions
+    return rows_to_columns(rows), report.as_dict(), assertions
 
 
 def _cmd_walk_check(cfg: Dict, workers: int):
@@ -182,11 +182,11 @@ def _cmd_walk_check(cfg: Dict, workers: int):
     payload = {"t": T, "epsilon": eps, "d": d, "tolerance": tol,
                "worst_abs_diff": worst, "worst_mass_error": worst_mass,
                "sites_checked": len(rows)}
-    return rows, payload, assertions
+    return rows_to_columns(rows), payload, assertions
 
 
 def _study(res, table: str):
-    return res.tables[table], res.summary, res.assertions
+    return rows_to_columns(res.tables[table]), res.summary, res.assertions
 
 
 def _cmd_remainder(cfg: Dict, workers: int):
@@ -222,7 +222,7 @@ def _cmd_stationarity(cfg: Dict, workers: int):
                                      workers=workers), "quantiles")
 
 
-# name -> (help, handler); each handler returns (rows, payload, assertions)
+# name -> (help, handler); each handler returns (columns, payload, assertions)
 COMMANDS = {
     "simulate": ("grow a surface and export the final height slice",
                  _cmd_simulate),
@@ -278,7 +278,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             cfg["run"]["workers"] = args.workers
         workers = effective_workers(cfg)
 
-        rows, payload, assertions = COMMANDS[args.command][1](cfg, workers)
+        columns, payload, assertions = COMMANDS[args.command][1](cfg,
+                                                                 workers)
     except (ValueError, ConeRefusal) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -288,6 +289,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     base = f"{args.command}-{seed}"
     csv_path = f"{out}/{base}.csv"
     json_path = f"{out}/{base}.json"
+    t_run = time.monotonic()
+    write_csv(csv_path, columns)
+    t_export = time.monotonic()
     resolved = dump_resolved(cfg)
     manifest = {
         "command": args.command,
@@ -299,11 +303,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                      "python": platform.python_version(),
                      "numpy": np.__version__,
                      "scipy": scipy.__version__},
-        "wall_time_s": time.monotonic() - t0,
+        "wall_time_s": t_export - t0,
+        "phases": {"run": {"wall_s": t_run - t0},
+                   "export": {"wall_s": t_export - t_run}},
     }
     doc = {"manifest": manifest, "assertions": assertions,
            "passed": all(assertions.values()), "report": payload}
-    write_csv(csv_path, rows)
     write_json(json_path, doc)
 
     for name, ok in assertions.items():

@@ -19,11 +19,10 @@ heights.
 """
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -81,11 +80,6 @@ class LatticeGeometry:
         """
         return [np.broadcast_to(a, self.shape).copy()
                 for a in _site_axes(self.d, self.L)]
-
-    def sites(self):
-        """Iterate all canonical sites in row-major order."""
-        rng = range(self.lo, self.lo + self.L)
-        return itertools.product(*[rng] * self.d)
 
 
 @lru_cache(maxsize=32)
@@ -260,14 +254,17 @@ def evolve(config: EvolutionConfig) -> HeightSlice:
 # CSV export
 
 
-def slice_csv_rows(slice_: HeightSlice, epsilon: float, seed: int):
-    """Rows for the CSV export: metadata plus one row per site."""
+def slice_columns(slice_: HeightSlice, epsilon: float,
+                  seed: int) -> Dict[str, object]:
+    """Columns for the CSV export, one row per site in row-major order.
+
+    The metadata are scalars; x1..xd are the site coordinates and value
+    the heights.
+    """
     g = slice_.geometry
-    flat = slice_.values.ravel(order="C")
-    for i, site in enumerate(g.sites()):
-        row = {"d": g.d, "L": g.L, "t": slice_.t,
-               "epsilon": epsilon, "seed": seed}
-        for axis, c in enumerate(site):
-            row[f"x{axis + 1}"] = c
-        row["value"] = flat[i]
-        yield row
+    cols: Dict[str, object] = {"d": g.d, "L": g.L, "t": slice_.t,
+                               "epsilon": epsilon, "seed": seed}
+    for axis, a in enumerate(_site_axes(g.d, g.L), start=1):
+        cols[f"x{axis}"] = np.broadcast_to(a, g.shape).ravel()
+    cols["value"] = slice_.values.ravel()
+    return cols

@@ -146,7 +146,7 @@ class NoiseModel:
         shape = np.broadcast(*key_arrays).shape
         out = np.empty(shape)
         if out.size <= _BLOCK:
-            self._fill(hash_keys_vec(self.spec.seed, (), key_arrays), out)
+            self._fill(hash_keys_vec(self.spec.seed, key_arrays), out)
             return out
         axis = next(i for i, n in enumerate(shape) if n > 1)
         rows = max(1, _BLOCK // (out.size // shape[axis]))
@@ -159,7 +159,7 @@ class NoiseModel:
             rs = slice(r0, r0 + rows)
             block = [a[(slice(None),) * (axis - out.ndim + a.ndim) + (rs,)]
                      if c else a for a, c in zip(key_arrays, cut)]
-            self._fill(hash_keys_vec(self.spec.seed, (), block),
+            self._fill(hash_keys_vec(self.spec.seed, block),
                        out[lead + (rs,)])
         return out
 

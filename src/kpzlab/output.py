@@ -7,13 +7,14 @@ with the same plan and seed therefore produce byte-identical CSV.
 """
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
+import re
 import tempfile
-from typing import List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -45,22 +46,70 @@ def _atomic_write(path: str, emit) -> None:
         raise
 
 
-def write_csv(path: str, rows: Sequence[dict],
-              fieldnames: Optional[List[str]] = None) -> None:
-    """RFC-4180-style CSV; column order from the first row unless given."""
+def rows_to_columns(rows: Iterable[dict]) -> Dict[str, list]:
+    """Columns of a row table, in first-seen order.
+
+    A row that lacks a column gets "" there.
+    """
     rows = list(rows)  # rows may be a generator; it is scanned twice
-    if fieldnames is None:
-        fieldnames = []
-        for r in rows:
-            for k in r:
-                if k not in fieldnames:
-                    fieldnames.append(k)
+    names: Dict[str, None] = {}
+    for r in rows:
+        names.update(dict.fromkeys(r))
+    return {k: [r.get(k, "") for r in rows] for k in names}
+
+
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+_CHUNK_ROWS = 1 << 14  # lines joined per write, so no whole-table text exists
+
+
+def _quote(text: str) -> str:
+    """csv.QUOTE_MINIMAL for the "," delimiter and the "\\r\\n" terminator."""
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _is_column(col) -> bool:
+    return isinstance(col, (list, tuple)) or (isinstance(col, np.ndarray)
+                                              and col.ndim > 0)
+
+
+def _cells(col) -> Iterator[str]:
+    """A column's cells as CSV text, made as they are read."""
+    if isinstance(col, np.ndarray):
+        if col.dtype.kind == "f":
+            return map(repr, col.tolist())
+        if col.dtype.kind in "iu":
+            return map(str, col.tolist())
+        col = col.tolist()
+    return (_quote(fmt_value(v)) for v in col)
+
+
+def write_csv(path: str, columns: Mapping[str, object]) -> None:
+    """RFC-4180-style CSV from columns (name -> array, sequence or scalar).
+
+    Every array or sequence column holds one cell per row, and all have
+    the same length; a scalar column repeats its value on every row (a
+    table of scalars only is one row). Floating arrays are written with
+    repr and integer arrays with str; any other cell goes through
+    fmt_value, and text is quoted as csv.QUOTE_MINIMAL would quote it.
+    """
+    lengths = {len(c) for c in columns.values() if _is_column(c)}
+    if len(lengths) > 1:
+        raise ValueError(f"CSV columns differ in length: {sorted(lengths)}")
+    n = lengths.pop() if lengths else 1
+    cells = [_cells(c) if _is_column(c)
+             else itertools.repeat(_quote(fmt_value(c)), n)
+             for c in columns.values()]
+    lines = itertools.chain([",".join(map(_quote, columns))],
+                            map(",".join, zip(*cells)))
+    if len(columns) == 1:  # csv quotes a lone empty field: no row is blank
+        lines = ('""' if line == "" else line for line in lines)
 
     def emit(fh):
-        w = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
-        w.writerow(fieldnames)
-        for r in rows:
-            w.writerow([fmt_value(r.get(k, "")) for k in fieldnames])
+        for chunk in iter(lambda: list(itertools.islice(lines, _CHUNK_ROWS)),
+                          []):
+            fh.write("\r\n".join(chunk) + "\r\n")
 
     _atomic_write(path, emit)
 

@@ -75,23 +75,20 @@ def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> None:
     np.bitwise_xor(z, tmp, out=z)
 
 
-def hash_keys_vec(seed: int, scalar_keys: Iterable[int],
-                  key_arrays: Iterable[np.ndarray]) -> np.ndarray:
-    """Vectorized hash_keys: scalar keys first, then per-element key arrays.
+def hash_keys_vec(seed: int, key_arrays: Iterable[np.ndarray]) -> np.ndarray:
+    """Vectorized hash_keys over per-element key arrays.
 
-    Equivalent to hash_keys(seed, [*scalar_keys, k1[i], k2[i], ...]) for
-    every element i of the broadcast shape of key_arrays. The key arrays
-    may form an open (sparse, broadcastable) mesh, such as the output of
-    np.meshgrid(..., sparse=True): the chain is mixed at the extent of the
-    prefix it has consumed so far, so a key of shape (M, 1) followed by one
-    of shape (1, V) costs M mixes for the first and M*V for the second.
-    Mixing runs in place on one fresh buffer per extent; the caller's key
-    arrays are read, never written. Returns an array (0-d when every key
-    array is 0-d or there are none).
+    Equivalent to hash_keys(seed, [k1[i], k2[i], ...]) for every element i
+    of the broadcast shape of key_arrays; a 0-d key array acts as a scalar
+    key. The key arrays may form an open (sparse, broadcastable) mesh, such
+    as the output of np.meshgrid(..., sparse=True): the chain is mixed at the
+    extent of the prefix it has consumed so far, so a key of shape (M, 1)
+    followed by one of shape (1, V) costs M mixes for the first and M*V for
+    the second. Mixing runs in place on one fresh buffer per extent; the
+    caller's key arrays are read, never written. Returns an array (0-d when
+    every key array is 0-d or there are none).
     """
     h = mix64((seed + _INC) & MASK64)
-    for k in scalar_keys:
-        h = mix64((h ^ (k & MASK64)) + _INC)
     acc = tmp = None
     for arr in key_arrays:
         a = np.asarray(arr, dtype=np.int64).view(np.uint64)

@@ -1,11 +1,12 @@
 """Test oracles: independent computations the package is checked against.
 
-Neither is used by the package itself; each recomputes a quantity by a
+None is used by the package itself; each recomputes a quantity by a
 route that shares no code path with the one under test.
 """
+import csv
 import itertools
 import math
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -13,6 +14,7 @@ from kpzlab.driving import DrivingFunction, stencil_offsets
 from kpzlab.lattice import (EvolutionConfig, HeightSlice, LatticeGeometry,
                             evolve, step)
 from kpzlab.noise import NoiseModel
+from kpzlab.output import fmt_value
 from kpzlab.walk import _l1_ball
 
 
@@ -68,3 +70,22 @@ def zero_layer_shift(phi: DrivingFunction, noise: NoiseModel,
     for y in _l1_ball(xs, t - 1, geometry.d):
         zmax = max(zmax, abs(noise.sample(1, geometry.wrap(y))))
     return f.value_at(x) - g.value_at(x), epsilon * zmax
+
+
+def csv_writer_rows(path, rows: Sequence[dict]) -> None:
+    """The CSV a row table makes through csv.writer, row by row.
+
+    Columns in first-seen order, "" where a row lacks one, each cell
+    formatted by fmt_value (checked on its own in test_output.py) and
+    quoted by csv.QUOTE_MINIMAL.
+    """
+    fieldnames: List[str] = []
+    for r in rows:
+        for k in r:
+            if k not in fieldnames:
+                fieldnames.append(k)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
+        w.writerow(fieldnames)
+        for r in rows:
+            w.writerow([fmt_value(r.get(k, "")) for k in fieldnames])

@@ -8,13 +8,14 @@ two entry points, so a rename or a broken noise view fails here first.
 """
 import importlib
 import importlib.util
+import inspect
 import pathlib
 import sys
 
 import numpy as np
 import pytest
 
-from kpzlab import noise
+from kpzlab import cli, noise, output
 from kpzlab.noise import make_noise
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
@@ -64,3 +65,23 @@ def test_spot_check_grid_accepts_a_shifted_view(monkeypatch, d):
                                     np.random.default_rng(d),
                                     extra_sites=[(2, y)])
     assert bad == []
+
+
+def test_traced_write_csv_bytes_equal_the_file(monkeypatch, tmp_path):
+    # the tracer counts output.write_csv.bytes from the size of the file at
+    # its first argument or its "path" keyword
+    assert list(inspect.signature(output.write_csv).parameters)[0] == "path"
+    _load(monkeypatch, "workloads")
+    tracer = _load(monkeypatch, "tracer")
+    t = tracer.Tracer()
+    t.install()
+    try:
+        t.begin_run(0)
+        assert cli.main(["simulate", "--out", str(tmp_path),
+                         "--set", "model.d=2", "--set", "plan.t=3"]) == 0
+    finally:
+        t.uninstall()
+    m = t.run_metrics()[0]
+    assert m["output.write_csv.calls"] == 1
+    assert m["output.write_csv.bytes"] == \
+        (tmp_path / "simulate-0.csv").stat().st_size > 0

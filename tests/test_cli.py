@@ -4,16 +4,22 @@ Every invocation goes through main(argv) in process, writing artifacts to
 tmp_path. Runs are kept tiny; statistical assertions live elsewhere.
 """
 import csv
+import itertools
 import json
 
 import pytest
 
+from kpzlab.assumptions import check_assumptions
 from kpzlab.cli import ConeRefusal, main, resolve_side
 from kpzlab.config import (ConfigError, ENV_WORKERS, effective_workers,
                            load_config)
-from kpzlab.lattice import ConeWrapWarning
+from kpzlab.driving import make_driving
+from kpzlab.lattice import (ConeWrapWarning, EvolutionConfig, LatticeGeometry,
+                            evolve)
+from kpzlab.noise import replica_noise
 from kpzlab.output import sha256_text
 from kpzlab.studies import ExperimentPlan, remainder_ratio_study
+from oracles import csv_writer_rows
 
 
 def read_doc(path):
@@ -88,7 +94,12 @@ def test_simulate_artifacts_and_manifest(tmp_path, monkeypatch):
     assert len(man["config_sha256"]) == 64
     assert "plan.t=3" in man["resolved_config"]
     assert set(man["versions"]) == {"kpzlab", "python", "numpy", "scipy"}
-    assert man["wall_time_s"] >= 0.0
+    phases = man["phases"]
+    assert set(phases) == {"run", "export"}
+    assert min(p["wall_s"] for p in phases.values()) >= 0.0
+    # the CSV is written before the total is read, so it includes export
+    assert man["wall_time_s"] == pytest.approx(
+        phases["run"]["wall_s"] + phases["export"]["wall_s"], abs=1e-9)
     assert doc["passed"] is True
 
     rep = doc["report"]
@@ -101,6 +112,30 @@ def test_simulate_artifacts_and_manifest(tmp_path, monkeypatch):
     rows = read_rows(csv_path)
     assert len(rows) == 7
     assert {"x1", "value", "epsilon", "seed"} <= set(rows[0])
+
+
+def _phi_and_noise(command, sets, seed):
+    m = load_config(None, command, sets)["model"]
+    return (make_driving(m["phi"], m["d"], m["coupling"]),
+            replica_noise(m["noise_family"], m["noise_scale"], seed, 0))
+
+
+@pytest.mark.parametrize("d,t", [(1, 5), (2, 3), (3, 2)])
+def test_simulate_csv_equals_row_writer(tmp_path, d, t):
+    sets = [f"model.d={d}", f"plan.t={t}", "plan.epsilon=0.3"]
+    argv = ["simulate", "--out", str(tmp_path), "--seed", "4"]
+    assert main(argv + [a for s in sets for a in ("--set", s)]) == 0
+    phi, noise = _phi_and_noise("simulate", sets, 4)
+    g = LatticeGeometry(d, 2 * t + 1)
+    sl = evolve(EvolutionConfig(phi, noise, g, 0.3, t))
+    sites = itertools.product(range(g.lo, g.lo + g.L), repeat=d)
+    rows = [{"d": d, "L": g.L, "t": t, "epsilon": 0.3,
+             "seed": noise.spec.seed,
+             **{f"x{i}": c for i, c in enumerate(site, start=1)},
+             "value": v} for site, v in zip(sites, sl.values.ravel())]
+    csv_writer_rows(tmp_path / "oracle.csv", rows)
+    assert (tmp_path / "simulate-4.csv").read_bytes() == \
+        (tmp_path / "oracle.csv").read_bytes()
 
 
 def test_cone_refusal_exit_2(tmp_path, capsys):
@@ -207,6 +242,20 @@ def test_check_phi_flags_curvature_free_update(tmp_path, capsys):
     assert doc["assertions"]["monotonicity"] is True
     rows = read_rows(tmp_path / "check-phi-0.csv")
     assert {r["check"] for r in rows} >= {"monotonicity", "mean_domination"}
+
+
+@pytest.mark.parametrize("phi", ["polymer", "gkpz", "ew"])
+def test_check_phi_csv_equals_row_writer(tmp_path, phi):
+    sets = [f"model.phi={phi}", "model.d=2"]
+    main(["check-phi", "--out", str(tmp_path), "--seed", "3",
+          "--set", sets[0], "--set", sets[1]])
+    report = check_assumptions(_phi_and_noise("check-phi", sets, 3)[0],
+                               seed=3)
+    rows = [{"check": c.name, "passed": c.passed, "worst": c.worst,
+             "detail": c.detail} for c in report.checks]
+    csv_writer_rows(tmp_path / "oracle.csv", rows)
+    assert (tmp_path / "check-phi-3.csv").read_bytes() == \
+        (tmp_path / "oracle.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

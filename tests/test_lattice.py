@@ -4,6 +4,7 @@ The recursion is validated against closed forms at small horizons and
 against the independent path-enumeration oracle; the torus must reproduce
 infinite-lattice values exactly whenever the dependence cone fits.
 """
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from kpzlab.driving import (CallableDriving, EdwardsWilkinsonDriving,
                             PolymerDriving, make_driving)
 from kpzlab.lattice import (ConeWrapWarning, EvolutionConfig, HeightSlice,
                             LatticeGeometry, _site_axes, evolve,
-                            min_cone_side, slice_csv_rows, step, trajectory)
+                            min_cone_side, slice_columns, step, trajectory)
 from kpzlab.noise import _BLOCK, NoiseModel, make_noise
 from kpzlab.rescale import evolve_and_decompose
 from oracles import polymer_path_sum
@@ -48,17 +49,16 @@ def test_geometry_window():
     assert g.wrap(3) == (-2,)
     assert g.wrap(-3) == (2,)
     assert g.index((2,)) == (4,)
-    assert list(g.sites()) == [(-2,), (-1,), (0,), (1,), (2,)]
 
 
 def test_geometry_2d():
     g = LatticeGeometry(2, 4)
-    assert g.lo == -2 and list(g.sites())[-1] == (1, 1)
+    assert g.lo == -2
     assert g.wrap((2, -3)) == (-2, 1)
     assert g.shape == (4, 4)
     mesh = g.site_mesh()
     flat = list(zip(mesh[0].ravel(), mesh[1].ravel()))
-    assert flat == [tuple(s) for s in g.sites()]
+    assert flat == list(itertools.product(range(-2, 2), repeat=2))
 
 
 def test_geometry_validation():
@@ -453,14 +453,20 @@ def test_path_sum_budget_guard():
 
 
 def test_csv_rows_cover_all_sites():
-    g = LatticeGeometry(1, 5)
-    sl = HeightSlice(g, 2, np.arange(5.0))
-    rows = list(slice_csv_rows(sl, 0.1, 3))
-    assert len(rows) == 5
-    assert rows[0]["x1"] == -2 and rows[-1]["x1"] == 2
-    assert rows[0]["value"] == 0.0 and rows[-1]["value"] == 4.0
-    assert all(r["t"] == 2 and r["epsilon"] == 0.1 and r["seed"] == 3
-               for r in rows)
+    # slice_columns: metadata scalars, then one row per site, row-major
+    for d, L in [(1, 5), (2, 4), (3, 3)]:
+        g = LatticeGeometry(d, L)
+        sl = HeightSlice(g, 2, np.arange(float(g.n_sites)).reshape(g.shape))
+        cols = slice_columns(sl, 0.1, 3)
+        assert list(cols) == (["d", "L", "t", "epsilon", "seed"]
+                              + [f"x{i}" for i in range(1, d + 1)]
+                              + ["value"])
+        assert (cols["d"], cols["L"], cols["t"], cols["epsilon"],
+                cols["seed"]) == (d, L, 2, 0.1, 3)
+        sites = list(itertools.product(range(g.lo, g.lo + L), repeat=d))
+        coords = np.stack([cols[f"x{i}"] for i in range(1, d + 1)], axis=1)
+        assert coords.tolist() == [list(s) for s in sites]
+        assert cols["value"].tolist() == [sl.value_at(s) for s in sites]
 
 
 def test_make_driving_dimension_consistency():

@@ -58,24 +58,24 @@ def test_unit_open_range_and_midpoint():
 def test_hash_keys_vec_matches_scalar():
     ts = np.arange(1, 40)
     xs = np.arange(-20, 19)
-    vec = hash_keys_vec(3, (9,), [ts, xs])
+    vec = hash_keys_vec(3, [np.array(9), ts, xs])
     for i in range(len(ts)):
         assert int(vec[i]) == hash_keys(3, (9, int(ts[i]), int(xs[i])))
 
 
 def test_hash_keys_vec_no_arrays_returns_scalar_hash():
-    out = hash_keys_vec(5, (1, 2), [])
-    assert int(out) == hash_keys(5, (1, 2))
+    out = hash_keys_vec(5, [])
+    assert int(out) == hash_keys(5, ())
 
 
 def test_hash_keys_vec_zero_dim_keys_match_scalar():
     # 0-d ufunc results are numpy scalars; the in-place chain must not
     # depend on getting an array back
-    out = hash_keys_vec(7, (3,), [np.array(5), np.array(-9)])
+    out = hash_keys_vec(7, [np.array(3), np.array(5), np.array(-9)])
     assert int(out) == hash_keys(7, (3, 5, -9))
-    out = hash_keys_vec(7, (), [np.int64(-1)])
+    out = hash_keys_vec(7, [np.int64(-1)])
     assert int(out) == hash_keys(7, (-1,))
-    mixed = hash_keys_vec(7, (), [np.array(4), np.arange(-3, 3)])
+    mixed = hash_keys_vec(7, [np.array(4), np.arange(-3, 3)])
     assert [int(h) for h in mixed] == [hash_keys(7, (4, x))
                                        for x in range(-3, 3)]
 
@@ -83,8 +83,8 @@ def test_hash_keys_vec_zero_dim_keys_match_scalar():
 def test_hash_keys_vec_open_mesh_matches_full_and_scalar():
     ts = np.arange(1, 6).reshape(5, 1)
     xs = np.arange(-4, 3).reshape(1, 7)
-    open_ = hash_keys_vec(11, (2,), [ts, xs])
-    full = hash_keys_vec(11, (2,), np.broadcast_arrays(ts, xs))
+    open_ = hash_keys_vec(11, [np.array(2), ts, xs])
+    full = hash_keys_vec(11, [np.array(2), *np.broadcast_arrays(ts, xs)])
     assert open_.shape == (5, 7)
     assert np.array_equal(open_, full)
     for i in range(5):
@@ -93,7 +93,7 @@ def test_hash_keys_vec_open_mesh_matches_full_and_scalar():
                                                       int(xs[0, j])))
     # a key spanning the full shape may come first, too
     wide = np.broadcast_to(ts, (5, 7))
-    assert np.array_equal(hash_keys_vec(11, (2,), [wide, xs]), full)
+    assert np.array_equal(hash_keys_vec(11, [np.array(2), wide, xs]), full)
 
 
 def test_hash_keys_vec_leaves_keys_untouched():
@@ -102,9 +102,9 @@ def test_hash_keys_vec_leaves_keys_untouched():
     lists = [[1, 2, 3], [-1, 0, 1]]
     before = [ts.copy(), xs.copy()]
     ts.flags.writeable = False  # any write into a caller's key would raise
-    hash_keys_vec(0, (1,), [ts, xs])
-    hash_keys_vec(0, (), [xs])
-    hash_keys_vec(0, (), lists)
+    hash_keys_vec(0, [np.array(1), ts, xs])
+    hash_keys_vec(0, [xs])
+    hash_keys_vec(0, lists)
     assert np.array_equal(ts, before[0]) and np.array_equal(xs, before[1])
     assert lists == [[1, 2, 3], [-1, 0, 1]]
 
@@ -200,9 +200,9 @@ def test_sample_spacetime_bit_identical():
 # open meshes and blocked draws against the one-shot full-mesh reference
 
 
-def _reference(nm, scalar_keys, keys):
+def _reference(nm, keys):
     """One-shot path: hash the full broadcast mesh, then map every word."""
-    u = unit_open_vec(hash_keys_vec(nm.spec.seed, scalar_keys,
+    u = unit_open_vec(hash_keys_vec(nm.spec.seed,
                                     np.broadcast_arrays(*keys)))
     if nm.spec.family == "uniform":
         return _uniform_icdf(u, nm.spec.scale)
@@ -238,7 +238,7 @@ def test_sample_grid_open_mesh_equals_full_mesh(family, inner):
     for shape in _block_shapes(inner):
         axes = _axes(shape)
         full = np.meshgrid(*[a.ravel() for a in axes], indexing="ij")
-        ref = _reference(nm, (4,), full)
+        ref = _reference(nm, [4, *full])
         assert _same_bits(nm.sample_grid(4, axes), ref)
         assert _same_bits(nm.sample_grid(4, full), ref)
 
@@ -252,7 +252,7 @@ def test_sample_spacetime_open_mesh_equals_full_mesh(family, inner):
         times = np.arange(1, shape[0] + 1).reshape((-1,) + (1,) * len(inner))
         space = [c[np.newaxis] for c in _axes(inner)]
         full = np.broadcast_arrays(times, *space)
-        ref = _reference(nm, (), full)
+        ref = _reference(nm, full)
         assert _same_bits(nm.sample_spacetime(times, space), ref)
         assert _same_bits(nm.sample_spacetime(full[0], full[1:]), ref)
 

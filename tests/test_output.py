@@ -1,12 +1,17 @@
-"""Artifact writer tests: formatting, column union, atomicity."""
+"""Artifact writer tests: formatting, column union, atomicity.
+
+The columnar CSV writer is checked byte for byte against the csv.writer
+row oracle in tests/oracles.py.
+"""
 import json
 import os
 
 import numpy as np
 import pytest
 
-from kpzlab.output import (fmt_value, sha256_text, write_csv, write_json,
-                           _atomic_write)
+from kpzlab.output import (fmt_value, rows_to_columns, sha256_text,
+                           write_csv, write_json, _atomic_write)
+from oracles import csv_writer_rows
 
 
 def test_fmt_value_round_trips():
@@ -20,7 +25,7 @@ def test_fmt_value_round_trips():
 
 def test_write_csv_unions_columns(tmp_path):
     p = tmp_path / "t.csv"
-    write_csv(p, [{"a": 1, "b": 2.0}, {"a": 3, "c": "x"}])
+    write_csv(p, rows_to_columns([{"a": 1, "b": 2.0}, {"a": 3, "c": "x"}]))
     lines = p.read_text().splitlines()
     assert lines[0] == "a,b,c"
     assert lines[1] == "1,2.0,"
@@ -29,8 +34,75 @@ def test_write_csv_unions_columns(tmp_path):
 
 def test_write_csv_accepts_generator(tmp_path):
     p = tmp_path / "g.csv"
-    write_csv(p, ({"k": i} for i in range(3)))
+    write_csv(p, rows_to_columns({"k": i} for i in range(3)))
     assert p.read_text().splitlines() == ["k", "0", "1", "2"]
+
+
+def _same_as_oracle(tmp_path, columns, rows):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_csv(got, columns)
+    csv_writer_rows(want, rows)
+    assert got.read_bytes() == want.read_bytes()
+
+
+TEXT = ["plain", "a,b", 'say "hi"', "cr\rin", "lf\nin", "crlf\r\n", "",
+        "Grüße, ∂f/∂z", " padded ", '"', ","]
+
+
+def test_text_cells_are_quoted_like_csv(tmp_path):
+    rows = [{"check": f"c{i}", "passed": i % 2 == 0, "detail": text}
+            for i, text in enumerate(TEXT)]
+    _same_as_oracle(tmp_path, rows_to_columns(rows), rows)
+    # quoting reaches column names and scalar columns, too
+    cols = {"name, quoted": np.arange(3), 'q"': "x,y", "n": 2.5}
+    _same_as_oracle(tmp_path, cols,
+                    [{"name, quoted": i, 'q"': "x,y", "n": 2.5}
+                     for i in range(3)])
+
+
+def test_numeric_arrays_format_like_fmt_value(tmp_path):
+    floats = np.array([0.1, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308,
+                       1 / 3])
+    n = floats.size
+    ints = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1]
+                    + [7] * (n - 4), dtype=np.int64)
+    f32 = np.array([0.1, -0.0, np.nan, np.inf, -np.inf, 1e-45, 3e38, 1 / 3],
+                   dtype=np.float32)
+    cols = {"f": floats, "f32": f32, "i": ints,
+            "u": np.arange(n, dtype=np.uint64) + np.uint64(2**63),
+            "b": np.arange(n) % 3 == 0, "s": np.float64(2.5),
+            "k": np.int64(-4), "flag": np.bool_(True)}
+    rows = [{k: (v[i] if np.ndim(v) else v) for k, v in cols.items()}
+            for i in range(n)]
+    _same_as_oracle(tmp_path, cols, rows)
+
+
+def test_ragged_rows_fill_the_union(tmp_path):
+    rows = [{"a": 1}, {"b": "x", "a": 2.5}, {}, {"c": None, "b": ""},
+            {"a": np.float64(-0.0), "d": np.bool_(False)}]
+    cols = rows_to_columns(rows)
+    assert list(cols) == ["a", "b", "c", "d"]
+    _same_as_oracle(tmp_path, cols, rows)
+
+
+@pytest.mark.parametrize("rows", [[{"k": 1}, {}, {"k": "z"}],
+                                  [{"": ""}], [{"k": ""}, {"k": ""}]],
+                         ids=["filled", "empty-name", "all-empty"])
+def test_single_column_empty_cell_is_quoted(tmp_path, rows):
+    _same_as_oracle(tmp_path, rows_to_columns(rows), rows)
+    assert b'""\r\n' in (tmp_path / "got.csv").read_bytes()
+
+
+def test_write_csv_scalar_columns_repeat_and_lengths_must_agree(tmp_path):
+    p = tmp_path / "s.csv"
+    write_csv(p, {"seed": 3, "x": np.array([-1, 0, 1]), "t": "late"})
+    assert p.read_bytes() == b"seed,x,t\r\n3,-1,late\r\n3,0,late\r\n" \
+        b"3,1,late\r\n"
+    write_csv(p, {"a": 1, "b": 0.5})
+    assert p.read_bytes() == b"a,b\r\n1,0.5\r\n"
+    with pytest.raises(ValueError, match="differ in length"):
+        write_csv(tmp_path / "bad.csv", {"a": [1, 2], "b": np.zeros(3)})
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_write_json_handles_numpy(tmp_path):

@@ -24,8 +24,8 @@ from .rescale import (Coefficients, DecompositionSample, ScalingScheme,
                       coefficients, decompose, evolve_and_decompose,
                       macro_terms, make_scheme)
 from .rng import derive_seed, hash_keys, mix64, unit_open
-from .studies import (ExperimentPlan, GaussianBump, QuantileSeries,
-                      StudyResult, drift_bound_study, gradient_scaling_study,
+from .studies import (ExperimentPlan, GaussianBump, StudyResult,
+                      drift_bound_study, gradient_scaling_study,
                       remainder_ratio_study, stationarity_study,
                       whitenoise_pairing_study)
 from .walk import (WalkDistribution, backward_walk_distribution,
@@ -44,7 +44,7 @@ __all__ = [
     "Coefficients", "DecompositionSample", "ScalingScheme", "coefficients",
     "decompose", "evolve_and_decompose", "macro_terms", "make_scheme",
     "derive_seed", "hash_keys", "mix64", "unit_open",
-    "ExperimentPlan", "GaussianBump", "QuantileSeries", "StudyResult",
+    "ExperimentPlan", "GaussianBump", "StudyResult",
     "drift_bound_study", "gradient_scaling_study", "remainder_ratio_study",
     "stationarity_study", "whitenoise_pairing_study",
     "WalkDistribution", "backward_walk_distribution", "derivative_fd",

@@ -17,44 +17,22 @@ import scipy
 
 from . import __version__
 from .assumptions import check_assumptions
-from .config import (ConfigError, ENV_WORKERS, effective_workers,
-                     dump_resolved, load_config, plan_from_config,
-                     scheme_params)
+# the tests import ConeRefusal from here
+from .config import (ConeRefusal, ConfigError, ENV_WORKERS,  # noqa: F401
+                     dump_resolved, effective_workers, load_config,
+                     resolve_side, scheme_params)
 from .driving import make_driving
-from .lattice import (EvolutionConfig, LatticeGeometry, evolve,
-                      min_cone_side, slice_columns, trajectory)
+from .lattice import (EvolutionConfig, LatticeGeometry, evolve, slice_columns,
+                      trajectory)
 from .noise import NoiseModel, replica_noise
 from .output import rows_to_columns, sha256_text, write_csv, write_json
 from .rescale import (coefficients, evolve_and_decompose, macro_terms,
                       make_scheme)
-from .studies import (GaussianBump, drift_bound_study, gradient_scaling_study,
-                      remainder_ratio_study, stationarity_study,
-                      whitenoise_pairing_study)
+from .studies import (ExperimentPlan, GaussianBump, drift_bound_study,
+                      gradient_scaling_study, remainder_ratio_study,
+                      stationarity_study, whitenoise_pairing_study)
 from .walk import (_l1_ball, backward_walk_distribution, derivative_fd,
                    derivative_via_walk)
-
-class ConeRefusal(Exception):
-    def __init__(self, needed: int, got: int, horizon: int):
-        super().__init__(
-            f"cone-exact policy violated: horizon {horizon} needs side "
-            f"L >= {needed}, got L = {got}; rerun with plan.l >= {needed} "
-            f"or geometry = torus")
-        self.needed = needed
-
-
-def resolve_side(policy: str, side: int, horizon: int) -> int:
-    """Torus side for a run that must stay exact up to `horizon` steps."""
-    needed = max(3, min_cone_side(horizon))
-    if policy == "cone-exact":
-        if side == 0:
-            return needed
-        if side < needed:
-            raise ConeRefusal(needed, side, horizon)
-        return side
-    if side <= 0:
-        raise ConfigError("torus geometry needs plan.l > 0")
-    return side
-
 
 def _noise(cfg: Dict, replica: int) -> NoiseModel:
     m = cfg["model"]
@@ -62,46 +40,72 @@ def _noise(cfg: Dict, replica: int) -> NoiseModel:
                          cfg["run"]["seed"], replica)
 
 
+def _single_run(cfg: Dict) -> EvolutionConfig:
+    """The evolution of simulate, decompose and walk-check: plan.t steps at
+    plan.epsilon with replica 0's noise, on the side resolve_side gives
+    plan.t."""
+    m, p = cfg["model"], cfg["plan"]
+    L = resolve_side(p["geometry"], p["l"], p["t"])
+    return EvolutionConfig(make_driving(m["phi"], m["d"], m["coupling"]),
+                           _noise(cfg, 0), LatticeGeometry(m["d"], L),
+                           p["epsilon"], p["t"])
+
+
+def plan_from_config(cfg: Dict) -> ExperimentPlan:
+    m, p = cfg["model"], cfg["plan"]
+    return ExperimentPlan(
+        epsilon_grid=tuple(p["epsilon_grid"]),
+        replicas=p["replicas"],
+        seed=cfg["run"]["seed"],
+        phi_name=m["phi"],
+        d=m["d"],
+        coupling=m["coupling"],
+        noise_family=m["noise_family"],
+        noise_scale=m["noise_scale"],
+        scheme_preset=cfg["scheme"]["preset"],
+        scheme_params=scheme_params(cfg),
+        schedule=p["schedule"],
+        macro_time=p["macro_time"],
+        geometry_policy=p["geometry"],
+        L=p["l"],
+    )
+
+
 # ---------------------------------------------------------------------------
 # command implementations: each returns (columns, json_payload, assertions)
 
 
 def _cmd_simulate(cfg: Dict, workers: int):
-    m, p = cfg["model"], cfg["plan"]
-    T = p["t"]
-    phi = make_driving(m["phi"], m["d"], m["coupling"])
-    L = resolve_side(p["geometry"], p["l"], T)
-    g = LatticeGeometry(m["d"], L)
-    noise = _noise(cfg, 0)
-    sl = evolve(EvolutionConfig(phi, noise, g, p["epsilon"], T))
-    columns = slice_columns(sl, p["epsilon"], noise.spec.seed)
+    run = _single_run(cfg)
+    sl = evolve(run)
+    columns = slice_columns(sl, run.epsilon, run.noise.spec.seed)
     v = sl.values
-    payload = {"t": T, "L": L, "d": m["d"], "epsilon": p["epsilon"],
+    payload = {"t": run.T, "L": run.geometry.L, "d": run.geometry.d,
+               "epsilon": run.epsilon,
                "height_min": float(v.min()), "height_max": float(v.max()),
                "height_mean": float(v.mean()), "height_std": float(v.std())}
     return columns, payload, {}
 
 
 def _cmd_decompose(cfg: Dict, workers: int):
-    m, p = cfg["model"], cfg["plan"]
-    T, eps = p["t"], p["epsilon"]
-    if T < 1:
+    p = cfg["plan"]
+    if p["t"] < 1:
         raise ConfigError("decompose needs plan.t >= 1")
-    phi = make_driving(m["phi"], m["d"], m["coupling"])
-    hess = phi.hessian_origin()
+    run = _single_run(cfg)
+    T, eps, d = run.T, run.epsilon, run.geometry.d
+    hess = run.phi.hessian_origin()
     scheme = make_scheme(cfg["scheme"]["preset"], **scheme_params(cfg))
-    L = resolve_side(p["geometry"], p["l"], T)
-    g = LatticeGeometry(m["d"], L)
-    x0 = tuple(0 for _ in range(m["d"]))
+    x0 = (0,) * d
     degenerate = abs(hess.q - hess.r) < 1e-14
-    coef = None if degenerate else coefficients(scheme, eps, m["d"], hess,
-                                                _noise(cfg, 0).sigma)
+    coef = None if degenerate else coefficients(scheme, eps, d, hess,
+                                                run.noise.sigma)
     rows = []
     worst_lattice = 0.0
     worst_macro = 0.0
     for k in range(p["replicas"]):
         noise = _noise(cfg, k)
-        s = evolve_and_decompose(phi, noise, g, eps, T - 1, x0)
+        s = evolve_and_decompose(run.phi, noise, run.geometry, eps, T - 1,
+                                 x0)
         row = {"replica": k, "epsilon": eps, "t": s.t}
         for i, xi in enumerate(s.x, start=1):
             row[f"x{i}"] = xi
@@ -111,7 +115,7 @@ def _cmd_decompose(cfg: Dict, workers: int):
         row.update(A=s.A, B=s.B, C=s.C, D=s.D, increment=s.increment,
                    lattice_residual=resid)
         if coef is not None:
-            sm = macro_terms(s, scheme, eps, noise.sigma, hess, m["d"])
+            sm = macro_terms(s, scheme, eps, noise.sigma, hess, d)
             mresid = sm.time_derivative - (sm.laplacian_term + sm.grad_sq_term
                                            + sm.noise_term + sm.remainder)
             mrel = abs(mresid) / max(abs(sm.time_derivative), 1e-300)
@@ -148,16 +152,13 @@ def _cmd_check_phi(cfg: Dict, workers: int):
 
 
 def _cmd_walk_check(cfg: Dict, workers: int):
-    m, p = cfg["model"], cfg["plan"]
-    T, eps, d = p["t"], p["epsilon"], m["d"]
-    if T < 1:
+    if cfg["plan"]["t"] < 1:
         raise ConfigError("walk-check needs plan.t >= 1")
-    phi = make_driving(m["phi"], m["d"], m["coupling"])
-    L = resolve_side(p["geometry"], p["l"], T)
-    g = LatticeGeometry(d, L)
-    noise = _noise(cfg, 0)
-    x0 = tuple(0 for _ in range(d))
-    slices = list(trajectory(EvolutionConfig(phi, noise, g, eps, T)))
+    run = _single_run(cfg)
+    phi, noise, g = run.phi, run.noise, run.geometry
+    T, eps, d = run.T, run.epsilon, g.d
+    x0 = (0,) * d
+    slices = list(trajectory(run))
     dist = backward_walk_distribution(slices, phi, T, x0)
     tol = max(1e-8, 1e-4 * eps)
     rows = []
@@ -280,7 +281,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         columns, payload, assertions = COMMANDS[args.command][1](cfg,
                                                                  workers)
-    except (ValueError, ConeRefusal) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -10,15 +10,47 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .studies import ExperimentPlan
+from .lattice import min_cone_side
 
 ENV_WORKERS = "KPZLAB_WORKERS"
 
 
 class ConfigError(ValueError):
     pass
+
+
+class ConeRefusal(ConfigError):
+    def __init__(self, needed: int, got: int, horizon: int):
+        super().__init__(
+            f"cone-exact policy violated: horizon {horizon} needs side "
+            f"L >= {needed}, got L = {got}; rerun with plan.l >= {needed} "
+            f"or geometry = torus")
+        self.needed = needed
+
+
+def resolve_side(policy: str, side: int, horizon: int) -> int:
+    """Torus side for a run that must stay exact up to `horizon` steps.
+
+    The one side rule of every command and study. cone-exact: side 0
+    auto-sizes to 2*horizon+1 (at least 3), a given side is used when it
+    is at least that and refused (ConeRefusal) when smaller. torus: the
+    given side, which must be positive; wrap is accepted.
+    """
+    if policy not in ("cone-exact", "torus"):
+        raise ConfigError(f"plan.geometry must be cone-exact or torus, "
+                          f"got {policy!r}")
+    needed = max(3, min_cone_side(horizon))
+    if policy == "cone-exact":
+        if side == 0:
+            return needed
+        if side < needed:
+            raise ConeRefusal(needed, side, horizon)
+        return side
+    if side <= 0:
+        raise ConfigError("torus geometry needs plan.l > 0")
+    return side
 
 
 def _floats(text: str) -> Tuple[float, ...]:
@@ -67,7 +99,7 @@ SCHEMA: Dict[str, Dict[str, tuple]] = {
                      "(ceil(macro_time/alpha(eps)))"),
         "macro_time": (float, 1.0, "macroscopic horizon for macro-fixed"),
         "geometry": (str, "cone-exact", "cone-exact | torus"),
-        "l": (int, 0, "torus side; 0 = auto (cone-exact only)"),
+        "l": (int, 0, "torus side; 0 = auto 2h+1 (cone-exact only)"),
         "t": (int, 100, "growth steps for simulate/decompose/walk-check"),
         "times": (_ints, (10, 100, 1000), "drift study capture times"),
         "checkpoints": (_ints, tuple(2 ** k for k in range(14)),
@@ -148,9 +180,9 @@ def load_config(path: Optional[str], command: str,
                     line = _find_line(path, sec, key)
                     raise ConfigError(f"{path}, line {line}: unknown key "
                                       f"'{key}' in [{sec}]")
-                resolved[sec][key] = _parse_value(sec, key, raw,
-                                                 where=f"{path}, line "
-                                                 f"{_find_line(path, sec, key)}")
+                resolved[sec][key] = _parse_value(
+                    sec, key, raw,
+                    lambda: f"{path}, line {_find_line(path, sec, key)}")
 
     for item in sets or []:
         if "=" not in item or "." not in item.split("=", 1)[0]:
@@ -159,16 +191,19 @@ def load_config(path: Optional[str], command: str,
         sec, key = dotted.split(".", 1)
         if sec not in SCHEMA or key not in SCHEMA[sec]:
             raise ConfigError(f"--set: unknown key '{sec}.{key}'")
-        resolved[sec][key] = _parse_value(sec, key, raw, where=f"--set {item}")
+        resolved[sec][key] = _parse_value(sec, key, raw,
+                                         lambda: f"--set {item}")
     return resolved
 
 
-def _parse_value(sec: str, key: str, raw: str, where: str):
+def _parse_value(sec: str, key: str, raw: str, where: Callable[[], str]):
+    """Parse one value; `where` names its origin, and is only called on
+    failure (a file origin rescans the file for the line number)."""
     parser = SCHEMA[sec][key][0]
     try:
         return parser(raw)
     except ValueError as e:
-        raise ConfigError(f"{where}: bad value for {sec}.{key}: {e}") from e
+        raise ConfigError(f"{where()}: bad value for {sec}.{key}: {e}") from e
 
 
 def effective_workers(cfg: Dict[str, Dict]) -> int:
@@ -191,26 +226,6 @@ def scheme_params(cfg: Dict[str, Dict]) -> Dict:
     if s["preset"] == "2d-exponential":
         return {"C": s["c"]}
     return {}
-
-
-def plan_from_config(cfg: Dict[str, Dict]) -> ExperimentPlan:
-    m, p = cfg["model"], cfg["plan"]
-    return ExperimentPlan(
-        epsilon_grid=tuple(p["epsilon_grid"]),
-        replicas=p["replicas"],
-        seed=cfg["run"]["seed"],
-        phi_name=m["phi"],
-        d=m["d"],
-        coupling=m["coupling"],
-        noise_family=m["noise_family"],
-        noise_scale=m["noise_scale"],
-        scheme_preset=cfg["scheme"]["preset"],
-        scheme_params=scheme_params(cfg),
-        schedule=p["schedule"],
-        macro_time=p["macro_time"],
-        geometry_policy=p["geometry"],
-        L=p["l"] if p["l"] > 0 else 512,
-    )
 
 
 def dump_resolved(cfg: Dict[str, Dict]) -> str:

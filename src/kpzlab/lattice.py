@@ -162,10 +162,6 @@ class HeightSlice:
             U[dst] = vals[src]
         return U
 
-    def gradient_field(self) -> np.ndarray:
-        """f(x+e_1) - f(x) over the whole torus, as an array."""
-        return np.roll(self.values, -1, axis=0) - self.values
-
 
 @dataclass(frozen=True)
 class EvolutionConfig:

@@ -17,15 +17,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import special, stats
 
+from .config import resolve_side
 from .driving import DrivingFunction, make_driving
-from .lattice import (EvolutionConfig, LatticeGeometry, min_cone_side,
-                      evolve, trajectory)
+from .lattice import EvolutionConfig, LatticeGeometry, evolve, trajectory
 from .noise import NoiseModel, replica_noise
 from .rescale import (ScalingScheme, evolve_and_decompose, macro_terms,
                       make_scheme)
 from .rng import derive_seed
-
-CENTER = 0  # studies anchor at the origin site
 
 
 @dataclass(frozen=True)
@@ -34,8 +32,11 @@ class ExperimentPlan:
 
     schedule 'adversarial' probes t_eps = ceil(1/eps); 'macro-fixed' holds a
     macroscopic time fixed through the scheme, t_eps = ceil(macro_time/alpha).
-    geometry 'cone-exact' sizes the torus so no wrap reaches the anchor;
-    'torus' uses side L and accepts wrap bias.
+    L is the config's plan.l, and side_for applies config.resolve_side:
+    under 'cone-exact', L = 0 sizes each torus to 2h+1 for its horizon h,
+    so no wrap reaches the anchor, and a given L is used when it is at
+    least that and refused when smaller; 'torus' needs L > 0, uses it for
+    every horizon and accepts wrap bias.
     """
 
     epsilon_grid: Tuple[float, ...] = (0.2, 0.1, 0.05, 0.025)
@@ -52,7 +53,7 @@ class ExperimentPlan:
     schedule: str = "adversarial"
     macro_time: float = 1.0
     geometry_policy: str = "cone-exact"
-    L: int = 512
+    L: int = 0
 
     def __post_init__(self):
         eps = self.epsilon_grid
@@ -65,8 +66,7 @@ class ExperimentPlan:
             raise ValueError("need at least 30 replicas")
         if self.schedule not in ("adversarial", "macro-fixed"):
             raise ValueError("schedule must be adversarial or macro-fixed")
-        if self.geometry_policy not in ("cone-exact", "torus"):
-            raise ValueError("geometry_policy must be cone-exact or torus")
+        self.side_for(0)  # refuses an unknown policy and a torus without L
 
     # construction helpers (objects are rebuilt inside workers) -------------
 
@@ -86,47 +86,16 @@ class ExperimentPlan:
         return int(math.ceil(self.macro_time / self.scheme().alpha(epsilon)))
 
     def side_for(self, horizon: int) -> int:
-        if self.geometry_policy == "cone-exact":
-            return max(3, min_cone_side(horizon))
-        return self.L
+        return resolve_side(self.geometry_policy, self.L, horizon)
 
     def center_site(self) -> Tuple[int, ...]:
         return tuple(0 for _ in range(self.d))
 
 
-@dataclass
-class QuantileEntry:
-    epsilon: float
-    count: int
-    q50: float
-    q90: float
-    q95: float
-    se50: float
-    se90: float
-    se95: float
-
-
-@dataclass
-class QuantileSeries:
-    statistic: str
-    entries: List[QuantileEntry]
-
-    def medians(self) -> List[float]:
-        return [e.q50 for e in self.entries]
-
-    def p95s(self) -> List[float]:
-        return [e.q95 for e in self.entries]
-
-    def rows(self) -> List[dict]:
-        return [{"statistic": self.statistic, "epsilon": e.epsilon,
-                 "count": e.count, "q50": e.q50, "q90": e.q90, "q95": e.q95,
-                 "se50": e.se50, "se90": e.se90, "se95": e.se95}
-                for e in self.entries]
-
-
 def _quantile_series(name: str, per_eps: Dict[float, np.ndarray],
-                     seed: int) -> QuantileSeries:
-    entries = []
+                     seed: int) -> List[dict]:
+    """Quantiles and their bootstrap SEs per epsilon, largest epsilon first."""
+    rows = []
     for i, (eps, vals) in enumerate(sorted(per_eps.items(), reverse=True)):
         vals = np.asarray(vals, dtype=np.float64)
         qs = np.quantile(vals, [0.5, 0.9, 0.95])
@@ -134,9 +103,12 @@ def _quantile_series(name: str, per_eps: Dict[float, np.ndarray],
         boot = vals[rng.integers(0, len(vals), size=(200, len(vals)))]
         bq = np.quantile(boot, [0.5, 0.9, 0.95], axis=1)
         ses = bq.std(axis=1, ddof=1)
-        entries.append(QuantileEntry(eps, len(vals), *map(float, qs),
-                                     *map(float, ses)))
-    return QuantileSeries(name, entries)
+        q50, q90, q95 = map(float, qs)
+        se50, se90, se95 = map(float, ses)
+        rows.append({"statistic": name, "epsilon": eps, "count": len(vals),
+                     "q50": q50, "q90": q90, "q95": q95,
+                     "se50": se50, "se90": se90, "se95": se95})
+    return rows
 
 
 def count_trend_inversions(values: Sequence[float]) -> int:
@@ -202,6 +174,9 @@ _RATIO_DENOMS = ("laplacian_term", "grad_sq_term", "noise_term",
 
 def remainder_ratio_study(plan: ExperimentPlan, workers: int = 1) -> StudyResult:
     """Medians of |remainder| over each macroscopic term must fall with eps."""
+    # check the largest side here: a refusal raised in a worker cannot be
+    # unpickled
+    plan.side_for(max(map(plan.t_for, plan.epsilon_grid)) + 1)
     raw = map_replicas(_remainder_worker,
                        [(plan, k) for k in range(plan.replicas)], workers)
     rows = [r for chunk in raw for r in chunk]
@@ -210,7 +185,7 @@ def remainder_ratio_study(plan: ExperimentPlan, workers: int = 1) -> StudyResult
     nonzero = all(r[den] != 0.0 for r in rows for den in _RATIO_DENOMS)
     assertions["denominators_nonzero"] = nonzero
 
-    series: List[QuantileSeries] = []
+    series: Dict[str, List[dict]] = {}
     # A phi that is exactly quadratic over the visited gradient range (the
     # gkpz family below its kink) leaves only double-rounding residue in the
     # remainder. Median trends are degenerate there, so such series pass by
@@ -227,18 +202,18 @@ def remainder_ratio_study(plan: ExperimentPlan, workers: int = 1) -> StudyResult
                                          float("inf"))
         qs = _quantile_series(name, {e: np.array(v) for e, v in per_eps.items()},
                               plan.seed)
-        series.append(qs)
+        series[name] = qs
         if at_rounding:
             assertions[f"{name}_median_trend"] = True
         else:
-            inv = count_trend_inversions(qs.medians())
+            inv = count_trend_inversions([q["q50"] for q in qs])
             assertions[f"{name}_median_trend"] = inv <= 1
 
-    table = [row for qs in series for row in qs.rows()]
+    table = [row for qs in series.values() for row in qs]
     summary = {
         "plan": _plan_dict(plan),
         "remainder_at_rounding_level": at_rounding,
-        "series": {qs.statistic: qs.rows() for qs in series},
+        "series": series,
     }
     return StudyResult("remainder", assertions, summary,
                        {"series": table, "samples": rows})
@@ -271,6 +246,7 @@ BAND_LIMIT = 3.0  # largest allowed ratio of p95s across the epsilon grid
 
 def gradient_scaling_study(plan: ExperimentPlan, workers: int = 1) -> StudyResult:
     """max_a |f(t,x)-f(t,x+a)| / sqrt(eps): p95 must stay in a flat band."""
+    plan.side_for(max(map(plan.t_for, plan.epsilon_grid)))  # as in remainder
     raw = map_replicas(_gradient_worker,
                        [(plan, k) for k in range(plan.replicas)], workers)
     rows = [r for chunk in raw for r in chunk]
@@ -278,14 +254,14 @@ def gradient_scaling_study(plan: ExperimentPlan, workers: int = 1) -> StudyResul
                             if r["epsilon"] == e])
                for e in plan.epsilon_grid}
     qs = _quantile_series("normalized_gradient", per_eps, plan.seed)
-    p95 = qs.p95s()
+    p95 = [q["q95"] for q in qs]
     band = max(p95) / min(p95) if min(p95) > 0 else float("inf")
     assertions = {"p95_band_bounded": band <= BAND_LIMIT,
                   "p95_positive": min(p95) > 0}
     summary = {"plan": _plan_dict(plan), "band": band,
-               "band_limit": BAND_LIMIT, "series": qs.rows()}
+               "band_limit": BAND_LIMIT, "series": qs}
     return StudyResult("gradient", assertions, summary,
-                       {"series": qs.rows(), "samples": rows})
+                       {"series": qs, "samples": rows})
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +290,11 @@ def _drift_worker(args) -> List[dict]:
     return rows
 
 
-def drift_bound_study(plan: ExperimentPlan, times: Sequence[int] = (10, 100, 1000),
+def drift_bound_study(plan: ExperimentPlan, times: Sequence[int],
                       workers: int = 1) -> StudyResult:
     """MC means of the one-step drift and of phi(stencil)-mean vs B*eps."""
     times = tuple(sorted(set(int(t) for t in times)))
+    plan.side_for(max(times) + 1)  # as in remainder
     raw = map_replicas(_drift_worker,
                        [(plan, k, times) for k in range(plan.replicas)],
                        workers)
@@ -539,18 +516,19 @@ def _stationarity_worker(args) -> Dict[int, np.ndarray]:
     phi = plan.phi()
     noise = plan.noise_for(replica)
     eps = plan.epsilon_grid[0]
-    g = LatticeGeometry(plan.d, plan.L)
-    cfg = EvolutionConfig(phi, noise, g, eps, T=max(checkpoints))
+    T = max(checkpoints)
+    g = LatticeGeometry(plan.d, plan.side_for(T))
+    cfg = EvolutionConfig(phi, noise, g, eps, T=T)
     cps = set(checkpoints)
     out: Dict[int, np.ndarray] = {}
     for cur in trajectory(cfg):
         if cur.t in cps:
-            out[cur.t] = cur.gradient_field().ravel().copy()
+            # f(x + e_1) - f(x): row 1 of the stencil stack holds x + e_1
+            out[cur.t] = (cur.stencil_stack()[1] - cur.values).ravel()
     return out
 
 
-def stationarity_study(plan: ExperimentPlan,
-                       checkpoints: Sequence[int] = tuple(2 ** k for k in range(14)),
+def stationarity_study(plan: ExperimentPlan, checkpoints: Sequence[int],
                        workers: int = 1) -> StudyResult:
     """Track the first-axis gradient field along dyadic checkpoints.
 

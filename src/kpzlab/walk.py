@@ -40,13 +40,10 @@ class WalkDistribution:
             raise ValueError(f"walk time {s} outside [0, {self.t}]")
         return float(self.masses[self.t - s][self.geometry.index(y)])
 
-    def distribution(self, s: int) -> np.ndarray:
+    def total_mass(self, s: int) -> float:
         if not (0 <= s <= self.t):
             raise ValueError(f"walk time {s} outside [0, {self.t}]")
-        return self.masses[self.t - s]
-
-    def total_mass(self, s: int) -> float:
-        return float(self.distribution(s).sum())
+        return float(self.masses[self.t - s].sum())
 
 
 def _gradient_field(phi: DrivingFunction, slice_: HeightSlice) -> np.ndarray:

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from kpzlab import cli, noise, output
+from kpzlab import cli, config, noise, output
 from kpzlab.noise import make_noise
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
@@ -65,6 +65,24 @@ def test_spot_check_grid_accepts_a_shifted_view(monkeypatch, d):
                                     np.random.default_rng(d),
                                     extra_sites=[(2, y)])
     assert bad == []
+
+
+def test_side_rule_keeps_the_names_and_sides_the_workloads_use(
+        monkeypatch, tmp_path):
+    # workloads.py sizes its work from cli.resolve_side and side_for
+    assert cli.resolve_side is config.resolve_side
+    assert cli.ConeRefusal is config.ConeRefusal
+    assert issubclass(cli.ConeRefusal, config.ConfigError)
+    workloads = _load(monkeypatch, "workloads")
+    plans = [workloads._remainder_op(0, "polymer", 30).plan,
+             workloads._gradient_op(0, 2, 30).plan,
+             workloads._pairing_op(0, 30).plan]
+    for plan in plans:
+        for h in (1, 5, 40, 41):
+            assert plan.side_for(h) == 2 * h + 1
+    simulate = workloads.build("commands", 0, str(tmp_path))[0]
+    assert simulate.command == "simulate"
+    assert workloads._cli_side(simulate) == 321
 
 
 def test_traced_write_csv_bytes_equal_the_file(monkeypatch, tmp_path):

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from kpzlab import config, lattice, studies
 from kpzlab.assumptions import check_assumptions
 from kpzlab.cli import ConeRefusal, main, resolve_side
 from kpzlab.config import (ConfigError, ENV_WORKERS, effective_workers,
@@ -57,6 +58,52 @@ def test_resolve_side_torus():
     assert resolve_side("torus", 8, 5) == 8
     with pytest.raises(ConfigError):
         resolve_side("torus", 0, 5)
+
+
+def _fail_on_any_run(monkeypatch):
+    """Make any replica map or lattice step fail: refusals must come first."""
+    def ran(*args, **kwargs):
+        raise AssertionError("a run started before the refusal")
+    monkeypatch.setattr(studies, "map_replicas", ran)
+    monkeypatch.setattr(lattice, "step", ran)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("argv,key", [
+    (["simulate", "--set", "plan.geometry=cone", "--set", "plan.l=21",
+      "--set", "plan.t=30"], "plan.geometry"),
+    (["gradient", "--set", "plan.geometry=torus"], "plan.l"),
+    (["gradient", "--set", "plan.l=5", "--set", "plan.epsilon_grid=0.5,0.4"],
+     "plan.l"),
+    (["remainder", "--set", "plan.l=7", "--set", "plan.epsilon_grid=0.5,0.4"],
+     "plan.l"),
+    (["drift", "--set", "plan.l=21", "--set", "plan.times=5 10"], "plan.l"),
+])
+def test_side_misconfiguration_exits_2_before_any_run(tmp_path, capsys,
+                                                      monkeypatch, argv, key,
+                                                      workers):
+    # the cone-exact studies need sides 7 (gradient), 9 (remainder: one
+    # step past horizon 3) and 23 (drift: one step past t = 10)
+    _fail_on_any_run(monkeypatch)
+    rc = main(argv + ["--out", str(tmp_path), "--workers", workers])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cone_exact_study_on_a_given_side_matches_auto_size(tmp_path,
+                                                            workers):
+    # horizons 2 and 3 auto-size to sides 5 and 7; side 17 holds both cones
+    argv = ["gradient", "--workers", workers, "--set", "plan.replicas=30",
+            "--set", "plan.epsilon_grid=0.5,0.4"]
+    auto, given = tmp_path / "auto", tmp_path / "given"
+    rc = main(argv + ["--out", str(auto)])
+    assert main(argv + ["--out", str(given), "--set", "plan.l=17"]) == rc
+    assert (given / "gradient-0.csv").read_bytes() == \
+        (auto / "gradient-0.csv").read_bytes()
+    assert read_doc(auto / "gradient-0.json")["report"]["plan"]["L"] == 0
+    assert read_doc(given / "gradient-0.json")["report"]["plan"]["L"] == 17
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +381,16 @@ def test_bad_value_names_key(tmp_path, capsys):
     rc = main(["remainder", "--config", str(bad)])
     assert rc == 2
     assert "bad value for plan.replicas" in capsys.readouterr().err
+
+
+def test_valid_config_file_is_not_rescanned(tmp_path, monkeypatch):
+    # line numbers are looked up only to name a bad value's line
+    ini = tmp_path / "run.ini"
+    ini.write_text("[plan]\nepsilon = 0.3\nt = 1\n")
+    monkeypatch.setattr(config, "_find_line",
+                        lambda *a: pytest.fail("config file rescanned"))
+    cfg = load_config(str(ini), "simulate")
+    assert (cfg["plan"]["epsilon"], cfg["plan"]["t"]) == (0.3, 1)
 
 
 def test_missing_config_file(capsys):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from kpzlab.config import ConeRefusal, ConfigError
 from kpzlab.rng import derive_seed
 from kpzlab.studies import (ExperimentPlan, GaussianBump, WindowTooNarrow,
                             _pairing_cells, _quantile_series,
@@ -59,10 +60,23 @@ def test_plan_horizon_rules():
 
 def test_plan_geometry_rules():
     p = small_plan()
+    assert p.L == 0  # auto-size, as plan.l = 0
     assert p.side_for(5) == 11
     assert p.side_for(0) == 3
     q = small_plan(geometry_policy="torus", L=64)
     assert q.side_for(5) == 64
+    # a given cone-exact L is used when it covers the horizon's cone
+    r = small_plan(L=15)
+    assert r.side_for(5) == 15
+    assert r.side_for(7) == 15
+    with pytest.raises(ConeRefusal) as exc:
+        r.side_for(8)
+    assert exc.value.needed == 17
+    # torus needs a side; plan.l = 0 means nothing there
+    with pytest.raises(ConfigError, match="plan.l > 0"):
+        small_plan(geometry_policy="torus")
+    with pytest.raises(ConfigError, match="plan.geometry"):
+        small_plan(geometry_policy="cone")
     assert small_plan(d=2).center_site() == (0, 0)
 
 
@@ -79,11 +93,12 @@ def test_plan_replica_noise_is_common_across_epsilons():
 def test_quantile_series_ordering():
     vals = {0.5: np.arange(100.0), 0.25: np.arange(100.0) * 2}
     qs = _quantile_series("stat", vals, seed=0)
-    assert [e.epsilon for e in qs.entries] == [0.5, 0.25]
-    for e in qs.entries:
-        assert e.q50 <= e.q90 <= e.q95
-        assert e.se50 > 0 and e.count == 100
-    assert qs.medians() == [pytest.approx(49.5), pytest.approx(99.0)]
+    assert [r["epsilon"] for r in qs] == [0.5, 0.25]
+    for r in qs:
+        assert r["statistic"] == "stat"
+        assert r["q50"] <= r["q90"] <= r["q95"]
+        assert r["se50"] > 0 and r["count"] == 100
+    assert [r["q50"] for r in qs] == [pytest.approx(49.5), pytest.approx(99.0)]
 
 
 def test_count_trend_inversions():

@@ -17,6 +17,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .driving import DrivingFunction, HessianAtOrigin
+from .noise import _PHI_BLOCK
 from .rng import derive_seed
 
 DEFAULT_TOL = 1e-9
@@ -93,13 +94,33 @@ def check_assumptions(phi: DrivingFunction,
     rng = np.random.default_rng(derive_seed(seed, 0xA5) & 0x7FFFFFFFFFFFFFFF)
     U = _sample_stencils(rng, n, samples)
     count = U.shape[1]
-    vals = phi.value_many(U)
+    shifts = rng.uniform(-2 * DEFAULT_RADIUS, 2 * DEFAULT_RADIUS, size=count)
+    perms = [rng.permutation(n) for _ in range(8)]
+
+    # the batch is evaluated in column blocks of at most _PHI_BLOCK stencils
+    # (phi, its gradient and their temporaries stay in L2); each check
+    # keeps one extreme per block and reduces them as one array, so NaN
+    # propagates and the results are those of the whole batch, bit for bit
+    blocks = range(0, count, _PHI_BLOCK)
+    shift_err = np.empty(len(blocks))
+    perm_err = np.empty((len(perms), len(blocks)))
+    grad_min = np.empty(len(blocks))
+    mean_gap = np.empty(len(blocks))
+    for b, c0 in enumerate(blocks):
+        cols = slice(c0, c0 + _PHI_BLOCK)
+        Ub = np.ascontiguousarray(U[:, cols])
+        vals = phi.value_many(Ub)
+        sh = shifts[cols]
+        shift_err[b] = np.abs(phi.value_many(Ub + sh) - (vals + sh)).max()
+        for i, perm in enumerate(perms):
+            perm_err[i, b] = np.abs(phi.value_many(Ub[perm]) - vals).max()
+        grad_min[b] = phi.gradient_many(Ub).min()
+        mean_gap[b] = (vals - Ub.mean(axis=0)).min()
 
     checks: List[CheckResult] = []
 
     # shift additivity: phi(u + c 1) = phi(u) + c
-    shifts = rng.uniform(-2 * DEFAULT_RADIUS, 2 * DEFAULT_RADIUS, size=count)
-    err = np.abs(phi.value_many(U + shifts) - (vals + shifts)).max()
+    err = shift_err.max()
     checks.append(CheckResult("shift_additivity", err <= tol, float(err)))
 
     # flat stencil maps to zero
@@ -108,14 +129,12 @@ def check_assumptions(phi: DrivingFunction,
 
     # full permutation symmetry on random permutations
     worst = 0.0
-    for _ in range(8):
-        perm = rng.permutation(n)
-        worst = max(worst, float(np.abs(phi.value_many(U[perm]) - vals).max()))
+    for row in perm_err:
+        worst = max(worst, float(row.max()))
     checks.append(CheckResult("permutation_symmetry", worst <= tol, worst))
 
     # monotonicity: every gradient component nonnegative at every sample
-    G = phi.gradient_many(U)
-    gmin = float(G.min())
+    gmin = float(grad_min.min())
     checks.append(CheckResult("monotonicity", gmin >= -tol, gmin,
                               "min gradient component"))
 
@@ -137,8 +156,7 @@ def check_assumptions(phi: DrivingFunction,
                               f"q={hess.q!r} r={hess.r!r}"))
 
     # domination of the plain-mean update: phi(u) >= mean(u)
-    ubar = U.mean(axis=0)
-    dom = float((vals - ubar).min())
+    dom = float(mean_gap.min())
     checks.append(CheckResult("mean_domination", dom >= -tol, dom))
 
     # strict domination profile on the zero-mean hyperplane

@@ -27,7 +27,12 @@ class ConeRefusal(ConfigError):
             f"cone-exact policy violated: horizon {horizon} needs side "
             f"L >= {needed}, got L = {got}; rerun with plan.l >= {needed} "
             f"or geometry = torus")
-        self.needed = needed
+        self.needed, self.got, self.horizon = needed, got, horizon
+
+    def __reduce__(self):
+        # rebuilt from its fields, not from args = (message,), so a refusal
+        # raised in a worker process crosses back to the parent intact
+        return (type(self), (self.needed, self.got, self.horizon))
 
 
 def resolve_side(policy: str, side: int, horizon: int) -> int:

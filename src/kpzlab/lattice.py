@@ -16,6 +16,13 @@ blocks of about _BLOCK draws (many layers of a small lattice per call, one
 layer of a large one) and hands each layer's row to step(), which only
 does the arithmetic. Each block's last slice is checked for nonfinite
 heights.
+
+step() evaluates phi in row blocks (axis 0) of at most _PHI_BLOCK sites:
+each block builds only its own rows of the stencil stack, with the wrapped
+edge rows, so the stack and the temporaries of value_many stay in a 2 MiB
+L2 cache instead of streaming a (2d+1, L, ..., L) stack through memory.
+Phi acts on each stencil on its own, so the blocked slice is bit for bit
+the unblocked one. A lattice of at most _PHI_BLOCK sites is one block.
 """
 from __future__ import annotations
 
@@ -27,7 +34,7 @@ from typing import Dict, Iterator, List, Tuple
 import numpy as np
 
 from .driving import DrivingFunction, stencil_offsets
-from .noise import _BLOCK, NoiseModel, Site
+from .noise import _BLOCK, _PHI_BLOCK, NoiseModel, Site
 
 
 class ConeWrapWarning(UserWarning):
@@ -99,23 +106,50 @@ def _site_axes(d: int, L: int) -> Tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=32)
-def _shift_pairs(d: int, L: int) -> Tuple[Tuple[tuple, tuple], ...]:
-    """(destination, source) index pairs that fill a stencil stack's rows.
+def _row_blocks(d: int, L: int) -> Tuple[Tuple[int, int], ...]:
+    """Row ranges [r0, r1) along axis 0 of at most _PHI_BLOCK sites each.
 
-    Row 2i+1 holds x + e_i and row 2i+2 holds x - e_i along axis i: each
-    is one bulk slice copy plus the one wrapped edge, as np.roll would
-    move them.
+    One range, (0, L), when the whole lattice fits; a row is never cut.
     """
-    pairs = []
-    for axis in range(d):
+    rows = max(1, _PHI_BLOCK // L ** (d - 1))
+    return tuple((r0, min(r0 + rows, L)) for r0 in range(0, L, rows))
+
+
+@lru_cache(maxsize=1024)
+def _shift_pairs(d: int, L: int, r0: int, r1: int
+                 ) -> Tuple[Tuple[tuple, tuple], ...]:
+    """(destination, source) index pairs that fill rows r0..r1-1 of a
+    stencil stack.
+
+    Row 0 holds x, row 2i+1 holds x + e_i and row 2i+2 holds x - e_i along
+    axis i: each is one bulk slice copy plus the one wrapped edge, as
+    np.roll would move them. Along axis 0 the neighbors of the block's
+    first and last rows come from the rows around it, or from the far
+    edge of the torus when the block touches one.
+    """
+    n = r1 - r0
+    rows = slice(r0, r1)
+    pairs = [((0,), (rows,))]
+    if r1 < L:
+        pairs.append(((1,), (slice(r0 + 1, r1 + 1),)))
+    else:
+        pairs += [((1, slice(0, n - 1)), (slice(r0 + 1, L),)),
+                  ((1, slice(n - 1, n)), (slice(0, 1),))]
+    if r0 > 0:
+        pairs.append(((2,), (slice(r0 - 1, r1 - 1),)))
+    else:
+        pairs += [((2, slice(1, n)), (slice(0, r1 - 1),)),
+                  ((2, slice(0, 1)), (slice(L - 1, L),))]
+    for axis in range(1, d):
         lead = (slice(None),) * axis
+        src = (rows,) + (slice(None),) * (axis - 1)
         head, tail = slice(0, L - 1), slice(1, L)
         first, last = slice(0, 1), slice(L - 1, L)
         up, down = 2 * axis + 1, 2 * axis + 2
-        pairs += [((up,) + lead + (head,), lead + (tail,)),
-                  ((up,) + lead + (last,), lead + (first,)),
-                  ((down,) + lead + (tail,), lead + (head,)),
-                  ((down,) + lead + (first,), lead + (last,))]
+        pairs += [((up,) + lead + (head,), src + (tail,)),
+                  ((up,) + lead + (last,), src + (first,)),
+                  ((down,) + lead + (tail,), src + (head,)),
+                  ((down,) + lead + (first,), src + (last,))]
     return tuple(pairs)
 
 
@@ -148,17 +182,17 @@ class HeightSlice:
         return np.array([self.values[g.index(tuple(c + o for c, o in zip(xs, off)))]
                          for off in offs])
 
-    def stencil_stack(self) -> np.ndarray:
-        """Heights over every site's closed neighborhood, stencil order.
+    def stencil_stack(self, r0: int = 0, r1: int | None = None) -> np.ndarray:
+        """Heights over the closed neighborhood of rows r0..r1-1, stencil
+        order; the defaults give every site.
 
-        Shape (2d+1,) + lattice shape: row 0 is the slice itself, rows
+        Shape (2d+1, r1-r0) + (L,) * (d-1): row 0 is the slice itself, rows
         2i+1 and 2i+2 hold the values at x + e_i and x - e_i (torus wrap).
         """
-        vals = self.values
-        g = self.geometry
-        U = np.empty((2 * g.d + 1,) + vals.shape)
-        U[0] = vals
-        for dst, src in _shift_pairs(g.d, g.L):
+        g, vals = self.geometry, self.values
+        r1 = g.L if r1 is None else r1
+        U = np.empty((2 * g.d + 1, r1 - r0) + vals.shape[1:])
+        for dst, src in _shift_pairs(g.d, g.L, r0, r1):
             U[dst] = vals[src]
         return U
 
@@ -185,9 +219,21 @@ def step(slice_: HeightSlice, phi: DrivingFunction, epsilon: float,
     """One growth update: phi over each stencil plus epsilon times z.
 
     z is the noise layer t+1 over the window, as trajectory() draws it.
+    The new slice is filled in row blocks of at most _PHI_BLOCK sites, so
+    each block's stencil stack and phi temporaries stay in L2; the result
+    is bit for bit that of one phi call on the whole stack.
     """
-    new = phi.value_many(slice_.stencil_stack()) + epsilon * z
-    return HeightSlice(slice_.geometry, slice_.t + 1, new)
+    g = slice_.geometry
+    blocks = _row_blocks(g.d, g.L)
+    if len(blocks) == 1:
+        # the whole lattice is one block: no output buffer to fill
+        new = phi.value_many(slice_.stencil_stack()) + epsilon * z
+    else:
+        new = np.empty(g.shape)
+        for r0, r1 in blocks:
+            np.add(phi.value_many(slice_.stencil_stack(r0, r1)),
+                   epsilon * z[r0:r1], out=new[r0:r1])
+    return HeightSlice(g, slice_.t + 1, new)
 
 
 def trajectory(config: EvolutionConfig) -> Iterator[HeightSlice]:

@@ -26,6 +26,10 @@ DEFAULT_SCALE = math.sqrt(3.0)  # uniform on [-sqrt3, sqrt3]: sigma = 1
 # elements hashed per block: the block's uint64 and float64 scratch arrays
 # (256 KiB each) stay in a 1-2 MB L2 cache across the passes of the chain
 _BLOCK = 1 << 15
+# stencil sites per phi evaluation block: a (2d+1, block) float64 stack and
+# the temporaries value_many makes of its size (~0.3 MB each at d = 2) stay
+# in a 2 MiB L2 cache, where a whole 321x321 stack (4.1 MB) does not
+_PHI_BLOCK = 1 << 13
 
 
 def _as_site(x) -> Site:

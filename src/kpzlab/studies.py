@@ -575,7 +575,6 @@ def stationarity_study(plan: ExperimentPlan, checkpoints: Sequence[int],
         assertions["flat_start_zero_gradient"] = p99s[0] == 0.0
 
     summary = {"plan": _plan_dict(plan), "checkpoints": list(checkpoints),
-               "geometry_policy": plan.geometry_policy, "L": plan.L,
                "quantiles": qrows,
                "ks_distances": ks_rows}
     return StudyResult("stationarity", assertions, summary,

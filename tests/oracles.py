@@ -72,6 +72,22 @@ def zero_layer_shift(phi: DrivingFunction, noise: NoiseModel,
     return f.value_at(x) - g.value_at(x), epsilon * zmax
 
 
+def unblocked_evolve(config: EvolutionConfig) -> HeightSlice:
+    """The recursion with phi applied to the whole stencil stack at once.
+
+    Each step is phi.value_many(stencil_stack()) + epsilon * z, with z
+    drawn layer by layer on a full site mesh: no row blocks, no layers
+    drawn ahead.
+    """
+    g = config.geometry
+    cur = HeightSlice.flat(g, t=0)
+    for t in range(1, config.T + 1):
+        z = config.noise.sample_grid(t, g.site_mesh())
+        cur = HeightSlice(g, t, config.phi.value_many(cur.stencil_stack())
+                          + config.epsilon * z)
+    return cur
+
+
 def csv_writer_rows(path, rows: Sequence[dict]) -> None:
     """The CSV a row table makes through csv.writer, row by row.
 

@@ -6,6 +6,7 @@ tmp_path. Runs are kept tiny; statistical assertions live elsewhere.
 import csv
 import itertools
 import json
+import pickle
 
 import pytest
 
@@ -52,6 +53,16 @@ def test_resolve_side_cone_exact():
         resolve_side("cone-exact", 9, 5)
     assert exc.value.needed == 11
     assert "L >= 11" in str(exc.value)
+
+
+def test_cone_refusal_survives_pickling():
+    # a refusal raised in a worker process reaches the parent intact
+    exc = ConeRefusal(11, 9, 5)
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is ConeRefusal
+    assert str(back) == str(exc)
+    assert (back.needed, back.got, back.horizon) == (11, 9, 5)
+    assert isinstance(back, ConfigError)
 
 
 def test_resolve_side_torus():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kpzlab.assumptions as assumptions_mod
 from kpzlab.assumptions import check_assumptions
 from kpzlab.driving import (CallableDriving, DrivingFunction,
                             EdwardsWilkinsonDriving, GeneralizedKpzDriving,
@@ -253,6 +254,55 @@ def test_audit_flags_non_c2_update():
     assert not rep.passed
     assert not rep.check("c2_near_origin").passed
     assert rep.check("shift_additivity").passed
+
+
+def _hexed(obj):
+    """JSON-like report with every float written as float.hex."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, dict):
+        return {k: _hexed(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_hexed(v) for v in obj]
+    return obj
+
+
+@pytest.mark.parametrize("block", [assumptions_mod._PHI_BLOCK, 1_100])
+@pytest.mark.parametrize("phi", ALL_BUILTINS, ids=lambda p: f"{p.name}-{p.d}")
+def test_audit_blocks_equal_one_batch(monkeypatch, phi, block):
+    # 22,000 stencils: two full default blocks and a ragged third, or
+    # exactly twenty blocks of 1,100; the whole batch in one block is the
+    # reference
+    samples = 20_000
+    runs = []
+    for size in (block, 10 ** 9):
+        monkeypatch.setattr(assumptions_mod, "_PHI_BLOCK", size)
+        seen = {"value_many": 0, "gradient_many": 0}
+        for method in seen:
+            def counted(U, _real=getattr(type(phi), method), _name=method):
+                seen[_name] += U[0].size
+                return _real(phi, U)
+            monkeypatch.setattr(phi, method, counted)
+        report = check_assumptions(phi, samples=samples, seed=7).as_dict()
+        runs.append((_hexed(report), seen))
+    # the same bits, from every stencil of the batch
+    assert runs[0] == runs[1]
+
+
+def test_audit_blocks_keep_nan(monkeypatch):
+    # a phi that is NaN on a few stencils of the batch: each check that
+    # sees one reports NaN, in blocks of 500 as in one block
+    def spiky(u):
+        return float("nan") if u[1] > 4.98 else float(u.mean())
+
+    phi = CallableDriving(1, spiky, name="spiky")
+    reports = []
+    for block in (500, 10 ** 9):
+        monkeypatch.setattr(assumptions_mod, "_PHI_BLOCK", block)
+        reports.append(_hexed(check_assumptions(phi, samples=2_000,
+                                                seed=3).as_dict()))
+    assert reports[0] == reports[1]
+    assert reports[0]["checks"][0]["worst"] == "nan"
 
 
 def test_callable_wrapper_fd_fallbacks():

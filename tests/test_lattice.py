@@ -18,9 +18,9 @@ from kpzlab.driving import (CallableDriving, EdwardsWilkinsonDriving,
 from kpzlab.lattice import (ConeWrapWarning, EvolutionConfig, HeightSlice,
                             LatticeGeometry, _site_axes, evolve,
                             min_cone_side, slice_columns, step, trajectory)
-from kpzlab.noise import _BLOCK, NoiseModel, make_noise
+from kpzlab.noise import _BLOCK, _PHI_BLOCK, NoiseModel, make_noise
 from kpzlab.rescale import evolve_and_decompose
-from oracles import polymer_path_sum
+from oracles import polymer_path_sum, unblocked_evolve
 
 
 class ShiftedNoise:
@@ -110,16 +110,82 @@ def test_gradient_field_matches_pointwise():
             sl.value_at((x + 1,)) - sl.value_at((x,)), abs=0)
 
 
+def _roll_stack(vals):
+    """Stencil stack by np.roll, the reference for stencil_stack."""
+    U = [vals]
+    for axis in range(vals.ndim):
+        U += [np.roll(vals, -1, axis=axis), np.roll(vals, 1, axis=axis)]
+    return np.stack(U)
+
+
 @pytest.mark.parametrize("d,L", [(1, 3), (1, 4), (2, 3), (2, 6), (3, 3),
-                                 (3, 4)])
+                                 (3, 4), (1, 20001), (2, 91), (2, 321),
+                                 (3, 23)])
 def test_stencil_stack_equals_roll_oracle(d, L):
+    # the whole stack, every row block step uses, and one-row blocks on
+    # and next to both wrapped edges
     g = LatticeGeometry(d, L)
     vals = np.random.default_rng(L + d).uniform(-1, 1, size=g.shape)
-    U = [vals]
-    for axis in range(d):
-        U += [np.roll(vals, -1, axis=axis), np.roll(vals, 1, axis=axis)]
-    got = HeightSlice(g, 0, vals).stencil_stack()
-    assert np.array_equal(got.view(np.uint64), np.stack(U).view(np.uint64))
+    sl = HeightSlice(g, 0, vals)
+    ref = _roll_stack(vals)
+    assert np.array_equal(sl.stencil_stack().view(np.uint64),
+                          ref.view(np.uint64))
+    blocks = set(lattice_mod._row_blocks(d, L))
+    blocks |= {(0, 1), (1, 2), (L - 2, L - 1), (L - 1, L)}
+    for r0, r1 in sorted(blocks):
+        got = sl.stencil_stack(r0, r1)
+        assert np.array_equal(got.view(np.uint64),
+                              ref[:, r0:r1].view(np.uint64)), (r0, r1)
+
+
+class _CountedPolymer(PolymerDriving):
+    def __init__(self, d):
+        super().__init__(d)
+        self.shapes = []
+
+    def value_many(self, U):
+        self.shapes.append(U.shape)
+        return super().value_many(U)
+
+
+@pytest.mark.parametrize("d,L,blocks", [
+    (1, 8192, 1), (2, 90, 1), (3, 20, 1), (2, 81, 1), (1, 3, 1),
+    (1, 8193, 2), (2, 91, 2), (2, 321, 13), (3, 23, 2)])
+def test_step_evaluates_phi_in_row_blocks(d, L, blocks):
+    # at most _PHI_BLOCK sites per phi call; a lattice that fits is one
+    # call on the whole stack, the same one the unblocked update makes
+    g = LatticeGeometry(d, L)
+    phi = _CountedPolymer(d)
+    sl = HeightSlice(g, 0, np.random.default_rng(d).uniform(size=g.shape))
+    step(sl, phi, 0.5, np.zeros(g.shape))
+    assert len(phi.shapes) == blocks
+    assert sum(s[1] for s in phi.shapes) == L
+    assert all(s[0] == 2 * d + 1 and s[2:] == g.shape[1:] for s in phi.shapes)
+    if g.n_sites <= _PHI_BLOCK:
+        assert phi.shapes == [(2 * d + 1,) + g.shape]
+    else:
+        assert all(math.prod(s[1:]) <= _PHI_BLOCK for s in phi.shapes)
+
+
+def _stencil_max(u):
+    return float(u.max())
+
+
+@pytest.mark.parametrize("phi_name", ["polymer", "gkpz", "ew", "callable"])
+@pytest.mark.parametrize("d,L", [(2, 321), (3, 23)])
+def test_blocked_evolve_equals_unblocked(phi_name, d, L):
+    # ragged last blocks: 321 rows in blocks of 25, 23 rows in 15 + 8
+    assert len(lattice_mod._row_blocks(d, L)) > 1
+    assert L % lattice_mod._row_blocks(d, L)[0][1] != 0
+    if phi_name == "callable":
+        phi, T = CallableDriving(d, _stencil_max, name="max"), 2
+    else:
+        phi, T = make_driving(phi_name, d), 4
+    nm = make_noise("triangular", 1.1, seed=23).perturb_at(2, (1,) * d, 0.7)
+    cfg = EvolutionConfig(phi, nm, LatticeGeometry(d, L), 0.6, T)
+    got = evolve(cfg).values
+    ref = unblocked_evolve(cfg).values
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 @pytest.mark.parametrize("d,L", [(2, 9), (3, 7)])
@@ -131,11 +197,9 @@ def test_step_equals_full_mesh_formula(d, L):
     nm = make_noise("triangular", 1.2, seed=17).perturb_at(4, (1,) * d, 0.5)
     vals = np.random.default_rng(d).uniform(-1, 1, size=g.shape)
     sl = HeightSlice(g, 3, vals)
-    U = [vals]
-    for axis in range(d):
-        U += [np.roll(vals, -1, axis=axis), np.roll(vals, 1, axis=axis)]
     eps = 0.3
-    ref = phi.value_many(np.stack(U)) + eps * nm.sample_grid(4, g.site_mesh())
+    ref = (phi.value_many(_roll_stack(vals))
+           + eps * nm.sample_grid(4, g.site_mesh()))
     got = step(sl, phi, eps, nm.sample_grid(4, _site_axes(d, L))).values
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 

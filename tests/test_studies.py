@@ -335,3 +335,7 @@ def test_stationarity_small_run():
     assert rows[1]["abs_q99"] > 0.0
     assert rows[0]["pooled_count"] == 32 * 30
     assert len(res.tables["ks_distances"]) == 2
+    # the geometry is reported once, under plan
+    assert "geometry_policy" not in res.summary and "L" not in res.summary
+    assert (res.summary["plan"]["geometry_policy"],
+            res.summary["plan"]["L"]) == ("torus", 32)

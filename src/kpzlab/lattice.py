@@ -17,12 +17,13 @@ layer of a large one) and hands each layer's row to step(), which only
 does the arithmetic. Each block's last slice is checked for nonfinite
 heights.
 
-step() evaluates phi in row blocks (axis 0) of at most _PHI_BLOCK sites:
-each block builds only its own rows of the stencil stack, with the wrapped
-edge rows, so the stack and the temporaries of value_many stay in a 2 MiB
-L2 cache instead of streaming a (2d+1, L, ..., L) stack through memory.
-Phi acts on each stencil on its own, so the blocked slice is bit for bit
-the unblocked one. A lattice of at most _PHI_BLOCK sites is one block.
+step() evaluates phi in row blocks (axis 0) of at most _PHI_BLOCK sites,
+or one row when a row is larger: each block builds only its own rows of
+the stencil stack, with the wrapped edge rows, so the stack and the
+temporaries of value_many stay in a 2 MiB L2 cache instead of streaming a
+(2d+1, L, ..., L) stack through memory. Phi acts on each stencil on its
+own, so the blocked slice is bit for bit the unblocked one. A lattice of
+at most _PHI_BLOCK sites is one block.
 """
 from __future__ import annotations
 
@@ -107,14 +108,18 @@ def _site_axes(d: int, L: int) -> Tuple[np.ndarray, ...]:
 
 @lru_cache(maxsize=32)
 def _row_blocks(d: int, L: int) -> Tuple[Tuple[int, int], ...]:
-    """Row ranges [r0, r1) along axis 0 of at most _PHI_BLOCK sites each.
+    """Row ranges [r0, r1) along axis 0 of at most _PHI_BLOCK sites each,
+    or of one row when a row is larger: a row is never cut.
 
-    One range, (0, L), when the whole lattice fits; a row is never cut.
+    One range, (0, L), when the whole lattice fits.
     """
     rows = max(1, _PHI_BLOCK // L ** (d - 1))
     return tuple((r0, min(r0 + rows, L)) for r0 in range(0, L, rows))
 
 
+# one entry per row block: a lattice of more than 1024 blocks (d = 1 past
+# L = 2^23, d = 2 from L = 2731, d = 3 from L = 1025) rebuilds its pairs
+# on every step
 @lru_cache(maxsize=1024)
 def _shift_pairs(d: int, L: int, r0: int, r1: int
                  ) -> Tuple[Tuple[tuple, tuple], ...]:
@@ -219,20 +224,16 @@ def step(slice_: HeightSlice, phi: DrivingFunction, epsilon: float,
     """One growth update: phi over each stencil plus epsilon times z.
 
     z is the noise layer t+1 over the window, as trajectory() draws it.
-    The new slice is filled in row blocks of at most _PHI_BLOCK sites, so
-    each block's stencil stack and phi temporaries stay in L2; the result
-    is bit for bit that of one phi call on the whole stack.
+    The new slice is filled in row blocks of at most _PHI_BLOCK sites (or
+    one row when a row is larger), so each block's stencil stack and phi
+    temporaries stay in L2; the result is bit for bit that of one phi call
+    on the whole stack.
     """
     g = slice_.geometry
-    blocks = _row_blocks(g.d, g.L)
-    if len(blocks) == 1:
-        # the whole lattice is one block: no output buffer to fill
-        new = phi.value_many(slice_.stencil_stack()) + epsilon * z
-    else:
-        new = np.empty(g.shape)
-        for r0, r1 in blocks:
-            np.add(phi.value_many(slice_.stencil_stack(r0, r1)),
-                   epsilon * z[r0:r1], out=new[r0:r1])
+    new = np.empty(g.shape)
+    for r0, r1 in _row_blocks(g.d, g.L):
+        np.add(phi.value_many(slice_.stencil_stack(r0, r1)),
+               epsilon * z[r0:r1], out=new[r0:r1])
     return HeightSlice(g, slice_.t + 1, new)
 
 

@@ -150,10 +150,11 @@ class _CountedPolymer(PolymerDriving):
 
 @pytest.mark.parametrize("d,L,blocks", [
     (1, 8192, 1), (2, 90, 1), (3, 20, 1), (2, 81, 1), (1, 3, 1),
-    (1, 8193, 2), (2, 91, 2), (2, 321, 13), (3, 23, 2)])
+    (1, 8193, 2), (2, 91, 2), (2, 321, 13), (3, 23, 2), (3, 91, 91)])
 def test_step_evaluates_phi_in_row_blocks(d, L, blocks):
-    # at most _PHI_BLOCK sites per phi call; a lattice that fits is one
-    # call on the whole stack, the same one the unblocked update makes
+    # at most _PHI_BLOCK sites per phi call, or one row when a row is
+    # larger (91^2 sites at d=3 L=91); a lattice that fits is one call on
+    # the whole stack, the same one the unblocked update makes
     g = LatticeGeometry(d, L)
     phi = _CountedPolymer(d)
     sl = HeightSlice(g, 0, np.random.default_rng(d).uniform(size=g.shape))
@@ -164,7 +165,8 @@ def test_step_evaluates_phi_in_row_blocks(d, L, blocks):
     if g.n_sites <= _PHI_BLOCK:
         assert phi.shapes == [(2 * d + 1,) + g.shape]
     else:
-        assert all(math.prod(s[1:]) <= _PHI_BLOCK for s in phi.shapes)
+        assert all(math.prod(s[1:]) <= max(_PHI_BLOCK, L ** (d - 1))
+                   for s in phi.shapes)
 
 
 def _stencil_max(u):

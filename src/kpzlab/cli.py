@@ -15,12 +15,11 @@ from typing import Dict, List, Optional
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, studies
 from .assumptions import check_assumptions
 # the tests import ConeRefusal from here
-from .config import (ConeRefusal, ConfigError, ENV_WORKERS,  # noqa: F401
-                     dump_resolved, effective_workers, load_config,
-                     resolve_side, scheme_params)
+from .config import (ConeRefusal, ConfigError, dump_resolved,  # noqa: F401
+                     load_config, resolve_side, scheme_params)
 from .driving import make_driving
 from .lattice import (EvolutionConfig, LatticeGeometry, evolve, slice_columns,
                       trajectory)
@@ -87,25 +86,28 @@ def _cmd_simulate(cfg: Dict, workers: int):
     return columns, payload, {}
 
 
+def _decompose_worker(replica: int, cfg: Dict, run: EvolutionConfig):
+    """Replica `replica`'s decomposition at (plan.t - 1, origin)."""
+    return evolve_and_decompose(run.phi, _noise(cfg, replica), run.geometry,
+                                run.epsilon, run.T - 1, (0,) * run.geometry.d)
+
+
 def _cmd_decompose(cfg: Dict, workers: int):
     p = cfg["plan"]
     if p["t"] < 1:
         raise ConfigError("decompose needs plan.t >= 1")
     run = _single_run(cfg)
-    T, eps, d = run.T, run.epsilon, run.geometry.d
+    T, eps, d, sigma = run.T, run.epsilon, run.geometry.d, run.noise.sigma
     hess = run.phi.hessian_origin()
     scheme = make_scheme(cfg["scheme"]["preset"], **scheme_params(cfg))
-    x0 = (0,) * d
     degenerate = abs(hess.q - hess.r) < 1e-14
-    coef = None if degenerate else coefficients(scheme, eps, d, hess,
-                                                run.noise.sigma)
+    coef = None if degenerate else coefficients(scheme, eps, d, hess, sigma)
+    samples = studies.map_replicas(_decompose_worker, p["replicas"], workers,
+                                   cfg, run)
     rows = []
     worst_lattice = 0.0
     worst_macro = 0.0
-    for k in range(p["replicas"]):
-        noise = _noise(cfg, k)
-        s = evolve_and_decompose(run.phi, noise, run.geometry, eps, T - 1,
-                                 x0)
+    for k, s in enumerate(samples):
         row = {"replica": k, "epsilon": eps, "t": s.t}
         for i, xi in enumerate(s.x, start=1):
             row[f"x{i}"] = xi
@@ -115,7 +117,7 @@ def _cmd_decompose(cfg: Dict, workers: int):
         row.update(A=s.A, B=s.B, C=s.C, D=s.D, increment=s.increment,
                    lattice_residual=resid)
         if coef is not None:
-            sm = macro_terms(s, scheme, eps, noise.sigma, hess, d)
+            sm = macro_terms(s, scheme, eps, sigma, hess, d)
             mresid = sm.time_derivative - (sm.laplacian_term + sm.grad_sq_term
                                            + sm.noise_term + sm.remainder)
             mrel = abs(mresid) / max(abs(sm.time_derivative), 1e-300)
@@ -259,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, help="master seed (wins over file)")
         sp.add_argument("--out", help="output directory (wins over file)")
         sp.add_argument("--workers", type=int,
-                        help=f"worker processes (wins over file and "
-                             f"${ENV_WORKERS})")
+                        help="worker processes for replica ensembles, >= 1 "
+                             "(wins over file)")
         sp.add_argument("--set", action="append", default=[], metavar="S.K=V",
                         help="override any config key, e.g. plan.replicas=50")
     return ap
@@ -277,7 +279,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             cfg["run"]["out"] = args.out
         if args.workers is not None:
             cfg["run"]["workers"] = args.workers
-        workers = effective_workers(cfg)
+        workers = cfg["run"]["workers"]
+        if workers < 1:
+            raise ConfigError(f"run.workers must be >= 1, got {workers}")
 
         columns, payload, assertions = COMMANDS[args.command][1](cfg,
                                                                  workers)

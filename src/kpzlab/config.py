@@ -9,12 +9,9 @@ from __future__ import annotations
 
 import configparser
 import math
-import os
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .lattice import min_cone_side
-
-ENV_WORKERS = "KPZLAB_WORKERS"
 
 
 class ConfigError(ValueError):
@@ -71,7 +68,7 @@ SCHEMA: Dict[str, Dict[str, tuple]] = {
     "run": {
         "seed": (int, 0, "master seed; replica seeds derive from it"),
         "out": (str, ".", "output directory for artifacts"),
-        "workers": (int, 0, f"worker processes; 0 = ${ENV_WORKERS} or 1"),
+        "workers": (int, 1, "worker processes for replica ensembles (>= 1)"),
     },
     "model": {
         "phi": (str, "polymer", "driving function: polymer | gkpz | ew"),
@@ -209,17 +206,6 @@ def _parse_value(sec: str, key: str, raw: str, where: Callable[[], str]):
         return parser(raw)
     except ValueError as e:
         raise ConfigError(f"{where()}: bad value for {sec}.{key}: {e}") from e
-
-
-def effective_workers(cfg: Dict[str, Dict]) -> int:
-    w = cfg["run"]["workers"]
-    if w and w > 0:
-        return w
-    env = os.environ.get(ENV_WORKERS, "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
 
 
 def scheme_params(cfg: Dict[str, Dict]) -> Dict:

@@ -6,18 +6,22 @@ returns a StudyResult holding CSV-ready tables, a JSON-ready summary and a
 dict of named boolean assertions. Replica k reuses the same derived seed
 across the whole epsilon grid, so per-epsilon statistics are paired and
 trend/band assertions are stable at moderate replica counts.
+
+map_replicas is the one replica runner, for every study and for the
+decompose command. Each study checks its inputs and its largest torus side
+before it, so a refusal comes before any replica runs.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import special, stats
 
-from .config import resolve_side
+from .config import ConfigError, resolve_side
 from .driving import DrivingFunction, make_driving
 from .lattice import EvolutionConfig, LatticeGeometry, evolve, trajectory
 from .noise import NoiseModel, replica_noise
@@ -111,6 +115,15 @@ def _quantile_series(name: str, per_eps: Dict[float, np.ndarray],
     return rows
 
 
+def _capture_times(key: str, times: Sequence[int]) -> Tuple[int, ...]:
+    """Sorted distinct capture times; refuses an empty list or a time < 0."""
+    out = tuple(sorted(set(int(t) for t in times)))
+    if not out or out[0] < 0:
+        raise ConfigError(f"{key} must list at least one time, all >= 0; "
+                          f"got {list(times)}")
+    return out
+
+
 def count_trend_inversions(values: Sequence[float]) -> int:
     """How often a series expected to decrease fails to."""
     return sum(1 for a, b in zip(values, values[1:]) if b >= a)
@@ -128,21 +141,33 @@ class StudyResult:
         return all(self.assertions.values())
 
 
-def map_replicas(worker: Callable, arglist: Sequence, workers: int = 1) -> list:
-    """Run one task per replica, preserving order; >1 uses process workers."""
-    if workers <= 1:
-        return [worker(a) for a in arglist]
-    chunk = max(1, len(arglist) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, arglist, chunksize=chunk))
+def _replica_range(worker: Callable, lo: int, hi: int, shared: tuple) -> list:
+    return [worker(k, *shared) for k in range(lo, hi)]
+
+
+def map_replicas(worker: Callable, replicas: int, workers: int,
+                 *shared) -> list:
+    """[worker(k, *shared) for k in range(replicas)], in replica order.
+
+    workers > 1 splits the replicas into min(workers, replicas) contiguous
+    ranges, one task each, so the shared arguments are pickled once per
+    range; the results are the same for any worker count.
+    """
+    n = min(workers, replicas)
+    if n <= 1:
+        return _replica_range(worker, 0, replicas, shared)
+    bounds = [replicas * i // n for i in range(n + 1)]
+    with futures.ProcessPoolExecutor(max_workers=n) as pool:
+        ranges = pool.map(_replica_range, [worker] * n, bounds, bounds[1:],
+                          [shared] * n)
+        return [r for part in ranges for r in part]
 
 
 # ---------------------------------------------------------------------------
 # remainder negligibility
 
 
-def _remainder_worker(args) -> List[dict]:
-    plan, replica = args
+def _remainder_worker(replica: int, plan: ExperimentPlan) -> List[dict]:
     phi = plan.phi()
     scheme = plan.scheme()
     hess = phi.hessian_origin()
@@ -174,11 +199,8 @@ _RATIO_DENOMS = ("laplacian_term", "grad_sq_term", "noise_term",
 
 def remainder_ratio_study(plan: ExperimentPlan, workers: int = 1) -> StudyResult:
     """Medians of |remainder| over each macroscopic term must fall with eps."""
-    # check the largest side here: a refusal raised in a worker cannot be
-    # unpickled
     plan.side_for(max(map(plan.t_for, plan.epsilon_grid)) + 1)
-    raw = map_replicas(_remainder_worker,
-                       [(plan, k) for k in range(plan.replicas)], workers)
+    raw = map_replicas(_remainder_worker, plan.replicas, workers, plan)
     rows = [r for chunk in raw for r in chunk]
 
     assertions: Dict[str, bool] = {}
@@ -223,8 +245,7 @@ def remainder_ratio_study(plan: ExperimentPlan, workers: int = 1) -> StudyResult
 # gradient scale
 
 
-def _gradient_worker(args) -> List[dict]:
-    plan, replica = args
+def _gradient_worker(replica: int, plan: ExperimentPlan) -> List[dict]:
     phi = plan.phi()
     noise = plan.noise_for(replica)
     x0 = plan.center_site()
@@ -246,9 +267,8 @@ BAND_LIMIT = 3.0  # largest allowed ratio of p95s across the epsilon grid
 
 def gradient_scaling_study(plan: ExperimentPlan, workers: int = 1) -> StudyResult:
     """max_a |f(t,x)-f(t,x+a)| / sqrt(eps): p95 must stay in a flat band."""
-    plan.side_for(max(map(plan.t_for, plan.epsilon_grid)))  # as in remainder
-    raw = map_replicas(_gradient_worker,
-                       [(plan, k) for k in range(plan.replicas)], workers)
+    plan.side_for(max(map(plan.t_for, plan.epsilon_grid)))
+    raw = map_replicas(_gradient_worker, plan.replicas, workers, plan)
     rows = [r for chunk in raw for r in chunk]
     per_eps = {e: np.array([r["normalized_gradient"] for r in rows
                             if r["epsilon"] == e])
@@ -268,8 +288,8 @@ def gradient_scaling_study(plan: ExperimentPlan, workers: int = 1) -> StudyResul
 # drift bounds
 
 
-def _drift_worker(args) -> List[dict]:
-    plan, replica, times = args
+def _drift_worker(replica: int, plan: ExperimentPlan,
+                  times: Tuple[int, ...]) -> List[dict]:
     phi = plan.phi()
     noise = plan.noise_for(replica)
     x0 = plan.center_site()
@@ -293,11 +313,9 @@ def _drift_worker(args) -> List[dict]:
 def drift_bound_study(plan: ExperimentPlan, times: Sequence[int],
                       workers: int = 1) -> StudyResult:
     """MC means of the one-step drift and of phi(stencil)-mean vs B*eps."""
-    times = tuple(sorted(set(int(t) for t in times)))
-    plan.side_for(max(times) + 1)  # as in remainder
-    raw = map_replicas(_drift_worker,
-                       [(plan, k, times) for k in range(plan.replicas)],
-                       workers)
+    times = _capture_times("plan.times", times)
+    plan.side_for(max(times) + 1)
+    raw = map_replicas(_drift_worker, plan.replicas, workers, plan, times)
     rows = [r for chunk in raw for r in chunk]
     bound_scale = plan.noise_for(0).bound
     table = []
@@ -429,16 +447,15 @@ def _pairing_cells(fn: GaussianBump, alpha: float, beta: float,
     return m, v_ranges, cell_avg
 
 
-def _pairing_worker(args) -> np.ndarray:
-    """Pairings of replicas [lo, hi) on every eps grid: (n_eps, hi - lo)."""
-    plan, lo, hi, grids = args
-    out = np.empty((len(grids), hi - lo))
-    for j, k in enumerate(range(lo, hi)):
-        model = plan.noise_for(k)
-        for i, (mesh, cell_avg, coef) in enumerate(grids):
-            z = model.sample_spacetime(mesh[0], mesh[1:])
-            z *= cell_avg
-            out[i, j] = coef * float(z.sum())
+def _pairing_worker(replica: int, plan: ExperimentPlan,
+                    grids: list) -> List[float]:
+    """Pairings of one replica on every eps grid."""
+    model = plan.noise_for(replica)
+    out = []
+    for mesh, cell_avg, coef in grids:
+        z = model.sample_spacetime(mesh[0], mesh[1:])
+        z *= cell_avg
+        out.append(coef * float(z.sum()))
     return out
 
 
@@ -447,11 +464,9 @@ def whitenoise_pairing_study(plan: ExperimentPlan,
                              workers: int = 1) -> StudyResult:
     """Pair the rescaled noise with a bump; the sums must look N(0, ||f||^2).
 
-    The exact cell grids are built once per eps, in this process. Replicas
-    are split into contiguous ranges, one per worker; each range pairs its
-    replicas against every grid, hashing each time row of the open cell
-    mesh once. workers=1 runs in process, and the pairings are the same
-    bits for any worker count.
+    The exact cell grids are built once per eps, in this process, and
+    reach each map_replicas range once. Each replica is paired against
+    every grid, hashing each time row of the open cell mesh once.
     """
     if fn is None:
         fn = GaussianBump(d=plan.d,
@@ -473,12 +488,8 @@ def whitenoise_pairing_study(plan: ExperimentPlan,
         grids.append((mesh, cell_avg, coef))
         lattice_vars.append(float(alpha * beta ** plan.d *
                                   (cell_avg ** 2).sum()))
-    n = max(1, min(workers, plan.replicas))
-    bounds = [plan.replicas * i // n for i in range(n + 1)]
-    per_range = map_replicas(_pairing_worker,
-                             [(plan, lo, hi, grids)
-                              for lo, hi in zip(bounds, bounds[1:])], workers)
-    all_pairings = np.concatenate(per_range, axis=1)
+    all_pairings = np.column_stack(map_replicas(
+        _pairing_worker, plan.replicas, workers, plan, grids))
     table = []
     assertions: Dict[str, bool] = {}
     smallest = min(plan.epsilon_grid)
@@ -511,8 +522,8 @@ def whitenoise_pairing_study(plan: ExperimentPlan,
 # gradient-field stationarity / tightness
 
 
-def _stationarity_worker(args) -> Dict[int, np.ndarray]:
-    plan, replica, checkpoints = args
+def _stationarity_worker(replica: int, plan: ExperimentPlan,
+                         checkpoints: Tuple[int, ...]) -> Dict[int, np.ndarray]:
     phi = plan.phi()
     noise = plan.noise_for(replica)
     eps = plan.epsilon_grid[0]
@@ -540,12 +551,12 @@ def stationarity_study(plan: ExperimentPlan, checkpoints: Sequence[int],
     dynamics.
     """
     if plan.geometry_policy != "torus":
-        raise ValueError("stationarity runs on a fixed torus; set the plan's "
-                         "geometry_policy to 'torus' to acknowledge wrap")
-    checkpoints = tuple(sorted(set(int(c) for c in checkpoints)))
-    raw = map_replicas(_stationarity_worker,
-                       [(plan, k, checkpoints) for k in range(plan.replicas)],
-                       workers)
+        raise ConfigError("stationarity runs on a fixed torus; set the "
+                          "plan's geometry_policy to 'torus' to acknowledge "
+                          "wrap")
+    checkpoints = _capture_times("plan.checkpoints", checkpoints)
+    raw = map_replicas(_stationarity_worker, plan.replicas, workers, plan,
+                       checkpoints)
     pooled = {cp: np.concatenate([r[cp] for r in raw]) for cp in checkpoints}
 
     qrows = []

@@ -13,8 +13,7 @@ import pytest
 from kpzlab import config, lattice, studies
 from kpzlab.assumptions import check_assumptions
 from kpzlab.cli import ConeRefusal, main, resolve_side
-from kpzlab.config import (ConfigError, ENV_WORKERS, effective_workers,
-                           load_config)
+from kpzlab.config import ConfigError, load_config
 from kpzlab.driving import make_driving
 from kpzlab.lattice import (ConeWrapWarning, EvolutionConfig, LatticeGeometry,
                             evolve)
@@ -89,12 +88,19 @@ def _fail_on_any_run(monkeypatch):
     (["remainder", "--set", "plan.l=7", "--set", "plan.epsilon_grid=0.5,0.4"],
      "plan.l"),
     (["drift", "--set", "plan.l=21", "--set", "plan.times=5 10"], "plan.l"),
+    (["drift", "--set", "plan.times=-1 3"], "plan.times"),
+    (["drift", "--set", "plan.times="], "plan.times"),
+    (["stationarity", "--set", "plan.checkpoints=-2 1 2", "--set",
+      "plan.l=16"], "plan.checkpoints"),
+    (["stationarity", "--set", "plan.checkpoints="], "plan.checkpoints"),
+    (["decompose", "--set", "plan.l=5", "--set", "plan.t=10"], "plan.l"),
 ])
 def test_side_misconfiguration_exits_2_before_any_run(tmp_path, capsys,
                                                       monkeypatch, argv, key,
                                                       workers):
     # the cone-exact studies need sides 7 (gradient), 9 (remainder: one
-    # step past horizon 3) and 23 (drift: one step past t = 10)
+    # step past horizon 3) and 23 (drift: one step past t = 10), decompose
+    # side 21; capture times must be a nonempty list of times >= 0
     _fail_on_any_run(monkeypatch)
     rc = main(argv + ["--out", str(tmp_path), "--workers", workers])
     assert rc == 2
@@ -121,25 +127,20 @@ def test_cone_exact_study_on_a_given_side_matches_auto_size(tmp_path,
 # worker resolution
 
 
-def test_effective_workers(monkeypatch):
-    cfg = load_config(None, "simulate", [])
-    monkeypatch.delenv(ENV_WORKERS, raising=False)
-    assert effective_workers(cfg) == 1
-    monkeypatch.setenv(ENV_WORKERS, "3")
-    assert effective_workers(cfg) == 3
-    monkeypatch.setenv(ENV_WORKERS, "abc")
-    assert effective_workers(cfg) == 1
-    cfg["run"]["workers"] = 2  # explicit config wins over the environment
-    monkeypatch.setenv(ENV_WORKERS, "5")
-    assert effective_workers(cfg) == 2
+@pytest.mark.parametrize("flags", [["--workers", "0"],
+                                   ["--set", "run.workers=-1"]])
+def test_workers_below_one_exits_2(tmp_path, capsys, monkeypatch, flags):
+    _fail_on_any_run(monkeypatch)
+    assert main(["remainder", "--out", str(tmp_path)] + flags) == 2
+    assert "run.workers" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------
 # simulate
 
 
-def test_simulate_artifacts_and_manifest(tmp_path, monkeypatch):
-    monkeypatch.delenv(ENV_WORKERS, raising=False)
+def test_simulate_artifacts_and_manifest(tmp_path):
     rc = main(["simulate", "--out", str(tmp_path), "--seed", "7",
                "--set", "plan.t=3"])
     assert rc == 0
@@ -258,6 +259,17 @@ def test_decompose_command_matches_remainder_study(tmp_path):
             assert int(cli_row["replica"]) == study_row["replica"]
             for key in keys:
                 assert float(cli_row[key]).hex() == study_row[key].hex(), key
+
+
+@pytest.mark.parametrize("phi", ["polymer", "ew"])
+def test_decompose_same_bytes_for_any_worker_count(tmp_path, phi):
+    csvs = []
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert run_decompose(out, "--set", f"model.phi={phi}", "--set",
+                             "plan.t=4", "--workers", workers) == 0
+        csvs.append((out / "decompose-0.csv").read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_rerun_is_byte_identical(tmp_path):

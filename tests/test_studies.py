@@ -108,12 +108,18 @@ def test_count_trend_inversions():
     assert count_trend_inversions([1.0]) == 0
 
 
-def test_map_replicas_preserves_order_across_workers():
-    plan = small_plan(epsilon_grid=(0.5,), replicas=30)
-    args = [(plan, k) for k in range(6)]
-    seq = map_replicas(_gradient_worker, args, workers=1)
-    par = map_replicas(_gradient_worker, args, workers=2)
-    assert seq == par
+def _logged_gradient_worker(replica, plan, log_dir):
+    (log_dir / str(replica)).touch(exist_ok=False)  # a second run raises
+    return replica, _gradient_worker(replica, plan)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_map_replicas_runs_each_replica_once_in_order(tmp_path, workers):
+    plan = small_plan(epsilon_grid=(0.5,), replicas=31)
+    ref = [(k, _gradient_worker(k, plan)) for k in range(31)]
+    assert map_replicas(_logged_gradient_worker, 31, workers, plan,
+                        tmp_path) == ref
+    assert sorted(int(p.name) for p in tmp_path.iterdir()) == list(range(31))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,11 @@
 Each command writes <command>-<seed>.csv and .json into the output
 directory (atomic rename), prints one line per assertion, and exits 0 only
 if every assertion passed. Config errors and cone-policy refusals exit 2.
+A run fault (an ArithmeticError such as non-finite heights) exits 3 and
+writes no artifact.
+
+Every handler in COMMANDS takes a resolved config and a worker count, so
+the acceptance tests run config.CRITERIA through the same handlers.
 """
 from __future__ import annotations
 
@@ -288,6 +293,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except ArithmeticError as e:
+        print(f"error: run fault: {e}", file=sys.stderr)
+        return 3
 
     seed = cfg["run"]["seed"]
     out = cfg["run"]["out"]

@@ -117,8 +117,8 @@ SCHEMA: Dict[str, Dict[str, tuple]] = {
 }
 
 # Per-command defaults that overlay the schema defaults (file and flags
-# still win). These make the bare commands reproduce the shipped
-# verification suites.
+# still win). With them each bare study command runs the first CLI run of
+# its criterion in CRITERIA.
 COMMAND_OVERLAYS: Dict[str, Dict[Tuple[str, str], object]] = {
     "gradient": {("plan", "replicas"): 1000},
     "drift": {("plan", "epsilon_grid"): (0.1,),
@@ -126,12 +126,30 @@ COMMAND_OVERLAYS: Dict[str, Dict[Tuple[str, str], object]] = {
     "whitenoise": {("plan", "epsilon_grid"): (0.3, 0.25, 0.2),
                    ("plan", "replicas"): 2000,
                    ("scheme", "preset"): "intermediate-disorder-1d"},
+    # horizons reach 8192 steps, far past any cone-exact window, and the
+    # gradient field is translation invariant on the torus
     "stationarity": {("plan", "epsilon_grid"): (0.1,),
                      ("plan", "replicas"): 30,
                      ("plan", "geometry"): "torus",
                      ("plan", "l"): 512},
     "walk-check": {("plan", "t"): 4},
     "decompose": {("plan", "replicas"): 100},
+}
+
+# The CLI runs of each Monte Carlo acceptance criterion: (command, --set
+# items applied on top of the command's overlay). tests/test_acceptance.py
+# runs every entry through its command handler, and
+# scripts/run_verification_suite.py runs every entry through the CLI.
+CRITERIA: Dict[int, List[Tuple[str, List[str]]]] = {
+    6: [("remainder", []),
+        ("remainder", ["plan.schedule=macro-fixed"]),
+        ("remainder", ["model.phi=gkpz"]),
+        ("remainder", ["model.phi=gkpz", "plan.schedule=macro-fixed"])],
+    7: [("gradient", []),
+        ("gradient", ["model.d=2", "plan.replicas=800"])],
+    8: [("drift", [])],
+    9: [("whitenoise", [])],
+    10: [("stationarity", [])],
 }
 
 
@@ -209,7 +227,17 @@ def _parse_value(sec: str, key: str, raw: str, where: Callable[[], str]):
 
 
 def scheme_params(cfg: Dict[str, Dict]) -> Dict:
-    s = cfg["scheme"]
+    """Keyword arguments of rescale.make_scheme for the [scheme] section.
+
+    Refuses a preset built for one dimension (intermediate-disorder-1d,
+    2d-exponential) in another model.d.
+    """
+    s, d = cfg["scheme"], cfg["model"]["d"]
+    for preset, preset_d in (("intermediate-disorder-1d", 1),
+                             ("2d-exponential", 2)):
+        if s["preset"] == preset and d != preset_d:
+            raise ConfigError(f"scheme.preset={preset} is a d={preset_d} "
+                              f"scheme, but model.d={d}")
     if s["preset"] == "power-law":
         return {"alpha_exp": s["alpha_exp"], "beta_exp": s["beta_exp"],
                 "gamma_exp": s["gamma_exp"], "alpha_coef": s["alpha_coef"],

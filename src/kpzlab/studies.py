@@ -52,8 +52,10 @@ class ExperimentPlan:
     noise_family: str = "uniform"
     noise_scale: float = math.sqrt(3.0)
     scheme_preset: str = "power-law"
-    scheme_params: Dict = field(default_factory=lambda: {"alpha_exp": 2.0,
-                                                         "beta_exp": 1.0})
+    # the six power-law keys config.scheme_params passes for its defaults
+    scheme_params: Dict = field(default_factory=lambda: {
+        "alpha_exp": 2.0, "beta_exp": 1.0, "gamma_exp": 0.0,
+        "alpha_coef": 1.0, "beta_coef": 1.0, "gamma_coef": 1.0})
     schedule: str = "adversarial"
     macro_time: float = 1.0
     geometry_policy: str = "cone-exact"

@@ -5,6 +5,12 @@ each. All seeds are frozen so any failure reproduces bit for bit, and the
 sized-down Monte Carlo runs keep the whole file at a few minutes on one
 core. Numbered docstrings state the property, the frozen parameters, and
 the tolerance being enforced.
+
+The Monte Carlo criteria 06-10 take their runs from config.CRITERIA and
+run each through its CLI command handler, the glue the command line runs.
+Each first asserts that its entries resolve to the literal plan (and
+capture times or test function) written here, so an edit of the table
+cannot silently change a criterion.
 """
 import itertools
 import math
@@ -13,15 +19,14 @@ import time
 import numpy as np
 import pytest
 
+from kpzlab import cli, config
 from kpzlab.driving import make_driving
 from kpzlab.lattice import (EvolutionConfig, LatticeGeometry, min_cone_side,
                             trajectory)
 from kpzlab.noise import make_noise
 from kpzlab.rescale import (coefficients, decompose, intermediate_disorder_1d,
                             macro_terms)
-from kpzlab.studies import (ExperimentPlan, drift_bound_study,
-                            gradient_scaling_study, remainder_ratio_study,
-                            stationarity_study, whitenoise_pairing_study)
+from kpzlab.studies import ExperimentPlan
 from kpzlab.walk import (_l1_ball, backward_walk_distribution, derivative_fd,
                          derivative_via_walk)
 from oracles import polymer_path_sum, zero_layer_shift
@@ -154,6 +159,19 @@ def test_criterion_05_increment_decomposition_identities():
     assert worst_macro <= 1e-10
 
 
+def _criterion(number):
+    """Criterion `number`'s CLI runs from config.CRITERIA, each resolved as
+    the bare command plus its --set items: [(command, config)]."""
+    return [(command, config.load_config(None, command, sets))
+            for command, sets in config.CRITERIA[number]]
+
+
+def _run(command, cfg):
+    """One run through the command's CLI handler, writing no artifact:
+    (columns, summary, assertions)."""
+    return cli.COMMANDS[command][1](cfg, 1)
+
+
 def test_criterion_06_remainder_shrinks_against_every_term():
     """The leftover term becomes negligible next to each kept term.
 
@@ -163,13 +181,17 @@ def test_criterion_06_remainder_shrinks_against_every_term():
     whole sweep < 600 s.
     """
     t0 = time.monotonic()
-    for name in ("polymer", "gkpz"):
-        for schedule in ("adversarial", "macro-fixed"):
-            plan = ExperimentPlan(epsilon_grid=(0.2, 0.1, 0.05, 0.025),
-                                  replicas=200, seed=0, phi_name=name,
-                                  schedule=schedule)
-            res = remainder_ratio_study(plan)
-            assert res.passed, (name, schedule, res.assertions)
+    runs = _criterion(6)
+    assert [command for command, _ in runs] == ["remainder"] * 4
+    assert [cli.plan_from_config(cfg) for _, cfg in runs] == [
+        ExperimentPlan(epsilon_grid=(0.2, 0.1, 0.05, 0.025), replicas=200,
+                       seed=0, phi_name=name, schedule=schedule)
+        for name in ("polymer", "gkpz")
+        for schedule in ("adversarial", "macro-fixed")]
+    for command, cfg in runs:
+        _, _, assertions = _run(command, cfg)
+        assert all(assertions.values()), (cfg["model"]["phi"],
+                                          cfg["plan"]["schedule"], assertions)
     assert time.monotonic() - t0 < 600.0
 
 
@@ -180,12 +202,16 @@ def test_criterion_07_neighbor_gap_scales_like_sqrt_eps():
     at most 3 across eps = 0.2 .. 0.025; 1000 replicas in d=1 and 800
     in d=2, seed 0.
     """
-    res1 = gradient_scaling_study(ExperimentPlan(replicas=1000, seed=0))
-    res2 = gradient_scaling_study(ExperimentPlan(replicas=800, seed=0, d=2))
-    for res in (res1, res2):
-        assert res.assertions["p95_band_bounded"], res.summary["band"]
-        assert res.summary["band"] <= 3.0
-        assert res.passed
+    runs = _criterion(7)
+    assert [command for command, _ in runs] == ["gradient"] * 2
+    assert [cli.plan_from_config(cfg) for _, cfg in runs] == [
+        ExperimentPlan(replicas=1000, seed=0),
+        ExperimentPlan(replicas=800, seed=0, d=2)]
+    for command, cfg in runs:
+        _, summary, assertions = _run(command, cfg)
+        assert assertions["p95_band_bounded"], summary["band"]
+        assert summary["band"] <= 3.0
+        assert all(assertions.values()), assertions
 
 
 def test_criterion_08_single_step_drift_within_bound():
@@ -195,9 +221,13 @@ def test_criterion_08_single_step_drift_within_bound():
     gap at t = 10, 100, 1000 are each <= scale*eps + 3*SE (and not
     significantly negative).
     """
-    plan = ExperimentPlan(epsilon_grid=(0.1,), replicas=500, seed=0)
-    res = drift_bound_study(plan, times=(10, 100, 1000))
-    assert res.passed, res.assertions
+    [(command, cfg)] = _criterion(8)
+    assert command == "drift"
+    assert cli.plan_from_config(cfg) == \
+        ExperimentPlan(epsilon_grid=(0.1,), replicas=500, seed=0)
+    assert cfg["plan"]["times"] == (10, 100, 1000)
+    _, _, assertions = _run(command, cfg)
+    assert all(assertions.values()), assertions
 
 
 def test_criterion_09_rescaled_noise_pairs_like_white_noise():
@@ -210,13 +240,19 @@ def test_criterion_09_rescaled_noise_pairs_like_white_noise():
     < 300 s.
     """
     t0 = time.monotonic()
-    plan = ExperimentPlan(epsilon_grid=(0.3, 0.25, 0.2), replicas=2000,
-                          seed=0, scheme_preset="intermediate-disorder-1d",
-                          scheme_params={})
-    res = whitenoise_pairing_study(plan)
-    assert res.tables["pairings"][0]["target_variance"] == \
+    [(command, cfg)] = _criterion(9)
+    assert command == "whitenoise"
+    assert cli.plan_from_config(cfg) == \
+        ExperimentPlan(epsilon_grid=(0.3, 0.25, 0.2), replicas=2000,
+                       seed=0, scheme_preset="intermediate-disorder-1d",
+                       scheme_params={})
+    assert cfg["test_function"] == {"amplitude": 1.0, "center_t": 0.0,
+                                    "width_t": 1.0, "center_x": (0.0,),
+                                    "width_x": (1.0,)}
+    columns, _, assertions = _run(command, cfg)
+    assert columns["target_variance"][0] == \
         pytest.approx(math.pi / 4, abs=1e-12)
-    assert res.passed, res.assertions
+    assert all(assertions.values()), assertions
     assert time.monotonic() - t0 < 300.0
 
 
@@ -227,12 +263,15 @@ def test_criterion_10_gradient_law_shows_no_growth_trend():
     for k = 0..13: the p99 of |forward gradient| shows no growth trend,
     and the flat start has exactly zero gradient.
     """
-    plan = ExperimentPlan(epsilon_grid=(0.1,), replicas=30, seed=0,
-                          geometry_policy="torus", L=512)
-    res = stationarity_study(plan,
-                             checkpoints=tuple(2 ** k for k in range(14)))
-    assert res.assertions["p99_no_growth_trend"]
-    assert res.passed, res.assertions
+    [(command, cfg)] = _criterion(10)
+    assert command == "stationarity"
+    assert cli.plan_from_config(cfg) == \
+        ExperimentPlan(epsilon_grid=(0.1,), replicas=30, seed=0,
+                       geometry_policy="torus", L=512)
+    assert cfg["plan"]["checkpoints"] == tuple(2 ** k for k in range(14))
+    _, _, assertions = _run(command, cfg)
+    assert assertions["p99_no_growth_trend"]
+    assert all(assertions.values()), assertions
 
 
 def test_criterion_11_coefficients_are_scale_free():

@@ -94,13 +94,21 @@ def _fail_on_any_run(monkeypatch):
       "plan.l=16"], "plan.checkpoints"),
     (["stationarity", "--set", "plan.checkpoints="], "plan.checkpoints"),
     (["decompose", "--set", "plan.l=5", "--set", "plan.t=10"], "plan.l"),
+    (["remainder", "--set", "scheme.preset=intermediate-disorder-1d",
+      "--set", "model.d=2"], "model.d"),
+    (["remainder", "--set", "scheme.preset=2d-exponential"], "scheme.preset"),
+    (["decompose", "--set", "scheme.preset=2d-exponential", "--set",
+      "plan.t=10"], "scheme.preset"),
+    (["decompose", "--set", "scheme.preset=intermediate-disorder-1d",
+      "--set", "model.d=2", "--set", "plan.t=10"], "model.d"),
 ])
 def test_side_misconfiguration_exits_2_before_any_run(tmp_path, capsys,
                                                       monkeypatch, argv, key,
                                                       workers):
     # the cone-exact studies need sides 7 (gradient), 9 (remainder: one
     # step past horizon 3) and 23 (drift: one step past t = 10), decompose
-    # side 21; capture times must be a nonempty list of times >= 0
+    # side 21; capture times must be a nonempty list of times >= 0; a
+    # scheme preset built for one dimension runs in no other
     _fail_on_any_run(monkeypatch)
     rc = main(argv + ["--out", str(tmp_path), "--workers", workers])
     assert rc == 2
@@ -195,6 +203,18 @@ def test_simulate_csv_equals_row_writer(tmp_path, d, t):
     csv_writer_rows(tmp_path / "oracle.csv", rows)
     assert (tmp_path / "simulate-4.csv").read_bytes() == \
         (tmp_path / "oracle.csv").read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_run_fault_exits_3_without_artifacts(tmp_path, capsys):
+    # noise of half-width 1e308 overflows the heights to inf and nan
+    rc = main(["simulate", "--out", str(tmp_path),
+               "--set", "model.noise_scale=1e308", "--set", "plan.epsilon=1",
+               "--set", "plan.t=5"])
+    assert rc == 3
+    assert "error: run fault: nonfinite height" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cone_refusal_exit_2(tmp_path, capsys):

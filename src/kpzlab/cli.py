@@ -15,10 +15,10 @@ import argparse
 import platform
 import sys
 import time
+from importlib import metadata
 from typing import Dict, List, Optional
 
 import numpy as np
-import scipy
 
 from . import __version__, studies
 from .assumptions import check_assumptions
@@ -315,7 +315,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "versions": {"kpzlab": __version__,
                      "python": platform.python_version(),
                      "numpy": np.__version__,
-                     "scipy": scipy.__version__},
+                     "scipy": metadata.version("scipy")},
         "wall_time_s": t_export - t0,
         "phases": {"run": {"wall_s": t_run - t0},
                    "export": {"wall_s": t_export - t_run}},

@@ -226,25 +226,33 @@ def _parse_value(sec: str, key: str, raw: str, where: Callable[[], str]):
         raise ConfigError(f"{where()}: bad value for {sec}.{key}: {e}") from e
 
 
+_POWER_LAW_KEYS = ("alpha_exp", "beta_exp", "gamma_exp", "alpha_coef",
+                   "beta_coef", "gamma_coef")
+
+
 def scheme_params(cfg: Dict[str, Dict]) -> Dict:
     """Keyword arguments of rescale.make_scheme for the [scheme] section.
 
     Refuses a preset built for one dimension (intermediate-disorder-1d,
-    2d-exponential) in another model.d.
+    2d-exponential) in another model.d, and a [scheme] key set away from
+    its default under a preset that does not read it.
     """
     s, d = cfg["scheme"], cfg["model"]["d"]
-    for preset, preset_d in (("intermediate-disorder-1d", 1),
-                             ("2d-exponential", 2)):
-        if s["preset"] == preset and d != preset_d:
-            raise ConfigError(f"scheme.preset={preset} is a d={preset_d} "
+    preset = s["preset"]
+    for name, preset_d in (("intermediate-disorder-1d", 1),
+                           ("2d-exponential", 2)):
+        if preset == name and d != preset_d:
+            raise ConfigError(f"scheme.preset={name} is a d={preset_d} "
                               f"scheme, but model.d={d}")
-    if s["preset"] == "power-law":
-        return {"alpha_exp": s["alpha_exp"], "beta_exp": s["beta_exp"],
-                "gamma_exp": s["gamma_exp"], "alpha_coef": s["alpha_coef"],
-                "beta_coef": s["beta_coef"], "gamma_coef": s["gamma_coef"]}
-    if s["preset"] == "2d-exponential":
-        return {"C": s["c"]}
-    return {}
+    # [scheme] key -> make_scheme keyword, for the keys the preset reads
+    reads = {"power-law": {k: k for k in _POWER_LAW_KEYS},
+             "2d-exponential": {"c": "C"}}.get(preset, {})
+    for key in _POWER_LAW_KEYS + ("c",):
+        if key not in reads and s[key] != SCHEMA["scheme"][key][1]:
+            raise ConfigError(f"scheme.{key}={s[key]!r} has no effect under "
+                              f"scheme.preset={preset}; leave it at its "
+                              f"default or choose a preset that reads it")
+    return {arg: s[key] for key, arg in reads.items()}
 
 
 def dump_resolved(cfg: Dict[str, Dict]) -> str:

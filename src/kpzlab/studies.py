@@ -10,6 +10,11 @@ trend/band assertions are stable at moderate replica counts.
 map_replicas is the one replica runner, for every study and for the
 decompose command. Each study checks its inputs and its largest torus side
 before it, so a refusal comes before any replica runs.
+
+scipy is imported only inside the functions that use it (GaussianBump's
+erf integrals, the white-noise and stationarity statistics): importing
+scipy.stats costs about a second, which every other command would pay at
+start-up.
 """
 from __future__ import annotations
 
@@ -19,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import special, stats
 
 from .config import ConfigError, resolve_side
 from .driving import DrivingFunction, make_driving
@@ -375,6 +379,7 @@ class GaussianBump:
 
     def squared_norm(self) -> float:
         """Exact integral of f^2 over t > 0, x in R^d."""
+        from scipy import special
         a = self.amplitude
         wt = self.width_t
         tfac = wt * math.sqrt(math.pi / 2.0) / 2.0 * \
@@ -391,6 +396,7 @@ class GaussianBump:
     def axis_integrals(self, edges: np.ndarray, center: float,
                        width: float) -> np.ndarray:
         """Exact integrals of exp(-((u-c)/w)^2) between consecutive edges."""
+        from scipy import special
         z = (edges - center) / width
         prims = width * math.sqrt(math.pi) / 2.0 * special.erf(z)
         return np.diff(prims)
@@ -398,6 +404,7 @@ class GaussianBump:
     def squared_axis_mass(self, lo: float, hi: float, center: float,
                           width: float) -> float:
         """Exact integral of exp(-2((u-c)/w)^2) over [lo, hi]."""
+        from scipy import special
         s = math.sqrt(2.0)
         zlo = s * (lo - center) / width
         zhi = s * (hi - center) / width
@@ -470,15 +477,19 @@ def whitenoise_pairing_study(plan: ExperimentPlan,
     reach each map_replicas range once. Each replica is paired against
     every grid, hashing each time row of the open cell mesh once.
     """
+    from scipy import stats
     if fn is None:
         fn = GaussianBump(d=plan.d,
                           center_x=tuple(0.0 for _ in range(plan.d)),
                           width_x=tuple(1.0 for _ in range(plan.d)))
     if fn.d != plan.d:
         raise ValueError("test function dimension != plan dimension")
+    target = fn.squared_norm()
+    if not (math.isfinite(target) and target > 0):
+        raise ConfigError(f"the [test_function] squared norm must be "
+                          f"positive and finite, got {target}")
     scheme = plan.scheme()
     scheme.validate_on_grid(plan.epsilon_grid)
-    target = fn.squared_norm()
     sigma = plan.noise_for(0).sigma
     grids, lattice_vars = [], []
     for eps in plan.epsilon_grid:
@@ -552,6 +563,7 @@ def stationarity_study(plan: ExperimentPlan, checkpoints: Sequence[int],
     explicitly accept torus geometry; the first grid epsilon drives the
     dynamics.
     """
+    from scipy import stats
     if plan.geometry_policy != "torus":
         raise ConfigError("stationarity runs on a fixed torus; set the "
                           "plan's geometry_policy to 'torus' to acknowledge "

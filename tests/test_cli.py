@@ -4,12 +4,18 @@ Every invocation goes through main(argv) in process, writing artifacts to
 tmp_path. Runs are kept tiny; statistical assertions live elsewhere.
 """
 import csv
+import importlib.metadata
 import itertools
 import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kpzlab
 from kpzlab import config, lattice, studies
 from kpzlab.assumptions import check_assumptions
 from kpzlab.cli import ConeRefusal, main, resolve_side
@@ -101,6 +107,19 @@ def _fail_on_any_run(monkeypatch):
       "plan.t=10"], "scheme.preset"),
     (["decompose", "--set", "scheme.preset=intermediate-disorder-1d",
       "--set", "model.d=2", "--set", "plan.t=10"], "model.d"),
+    (["whitenoise", "--set", "scheme.alpha_exp=3", "--set",
+      "plan.replicas=30", "--set", "plan.epsilon_grid=0.3"],
+     "scheme.alpha_exp=3.0 has no effect under "
+     "scheme.preset=intermediate-disorder-1d"),
+    (["remainder", "--set", "scheme.c=2"],
+     "scheme.c=2.0 has no effect under scheme.preset=power-law"),
+    (["decompose", "--set", "scheme.preset=2d-exponential", "--set",
+      "model.d=2", "--set", "scheme.gamma_coef=0.5", "--set", "plan.t=10"],
+     "scheme.gamma_coef=0.5 has no effect under "
+     "scheme.preset=2d-exponential"),
+    (["whitenoise", "--set", "test_function.amplitude=0", "--set",
+      "plan.replicas=30", "--set", "plan.epsilon_grid=0.3"],
+     "squared norm must be positive and finite, got 0.0"),
 ])
 def test_side_misconfiguration_exits_2_before_any_run(tmp_path, capsys,
                                                       monkeypatch, argv, key,
@@ -108,7 +127,8 @@ def test_side_misconfiguration_exits_2_before_any_run(tmp_path, capsys,
     # the cone-exact studies need sides 7 (gradient), 9 (remainder: one
     # step past horizon 3) and 23 (drift: one step past t = 10), decompose
     # side 21; capture times must be a nonempty list of times >= 0; a
-    # scheme preset built for one dimension runs in no other
+    # scheme preset built for one dimension runs in no other, and takes no
+    # key it does not read; the pairing bump needs a positive norm
     _fail_on_any_run(monkeypatch)
     rc = main(argv + ["--out", str(tmp_path), "--workers", workers])
     assert rc == 2
@@ -161,6 +181,7 @@ def test_simulate_artifacts_and_manifest(tmp_path):
     assert len(man["config_sha256"]) == 64
     assert "plan.t=3" in man["resolved_config"]
     assert set(man["versions"]) == {"kpzlab", "python", "numpy", "scipy"}
+    assert man["versions"]["scipy"] == importlib.metadata.version("scipy")
     phases = man["phases"]
     assert set(phases) == {"run", "export"}
     assert min(p["wall_s"] for p in phases.values()) >= 0.0
@@ -179,6 +200,36 @@ def test_simulate_artifacts_and_manifest(tmp_path):
     rows = read_rows(csv_path)
     assert len(rows) == 7
     assert {"x1", "value", "epsilon", "seed"} <= set(rows[0])
+
+
+# Run in a fresh interpreter: other test modules import scipy into this one.
+_IMPORT_GUARD = """
+import sys
+import kpzlab, kpzlab.cli
+from kpzlab.cli import main
+out = sys.argv[1]
+tiny = ["--set", "plan.replicas=30", "--set", "plan.epsilon_grid=0.5 0.4"]
+for argv in (["simulate", "--set", "plan.t=3"], ["check-phi"],
+             ["walk-check", "--set", "plan.t=3"],
+             ["decompose", "--set", "plan.t=3", "--set", "plan.replicas=30"],
+             ["remainder"] + tiny, ["gradient"] + tiny,
+             ["drift", "--set", "plan.times=1 2"] + tiny):
+    assert main(argv + ["--out", out]) == 0, argv
+assert "scipy" not in sys.modules
+assert main(["whitenoise", "--out", out] + tiny) in (0, 1)
+assert "scipy.stats" in sys.modules
+"""
+
+
+def test_only_scipy_commands_import_scipy(tmp_path):
+    # importing scipy.stats takes ~1 s, which no command pays unless it
+    # uses scipy; the whitenoise run shows the guard can fail
+    src = str(Path(kpzlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD,
+                           str(tmp_path)], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _phi_and_noise(command, sets, seed):

@@ -53,12 +53,6 @@ class AssumptionReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def check(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     def as_dict(self) -> Dict:
         return {
             "phi": self.phi_name,

@@ -26,8 +26,7 @@ from .assumptions import check_assumptions
 from .config import (ConeRefusal, ConfigError, dump_resolved,  # noqa: F401
                      load_config, resolve_side, scheme_params)
 from .driving import make_driving
-from .lattice import (EvolutionConfig, LatticeGeometry, evolve, slice_columns,
-                      trajectory)
+from .lattice import EvolutionConfig, LatticeGeometry, evolve, slice_columns
 from .noise import NoiseModel, replica_noise
 from .output import rows_to_columns, sha256_text, write_csv, write_json
 from .rescale import (coefficients, evolve_and_decompose, macro_terms,
@@ -35,8 +34,7 @@ from .rescale import (coefficients, evolve_and_decompose, macro_terms,
 from .studies import (ExperimentPlan, GaussianBump, drift_bound_study,
                       gradient_scaling_study, remainder_ratio_study,
                       stationarity_study, whitenoise_pairing_study)
-from .walk import (_l1_ball, backward_walk_distribution, derivative_fd,
-                   derivative_via_walk)
+from .walk import derivative_pairs
 
 def _noise(cfg: Dict, replica: int) -> NoiseModel:
     m = cfg["model"]
@@ -97,6 +95,11 @@ def _decompose_worker(replica: int, cfg: Dict, run: EvolutionConfig):
                                 run.epsilon, run.T - 1, (0,) * run.geometry.d)
 
 
+def _worst_rel(rows: List[dict], key: str, ref: str) -> float:
+    """Largest |row[key]| / |row[ref]| over the rows, at least 0."""
+    return max([0.0] + [abs(r[key]) / max(abs(r[ref]), 1e-300) for r in rows])
+
+
 def _cmd_decompose(cfg: Dict, workers: int):
     p = cfg["plan"]
     if p["t"] < 1:
@@ -110,37 +113,29 @@ def _cmd_decompose(cfg: Dict, workers: int):
     samples = studies.map_replicas(_decompose_worker, p["replicas"], workers,
                                    cfg, run)
     rows = []
-    worst_lattice = 0.0
-    worst_macro = 0.0
     for k, s in enumerate(samples):
         row = {"replica": k, "epsilon": eps, "t": s.t}
         for i, xi in enumerate(s.x, start=1):
             row[f"x{i}"] = xi
-        resid = s.increment - (s.A + s.B + s.C + s.D)
-        rel = abs(resid) / max(abs(s.increment), 1e-300)
-        worst_lattice = max(worst_lattice, rel)
         row.update(A=s.A, B=s.B, C=s.C, D=s.D, increment=s.increment,
-                   lattice_residual=resid)
+                   lattice_residual=s.lattice_residual)
         if coef is not None:
             sm = macro_terms(s, scheme, eps, sigma, hess, d)
-            mresid = sm.time_derivative - (sm.laplacian_term + sm.grad_sq_term
-                                           + sm.noise_term + sm.remainder)
-            mrel = abs(mresid) / max(abs(sm.time_derivative), 1e-300)
-            worst_macro = max(worst_macro, mrel)
-            row["nu"] = coef.nu
-            row["lambda"] = coef.lam
-            row.update(D_coef=coef.D, xi=sm.xi,
-                       time_derivative=sm.time_derivative,
-                       laplacian_term=sm.laplacian_term,
-                       grad_sq_term=sm.grad_sq_term,
-                       noise_term=sm.noise_term, remainder=sm.remainder,
-                       macro_residual=mresid)
+            row.update({"nu": coef.nu, "lambda": coef.lam, "D_coef": coef.D,
+                        "xi": sm.xi, "time_derivative": sm.time_derivative,
+                        "laplacian_term": sm.laplacian_term,
+                        "grad_sq_term": sm.grad_sq_term,
+                        "noise_term": sm.noise_term,
+                        "remainder": sm.remainder,
+                        "macro_residual": sm.macro_residual})
         rows.append(row)
+    worst_lattice = _worst_rel(rows, "lattice_residual", "increment")
     assertions = {"lattice_identity_1e-10": worst_lattice <= 1e-10}
     payload = {"t": T, "epsilon": eps, "replicas": p["replicas"],
                "worst_lattice_residual_rel": worst_lattice,
                "degenerate_hessian": degenerate}
     if coef is not None:
+        worst_macro = _worst_rel(rows, "macro_residual", "time_derivative")
         assertions["macro_identity_1e-10"] = worst_macro <= 1e-10
         payload["worst_macro_residual_rel"] = worst_macro
         payload["coefficients"] = {"nu": coef.nu, "lambda": coef.lam,
@@ -162,29 +157,14 @@ def _cmd_walk_check(cfg: Dict, workers: int):
     if cfg["plan"]["t"] < 1:
         raise ConfigError("walk-check needs plan.t >= 1")
     run = _single_run(cfg)
-    phi, noise, g = run.phi, run.noise, run.geometry
-    T, eps, d = run.T, run.epsilon, g.d
-    x0 = (0,) * d
-    slices = list(trajectory(run))
-    dist = backward_walk_distribution(slices, phi, T, x0)
+    T, eps, d = run.T, run.epsilon, run.geometry.d
+    pairs, mass_errors = derivative_pairs(run, (0,) * d)
     tol = max(1e-8, 1e-4 * eps)
-    rows = []
-    worst = 0.0
-    worst_mass = 0.0
-    for s in range(1, T + 1):
-        total = dist.total_mass(s)
-        worst_mass = max(worst_mass, abs(eps * total - eps))
-        reach = T - s
-        for y in _l1_ball(x0, reach, d):
-            dw = derivative_via_walk(dist, s, y, eps)
-            df = derivative_fd(phi, noise, g, eps, T, x0, s, y)
-            diff = abs(dw - df)
-            worst = max(worst, diff)
-            row = {"s": s}
-            for i, yi in enumerate(y, start=1):
-                row[f"y{i}"] = yi
-            row.update(walk_derivative=dw, fd_derivative=df, abs_diff=diff)
-            rows.append(row)
+    rows = [{"s": s, **{f"y{i}": yi for i, yi in enumerate(y, start=1)},
+             "walk_derivative": dw, "fd_derivative": df,
+             "abs_diff": abs(dw - df)} for s, y, dw, df in pairs]
+    worst = max([0.0] + [r["abs_diff"] for r in rows])
+    worst_mass = max([0.0] + mass_errors)
     assertions = {"derivative_agreement": worst <= tol,
                   "mass_is_epsilon": worst_mass <= 1e-6 * eps}
     payload = {"t": T, "epsilon": eps, "d": d, "tolerance": tol,

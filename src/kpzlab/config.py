@@ -213,6 +213,7 @@ def load_config(path: Optional[str], command: str,
             raise ConfigError(f"--set: unknown key '{sec}.{key}'")
         resolved[sec][key] = _parse_value(sec, key, raw,
                                          lambda: f"--set {item}")
+    _refuse_unread_scheme(resolved, command)
     return resolved
 
 
@@ -253,6 +254,18 @@ def scheme_params(cfg: Dict[str, Dict]) -> Dict:
                               f"scheme.preset={preset}; leave it at its "
                               f"default or choose a preset that reads it")
     return {arg: s[key] for key, arg in reads.items()}
+
+
+def _refuse_unread_scheme(cfg: Dict[str, Dict], command: str) -> None:
+    """Refuse [scheme] keys off their defaults in runs that build no scheme."""
+    if command in ("remainder", "decompose", "whitenoise") or (
+            command == "gradient"
+            and cfg["plan"]["schedule"] == "macro-fixed"):
+        return
+    for key, spec in SCHEMA["scheme"].items():
+        if cfg["scheme"][key] != spec[1]:
+            raise ConfigError(f"scheme.{key}={cfg['scheme'][key]!r} has no "
+                              f"effect on {command}, which builds no scheme")
 
 
 def dump_resolved(cfg: Dict[str, Dict]) -> str:

@@ -241,9 +241,10 @@ def trajectory(config: EvolutionConfig) -> Iterator[HeightSlice]:
     """Yield the slices at t = 0..T, grown from the flat zero surface.
 
     The noise is drawn k = max(1, _BLOCK // L^d) layers at a time in one
-    sample_spacetime call, and never past T. Raises FloatingPointError
-    when the last slice of a block holds a nonfinite height. Never warns
-    about torus wrap; evolve() does.
+    sample_spacetime call, and never past T. A block is stepped with numpy's
+    overflow warnings off and raises FloatingPointError, before yielding any
+    slice, when its last slice holds a nonfinite height. Never warns about
+    torus wrap; evolve() does.
     """
     g = config.geometry
     axes = _site_axes(g.d, g.L)
@@ -255,11 +256,13 @@ def trajectory(config: EvolutionConfig) -> Iterator[HeightSlice]:
         times = np.arange(t0, t_last + 1, dtype=np.int64)
         z = config.noise.sample_spacetime(times.reshape((-1,) + (1,) * g.d),
                                           axes)
-        for z_t in z:
-            cur = step(cur, config.phi, config.epsilon, z_t)
-            if cur.t == t_last:
-                _check_finite(cur)
-            yield cur
+        block = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for z_t in z:
+                cur = step(cur, config.phi, config.epsilon, z_t)
+                block.append(cur)
+        _check_finite(cur)
+        yield from block
 
 
 def _check_finite(slice_: HeightSlice) -> None:

@@ -84,12 +84,9 @@ def make_scheme(preset: str, **kw) -> ScalingScheme:
     if preset == "intermediate-disorder-1d":
         return intermediate_disorder_1d()
     if preset == "2d-exponential":
-        return exponential_2d(kw.get("C", 1.0))
+        return exponential_2d(**kw)
     if preset == "power-law":
-        return power_law(kw["alpha_exp"], kw["beta_exp"],
-                         kw.get("gamma_exp", 0.0),
-                         kw.get("alpha_coef", 1.0), kw.get("beta_coef", 1.0),
-                         kw.get("gamma_coef", 1.0))
+        return power_law(**kw)
     raise ValueError(f"unknown scheme preset {preset!r}")
 
 
@@ -139,8 +136,15 @@ class DecompositionSample:
     xi: float = float("nan")
 
     @property
-    def reconstruction(self) -> float:
-        return self.A + self.B + self.C + self.D
+    def lattice_residual(self) -> float:
+        """increment - (A + B + C + D): zero up to rounding."""
+        return self.increment - (self.A + self.B + self.C + self.D)
+
+    @property
+    def macro_residual(self) -> float:
+        """time_derivative - (four macro terms); nan until macro_terms."""
+        return self.time_derivative - (self.laplacian_term + self.grad_sq_term
+                                       + self.noise_term + self.remainder)
 
 
 def decompose(cur: HeightSlice, nxt: HeightSlice, phi: DrivingFunction,

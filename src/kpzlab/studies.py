@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from concurrent import futures
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -137,14 +137,9 @@ def count_trend_inversions(values: Sequence[float]) -> int:
 
 @dataclass
 class StudyResult:
-    name: str
     assertions: Dict[str, bool]
     summary: Dict
     tables: Dict[str, List[dict]]
-
-    @property
-    def passed(self) -> bool:
-        return all(self.assertions.values())
 
 
 def _replica_range(worker: Callable, lo: int, hi: int, shared: tuple) -> list:
@@ -243,8 +238,7 @@ def remainder_ratio_study(plan: ExperimentPlan, workers: int = 1) -> StudyResult
         "remainder_at_rounding_level": at_rounding,
         "series": series,
     }
-    return StudyResult("remainder", assertions, summary,
-                       {"series": table, "samples": rows})
+    return StudyResult(assertions, summary, {"series": table, "samples": rows})
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +280,7 @@ def gradient_scaling_study(plan: ExperimentPlan, workers: int = 1) -> StudyResul
                   "p95_positive": min(p95) > 0}
     summary = {"plan": _plan_dict(plan), "band": band,
                "band_limit": BAND_LIMIT, "series": qs}
-    return StudyResult("gradient", assertions, summary,
-                       {"series": qs, "samples": rows})
+    return StudyResult(assertions, summary, {"series": qs, "samples": rows})
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +336,7 @@ def drift_bound_study(plan: ExperimentPlan, times: Sequence[int],
                 assertions[f"{key}_within_bound_eps{eps}_t{t}"] = ok_hi and ok_lo
     summary = {"plan": _plan_dict(plan), "times": list(times),
                "bound_scale": bound_scale, "rows": table}
-    return StudyResult("drift", assertions, summary, {"estimates": table})
+    return StudyResult(assertions, summary, {"estimates": table})
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +521,7 @@ def whitenoise_pairing_study(plan: ExperimentPlan,
             assertions["excess_kurtosis_small"] = abs(exkurt) <= 0.30
     summary = {"plan": _plan_dict(plan), "target_variance": target,
                "rows": table}
-    return StudyResult("whitenoise", assertions, summary, {"pairings": table})
+    return StudyResult(assertions, summary, {"pairings": table})
 
 
 # ---------------------------------------------------------------------------
@@ -602,24 +595,12 @@ def stationarity_study(plan: ExperimentPlan, checkpoints: Sequence[int],
     summary = {"plan": _plan_dict(plan), "checkpoints": list(checkpoints),
                "quantiles": qrows,
                "ks_distances": ks_rows}
-    return StudyResult("stationarity", assertions, summary,
+    return StudyResult(assertions, summary,
                        {"quantiles": qrows, "ks_distances": ks_rows})
 
 
 def _plan_dict(plan: ExperimentPlan) -> Dict:
-    return {
-        "epsilon_grid": list(plan.epsilon_grid),
-        "replicas": plan.replicas,
-        "seed": plan.seed,
-        "phi": plan.phi_name,
-        "d": plan.d,
-        "coupling": plan.coupling,
-        "noise_family": plan.noise_family,
-        "noise_scale": plan.noise_scale,
-        "scheme": plan.scheme_preset,
-        "scheme_params": dict(plan.scheme_params),
-        "schedule": plan.schedule,
-        "macro_time": plan.macro_time,
-        "geometry_policy": plan.geometry_policy,
-        "L": plan.L,
-    }
+    """The plan's fields for a JSON report, phi_name and scheme_preset
+    written as phi and scheme."""
+    rename = {"phi_name": "phi", "scheme_preset": "scheme"}
+    return {rename.get(k, k): v for k, v in asdict(plan).items()}

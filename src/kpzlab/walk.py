@@ -5,7 +5,8 @@ epsilon times the probability that a backward walk started at (t, x)
 sits at y at time s. The walk steps from (s, y) to (s-1, y+a) with
 probability equal to the a-component of grad phi evaluated on the
 time-(s-1) stencil around y, so its law is computed here exactly by
-propagating the full mass vector (no sampling).
+propagating the full mass vector (no sampling). derivative_pairs checks
+it against finite differences for walk-check and acceptance criterion 03.
 """
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .driving import DrivingFunction, stencil_offsets
-from .lattice import EvolutionConfig, HeightSlice, LatticeGeometry, evolve
+from .lattice import (EvolutionConfig, HeightSlice, LatticeGeometry, evolve,
+                      trajectory)
 from .noise import NoiseModel
 
 WEIGHT_TOL = 1e-12
@@ -116,6 +118,20 @@ def derivative_fd(phi: DrivingFunction, noise: NoiseModel,
                               geometry, epsilon, T=t)
         vals.append(evolve(cfg).value_at(x))
     return (vals[0] - vals[1]) / (2.0 * h)
+
+
+def derivative_pairs(config: EvolutionConfig, x):
+    """derivative_via_walk against derivative_fd for f(T, x), T = config.T:
+    ([(s, y, walk, fd)] over the cone, s = 1..T and |y - x|_1 <= T - s,
+    and [|eps * total_mass(s) - eps|] for s = 1..T)."""
+    eps, T, g = config.epsilon, config.T, config.geometry
+    dist = backward_walk_distribution(list(trajectory(config)), config.phi,
+                                      T, x)
+    pairs = [(s, y, derivative_via_walk(dist, s, y, eps),
+              derivative_fd(config.phi, config.noise, g, eps, T, x, s, y))
+             for s in range(1, T + 1) for y in _l1_ball(tuple(x), T - s, g.d)]
+    return pairs, [abs(eps * dist.total_mass(s) - eps)
+                   for s in range(1, T + 1)]
 
 
 def _l1_ball(center: Tuple[int, ...], radius: int, d: int):

@@ -120,6 +120,15 @@ def _fail_on_any_run(monkeypatch):
     (["whitenoise", "--set", "test_function.amplitude=0", "--set",
       "plan.replicas=30", "--set", "plan.epsilon_grid=0.3"],
      "squared norm must be positive and finite, got 0.0"),
+    (["gradient", "--set", "scheme.alpha_exp=3", "--set", "plan.replicas=30",
+      "--set", "plan.epsilon_grid=0.5,0.4"],
+     "scheme.alpha_exp=3.0 has no effect on gradient"),
+    (["drift", "--set", "scheme.beta_coef=7"],
+     "scheme.beta_coef=7.0 has no effect on drift"),
+    (["stationarity", "--set", "scheme.gamma_exp=1"],
+     "scheme.gamma_exp=1.0 has no effect on stationarity"),
+    (["simulate", "--set", "scheme.preset=intermediate-disorder-1d"],
+     "scheme.preset='intermediate-disorder-1d' has no effect on simulate"),
 ])
 def test_side_misconfiguration_exits_2_before_any_run(tmp_path, capsys,
                                                       monkeypatch, argv, key,
@@ -128,7 +137,8 @@ def test_side_misconfiguration_exits_2_before_any_run(tmp_path, capsys,
     # step past horizon 3) and 23 (drift: one step past t = 10), decompose
     # side 21; capture times must be a nonempty list of times >= 0; a
     # scheme preset built for one dimension runs in no other, and takes no
-    # key it does not read; the pairing bump needs a positive norm
+    # key it does not read; a run that builds no scheme takes no [scheme]
+    # key at all; the pairing bump needs a positive norm
     _fail_on_any_run(monkeypatch)
     rc = main(argv + ["--out", str(tmp_path), "--workers", workers])
     assert rc == 2
@@ -256,15 +266,16 @@ def test_simulate_csv_equals_row_writer(tmp_path, d, t):
         (tmp_path / "oracle.csv").read_bytes()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
-def test_run_fault_exits_3_without_artifacts(tmp_path, capsys):
-    # noise of half-width 1e308 overflows the heights to inf and nan
+def test_run_fault_exits_3_without_artifacts(tmp_path, capsys, recwarn):
+    # noise of half-width 1e308 overflows the heights to inf and nan; the
+    # fault is reported in one line, with no numpy warning before it
     rc = main(["simulate", "--out", str(tmp_path),
                "--set", "model.noise_scale=1e308", "--set", "plan.epsilon=1",
                "--set", "plan.t=5"])
     assert rc == 3
-    assert "error: run fault: nonfinite height" in capsys.readouterr().err
+    assert [str(w.message) for w in recwarn] == []
+    assert capsys.readouterr().err == \
+        "error: run fault: nonfinite height nan at t=5, site (-5,)\n"
     assert not list(tmp_path.iterdir())
 
 
@@ -438,6 +449,16 @@ def test_gradient_study_cli(tmp_path):
     assert doc["assertions"]["p95_band_bounded"] is True
     rows = read_rows(tmp_path / "gradient-0.csv")
     assert [float(r["epsilon"]) for r in rows] == [0.5, 0.25]
+
+
+def test_gradient_macro_fixed_reads_the_scheme(tmp_path):
+    # macro-fixed horizons are ceil(macro_time/alpha(eps)): scheme keys count
+    assert main(["gradient", "--out", str(tmp_path), "--set",
+                 "plan.schedule=macro-fixed", "--set", "scheme.alpha_exp=1",
+                 "--set", "plan.replicas=30",
+                 "--set", "plan.epsilon_grid=0.5 0.4"]) == 0
+    plan = read_doc(tmp_path / "gradient-0.json")["report"]["plan"]
+    assert plan["scheme_params"]["alpha_exp"] == 1.0
 
 
 def test_plan_validation_error_exits_2(tmp_path, capsys):

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kpzlab.noise as noise_mod
-from kpzlab.noise import (_BLOCK, DEFAULT_SCALE, NoiseModel, NoiseSpec,
-                          _triangular_icdf, _uniform_icdf, make_noise)
+from kpzlab.noise import (_BLOCK, DEFAULT_SCALE, NoiseSpec, _triangular_icdf,
+                          _uniform_icdf, make_noise)
 from kpzlab.rng import (derive_seed, hash_keys, hash_keys_vec, mix64,
                         unit_open, unit_open_vec)
 

@@ -4,8 +4,6 @@ The exact walk law must agree with finite differences of the grown
 surface, conserve mass, stay inside the dependence cone, and collapse to
 a lazy uniform convolution whenever the gradient weights are constant.
 """
-import math
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,7 @@ from kpzlab.lattice import (ConeWrapWarning, EvolutionConfig, HeightSlice,
                             LatticeGeometry, trajectory)
 from kpzlab.noise import make_noise
 from kpzlab.walk import (backward_walk_distribution, derivative_fd,
-                         derivative_via_walk, _l1_ball)
+                         derivative_pairs, derivative_via_walk)
 from oracles import zero_layer_shift
 
 
@@ -124,18 +122,13 @@ def test_linear_dynamics_fd_is_exact_at_any_step():
 
 
 def test_walk_matches_fd_polymer():
-    phi = PolymerDriving(1)
-    nm = make_noise(seed=7)
-    g = LatticeGeometry(1, 11)
-    eps = 0.4
-    T = 5
-    slices = list(trajectory(EvolutionConfig(phi, nm, g, eps, T)))
-    dist = backward_walk_distribution(slices, phi, T, (0,))
-    for s in range(1, T + 1):
-        for y in _l1_ball((0,), T - s, 1):
-            walk = derivative_via_walk(dist, s, y, eps)
-            fd = derivative_fd(phi, nm, g, eps, T, (0,), s, y, h=1e-6)
-            assert fd == pytest.approx(walk, rel=1e-6, abs=1e-9)
+    run = EvolutionConfig(PolymerDriving(1), make_noise(seed=7),
+                          LatticeGeometry(1, 11), 0.4, T=5)
+    pairs, mass_errors = derivative_pairs(run, (0,))
+    assert len(pairs) == 25  # 9 + 7 + 5 + 3 + 1 cone sites
+    for s, y, walk, fd in pairs:
+        assert fd == pytest.approx(walk, rel=1e-6, abs=1e-9), (s, y)
+    assert max(mass_errors) <= 1e-12
 
 
 def test_fd_shifts_the_wrapped_site_on_a_small_torus():

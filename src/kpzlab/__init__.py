@@ -13,9 +13,8 @@ __version__ = "0.1.0"
 from .assumptions import AssumptionReport, CheckResult, check_assumptions
 from .driving import (CallableDriving, DrivingFunction,
                       EdwardsWilkinsonDriving, GeneralizedKpzDriving,
-                      HessianAtOrigin, PolymerDriving,
-                      gkpz_monotone_threshold, make_driving, psi_example,
-                      stencil_offsets)
+                      HessianAtOrigin, PolymerDriving, make_driving,
+                      psi_example, stencil_offsets)
 from .lattice import (ConeWrapWarning, EvolutionConfig, HeightSlice,
                       LatticeGeometry, evolve, min_cone_side, slice_columns,
                       step, trajectory)
@@ -36,8 +35,7 @@ __all__ = [
     "AssumptionReport", "CheckResult", "check_assumptions",
     "CallableDriving", "DrivingFunction", "EdwardsWilkinsonDriving",
     "GeneralizedKpzDriving", "HessianAtOrigin", "PolymerDriving",
-    "gkpz_monotone_threshold", "make_driving", "psi_example",
-    "stencil_offsets",
+    "make_driving", "psi_example", "stencil_offsets",
     "ConeWrapWarning", "EvolutionConfig", "HeightSlice", "LatticeGeometry",
     "evolve", "min_cone_side", "slice_columns", "step", "trajectory",
     "NoiseModel", "NoiseSpec", "make_noise", "replica_noise",

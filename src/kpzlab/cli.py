@@ -15,6 +15,7 @@ import argparse
 import platform
 import sys
 import time
+from dataclasses import replace
 from importlib import metadata
 from typing import Dict, List, Optional
 
@@ -22,9 +23,8 @@ import numpy as np
 
 from . import __version__, studies
 from .assumptions import check_assumptions
-# the tests import ConeRefusal from here
-from .config import (ConeRefusal, ConfigError, dump_resolved,  # noqa: F401
-                     load_config, resolve_side, scheme_params)
+from .config import (ConfigError, dump_resolved, load_config, resolve_side,
+                     scheme_params)
 from .driving import make_driving
 from .lattice import EvolutionConfig, LatticeGeometry, evolve, slice_columns
 from .noise import NoiseModel, replica_noise
@@ -53,26 +53,6 @@ def _single_run(cfg: Dict) -> EvolutionConfig:
                            p["epsilon"], p["t"])
 
 
-def plan_from_config(cfg: Dict) -> ExperimentPlan:
-    m, p = cfg["model"], cfg["plan"]
-    return ExperimentPlan(
-        epsilon_grid=tuple(p["epsilon_grid"]),
-        replicas=p["replicas"],
-        seed=cfg["run"]["seed"],
-        phi_name=m["phi"],
-        d=m["d"],
-        coupling=m["coupling"],
-        noise_family=m["noise_family"],
-        noise_scale=m["noise_scale"],
-        scheme_preset=cfg["scheme"]["preset"],
-        scheme_params=scheme_params(cfg),
-        schedule=p["schedule"],
-        macro_time=p["macro_time"],
-        geometry_policy=p["geometry"],
-        L=p["l"],
-    )
-
-
 # ---------------------------------------------------------------------------
 # command implementations: each returns (columns, json_payload, assertions)
 
@@ -91,8 +71,8 @@ def _cmd_simulate(cfg: Dict, workers: int):
 
 def _decompose_worker(replica: int, cfg: Dict, run: EvolutionConfig):
     """Replica `replica`'s decomposition at (plan.t - 1, origin)."""
-    return evolve_and_decompose(run.phi, _noise(cfg, replica), run.geometry,
-                                run.epsilon, run.T - 1, (0,) * run.geometry.d)
+    return evolve_and_decompose(replace(run, noise=_noise(cfg, replica)),
+                                (0,) * run.geometry.d)
 
 
 def _worst_rel(rows: List[dict], key: str, ref: str) -> float:
@@ -104,6 +84,9 @@ def _cmd_decompose(cfg: Dict, workers: int):
     p = cfg["plan"]
     if p["t"] < 1:
         raise ConfigError("decompose needs plan.t >= 1")
+    if p["replicas"] < 1:
+        raise ConfigError(f"decompose needs plan.replicas >= 1, got "
+                          f"{p['replicas']}")
     run = _single_run(cfg)
     T, eps, d, sigma = run.T, run.epsilon, run.geometry.d, run.noise.sigma
     hess = run.phi.hessian_origin()
@@ -178,34 +161,30 @@ def _study(res, table: str):
 
 
 def _cmd_remainder(cfg: Dict, workers: int):
-    return _study(remainder_ratio_study(plan_from_config(cfg),
+    return _study(remainder_ratio_study(ExperimentPlan.from_config(cfg),
                                         workers=workers), "series")
 
 
 def _cmd_gradient(cfg: Dict, workers: int):
-    return _study(gradient_scaling_study(plan_from_config(cfg),
+    return _study(gradient_scaling_study(ExperimentPlan.from_config(cfg),
                                          workers=workers), "series")
 
 
 def _cmd_drift(cfg: Dict, workers: int):
-    return _study(drift_bound_study(plan_from_config(cfg),
+    return _study(drift_bound_study(ExperimentPlan.from_config(cfg),
                                     times=cfg["plan"]["times"],
                                     workers=workers), "estimates")
 
 
 def _cmd_whitenoise(cfg: Dict, workers: int):
-    plan = plan_from_config(cfg)
-    tf = cfg["test_function"]
-    fn = GaussianBump(d=plan.d, amplitude=tf["amplitude"],
-                      center_t=tf["center_t"], width_t=tf["width_t"],
-                      center_x=tuple(tf["center_x"]),
-                      width_x=tuple(tf["width_x"]))
+    plan = ExperimentPlan.from_config(cfg)
+    fn = GaussianBump(d=plan.d, **cfg["test_function"])
     return _study(whitenoise_pairing_study(plan, fn, workers=workers),
                   "pairings")
 
 
 def _cmd_stationarity(cfg: Dict, workers: int):
-    return _study(stationarity_study(plan_from_config(cfg),
+    return _study(stationarity_study(ExperimentPlan.from_config(cfg),
                                      checkpoints=cfg["plan"]["checkpoints"],
                                      workers=workers), "quantiles")
 

@@ -227,8 +227,9 @@ def _parse_value(sec: str, key: str, raw: str, where: Callable[[], str]):
         raise ConfigError(f"{where()}: bad value for {sec}.{key}: {e}") from e
 
 
-_POWER_LAW_KEYS = ("alpha_exp", "beta_exp", "gamma_exp", "alpha_coef",
-                   "beta_coef", "gamma_coef")
+# the [scheme] keys the power-law preset reads, each its make_scheme keyword
+POWER_LAW_KEYS = ("alpha_exp", "beta_exp", "gamma_exp", "alpha_coef",
+                  "beta_coef", "gamma_coef")
 
 
 def scheme_params(cfg: Dict[str, Dict]) -> Dict:
@@ -246,9 +247,9 @@ def scheme_params(cfg: Dict[str, Dict]) -> Dict:
             raise ConfigError(f"scheme.preset={name} is a d={preset_d} "
                               f"scheme, but model.d={d}")
     # [scheme] key -> make_scheme keyword, for the keys the preset reads
-    reads = {"power-law": {k: k for k in _POWER_LAW_KEYS},
+    reads = {"power-law": {k: k for k in POWER_LAW_KEYS},
              "2d-exponential": {"c": "C"}}.get(preset, {})
-    for key in _POWER_LAW_KEYS + ("c",):
+    for key in POWER_LAW_KEYS + ("c",):
         if key not in reads and s[key] != SCHEMA["scheme"][key][1]:
             raise ConfigError(f"scheme.{key}={s[key]!r} has no effect under "
                               f"scheme.preset={preset}; leave it at its "

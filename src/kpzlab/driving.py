@@ -67,15 +67,6 @@ def psi_example_prime(x):
 
 
 PSI_EXAMPLE_CURVATURE = 2.0  # psi''(0)
-PSI_EXAMPLE_MAX_SLOPE = 2.0
-
-
-def gkpz_monotone_threshold(d: int) -> float:
-    """Largest coupling keeping the gkpz update monotone, 1/(4d*sup|psi'|).
-
-    The worst-case gradient component is (1 - 4d*c*sup|psi'|)/(2d+1).
-    """
-    return 1.0 / (4.0 * d * PSI_EXAMPLE_MAX_SLOPE)
 
 
 class DrivingFunction:

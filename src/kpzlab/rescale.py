@@ -14,6 +14,9 @@ At a lattice point the one-step increment splits exactly into
 Scaled by gamma/alpha these become the discrete heat term, the squared
 gradient term, the noise term and the remainder of the macroscopic
 equation, with coefficients nu, lambda, D determined by the scheme.
+evolve_and_decompose(config, x) runs the evolution it is given and
+decomposes its last step; the remainder study and the decompose command
+both sample through it.
 """
 from __future__ import annotations
 
@@ -22,8 +25,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence, Tuple
 
 from .driving import DrivingFunction, HessianAtOrigin
-from .lattice import (EvolutionConfig, HeightSlice, LatticeGeometry,
-                      _warn_if_wrapped, trajectory)
+from .lattice import (EvolutionConfig, HeightSlice, _warn_if_wrapped,
+                      trajectory)
 from .noise import NoiseModel
 
 
@@ -173,19 +176,19 @@ def decompose(cur: HeightSlice, nxt: HeightSlice, phi: DrivingFunction,
                                A=A, B=B, C=C, D=D, increment=inc)
 
 
-def evolve_and_decompose(phi: DrivingFunction, noise: NoiseModel,
-                         geometry: LatticeGeometry, epsilon: float, t: int,
-                         x) -> DecompositionSample:
-    """Grow t + 1 steps from flat and decompose at (t, x).
+def evolve_and_decompose(config: EvolutionConfig, x) -> DecompositionSample:
+    """Run config from flat and decompose its last step, at (config.T - 1, x).
 
-    Warns, as evolve() to t would, when the cone of time t wraps the torus.
+    Warns, as evolve() to T - 1 would, when the cone of time T - 1 wraps
+    the torus.
     """
-    _warn_if_wrapped(t, geometry)
+    if config.T < 1:
+        raise ValueError("evolve_and_decompose needs T >= 1")
+    _warn_if_wrapped(config.T - 1, config.geometry)
     prev = cur = None
-    for nxt in trajectory(EvolutionConfig(phi, noise, geometry, epsilon,
-                                          T=t + 1)):
+    for nxt in trajectory(config):
         prev, cur = cur, nxt
-    return decompose(prev, cur, phi, noise, epsilon, x)
+    return decompose(prev, cur, config.phi, config.noise, config.epsilon, x)
 
 
 def macro_terms(sample: DecompositionSample, scheme: ScalingScheme,

@@ -7,9 +7,11 @@ dict of named boolean assertions. Replica k reuses the same derived seed
 across the whole epsilon grid, so per-epsilon statistics are paired and
 trend/band assertions are stable at moderate replica counts.
 
-map_replicas is the one replica runner, for every study and for the
-decompose command. Each study checks its inputs and its largest torus side
-before it, so a refusal comes before any replica runs.
+plan.run(replica, eps, horizon) is the one builder of a study evolution,
+and map_replicas the one replica runner, for every study and for the
+decompose command. A plan refuses unknown names when it is built, and
+each study checks its inputs and its largest torus side before
+map_replicas, so a refusal comes before any replica runs.
 
 scipy is imported only inside the functions that use it (GaussianBump's
 erf integrals, the white-noise and stationarity statistics): importing
@@ -20,12 +22,13 @@ from __future__ import annotations
 
 import math
 from concurrent import futures
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import ConfigError, resolve_side
+from .config import POWER_LAW_KEYS, SCHEMA, ConfigError, resolve_side
+from .config import scheme_params as config_scheme_params
 from .driving import DrivingFunction, make_driving
 from .lattice import EvolutionConfig, LatticeGeometry, evolve, trajectory
 from .noise import NoiseModel, replica_noise
@@ -34,9 +37,20 @@ from .rescale import (ScalingScheme, evolve_and_decompose, macro_terms,
 from .rng import derive_seed
 
 
+def _config_key(section: str, key: str):
+    """A plan field read from the config key section.key, defaulting to
+    that key's SCHEMA default."""
+    return field(default=SCHEMA[section][key][1],
+                 metadata={"section": section, "key": key})
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """Declarative description of one study run; everything defaults sane.
+    """Declarative description of one study run.
+
+    Each field but scheme_params names its config key and defaults to that
+    key's SCHEMA default; scheme_params is config.scheme_params, by default
+    the power-law keys at their defaults.
 
     schedule 'adversarial' probes t_eps = ceil(1/eps); 'macro-fixed' holds a
     macroscopic time fixed through the scheme, t_eps = ceil(macro_time/alpha).
@@ -47,23 +61,28 @@ class ExperimentPlan:
     every horizon and accepts wrap bias.
     """
 
-    epsilon_grid: Tuple[float, ...] = (0.2, 0.1, 0.05, 0.025)
-    replicas: int = 200
-    seed: int = 0
-    phi_name: str = "polymer"
-    d: int = 1
-    coupling: Optional[float] = None
-    noise_family: str = "uniform"
-    noise_scale: float = math.sqrt(3.0)
-    scheme_preset: str = "power-law"
-    # the six power-law keys config.scheme_params passes for its defaults
+    epsilon_grid: Tuple[float, ...] = _config_key("plan", "epsilon_grid")
+    replicas: int = _config_key("plan", "replicas")
+    seed: int = _config_key("run", "seed")
+    phi_name: str = _config_key("model", "phi")
+    d: int = _config_key("model", "d")
+    coupling: Optional[float] = _config_key("model", "coupling")
+    noise_family: str = _config_key("model", "noise_family")
+    noise_scale: float = _config_key("model", "noise_scale")
+    scheme_preset: str = _config_key("scheme", "preset")
     scheme_params: Dict = field(default_factory=lambda: {
-        "alpha_exp": 2.0, "beta_exp": 1.0, "gamma_exp": 0.0,
-        "alpha_coef": 1.0, "beta_coef": 1.0, "gamma_coef": 1.0})
-    schedule: str = "adversarial"
-    macro_time: float = 1.0
-    geometry_policy: str = "cone-exact"
-    L: int = 0
+        k: SCHEMA["scheme"][k][1] for k in POWER_LAW_KEYS})
+    schedule: str = _config_key("plan", "schedule")
+    macro_time: float = _config_key("plan", "macro_time")
+    geometry_policy: str = _config_key("plan", "geometry")
+    L: int = _config_key("plan", "l")
+
+    @classmethod
+    def from_config(cls, cfg: Dict[str, Dict]) -> "ExperimentPlan":
+        """The plan of a resolved config (config.load_config)."""
+        return cls(scheme_params=config_scheme_params(cfg),
+                   **{f.name: cfg[f.metadata["section"]][f.metadata["key"]]
+                      for f in fields(cls) if f.metadata})
 
     def __post_init__(self):
         eps = self.epsilon_grid
@@ -76,6 +95,10 @@ class ExperimentPlan:
             raise ValueError("need at least 30 replicas")
         if self.schedule not in ("adversarial", "macro-fixed"):
             raise ValueError("schedule must be adversarial or macro-fixed")
+        # each builder refuses its unknown names here, before any replica
+        self.phi()
+        self.scheme()
+        self.noise_for(0)
         self.side_for(0)  # refuses an unknown policy and a torus without L
 
     # construction helpers (objects are rebuilt inside workers) -------------
@@ -100,6 +123,14 @@ class ExperimentPlan:
 
     def center_site(self) -> Tuple[int, ...]:
         return tuple(0 for _ in range(self.d))
+
+    def run(self, replica: int, epsilon: float,
+            horizon: int) -> EvolutionConfig:
+        """Replica `replica`'s evolution at `epsilon` for `horizon` steps,
+        on the torus side_for(horizon): the one study evolution builder."""
+        return EvolutionConfig(self.phi(), self.noise_for(replica),
+                               LatticeGeometry(self.d, self.side_for(horizon)),
+                               epsilon, T=horizon)
 
 
 def _quantile_series(name: str, per_eps: Dict[float, np.ndarray],
@@ -168,20 +199,22 @@ def map_replicas(worker: Callable, replicas: int, workers: int,
 # remainder negligibility
 
 
+def _remainder_horizon(plan: ExperimentPlan, eps: float) -> int:
+    """Steps of a remainder run: t_for(eps), then the decomposed step."""
+    return plan.t_for(eps) + 1
+
+
 def _remainder_worker(replica: int, plan: ExperimentPlan) -> List[dict]:
-    phi = plan.phi()
     scheme = plan.scheme()
-    hess = phi.hessian_origin()
-    noise = plan.noise_for(replica)
     x0 = plan.center_site()
     rows = []
     for eps in plan.epsilon_grid:
-        t_eps = plan.t_for(eps)
-        g = LatticeGeometry(plan.d, plan.side_for(t_eps + 1))
-        samp = evolve_and_decompose(phi, noise, g, eps, t_eps, x0)
-        samp = macro_terms(samp, scheme, eps, noise.sigma, hess, plan.d)
+        run = plan.run(replica, eps, _remainder_horizon(plan, eps))
+        samp = evolve_and_decompose(run, x0)
+        samp = macro_terms(samp, scheme, eps, run.noise.sigma,
+                           run.phi.hessian_origin(), plan.d)
         rows.append({
-            "replica": replica, "epsilon": eps, "t": t_eps,
+            "replica": replica, "epsilon": eps, "t": samp.t,
             "A": samp.A, "B": samp.B, "C": samp.C, "D": samp.D,
             "remainder": samp.remainder,
             "laplacian_term": samp.laplacian_term,
@@ -200,7 +233,7 @@ _RATIO_DENOMS = ("laplacian_term", "grad_sq_term", "noise_term",
 
 def remainder_ratio_study(plan: ExperimentPlan, workers: int = 1) -> StudyResult:
     """Medians of |remainder| over each macroscopic term must fall with eps."""
-    plan.side_for(max(map(plan.t_for, plan.epsilon_grid)) + 1)
+    plan.side_for(max(_remainder_horizon(plan, e) for e in plan.epsilon_grid))
     raw = map_replicas(_remainder_worker, plan.replicas, workers, plan)
     rows = [r for chunk in raw for r in chunk]
 
@@ -246,18 +279,13 @@ def remainder_ratio_study(plan: ExperimentPlan, workers: int = 1) -> StudyResult
 
 
 def _gradient_worker(replica: int, plan: ExperimentPlan) -> List[dict]:
-    phi = plan.phi()
-    noise = plan.noise_for(replica)
     x0 = plan.center_site()
     rows = []
     for eps in plan.epsilon_grid:
-        t_eps = plan.t_for(eps)
-        g = LatticeGeometry(plan.d, plan.side_for(t_eps))
-        cfg = EvolutionConfig(phi, noise, g, eps, T=t_eps)
-        sl = evolve(cfg)
-        st = sl.stencil_at(x0)
+        run = plan.run(replica, eps, plan.t_for(eps))
+        st = evolve(run).stencil_at(x0)
         stat = float(np.abs(st[1:] - st[0]).max() / math.sqrt(eps))
-        rows.append({"replica": replica, "epsilon": eps, "t": t_eps,
+        rows.append({"replica": replica, "epsilon": eps, "t": run.T,
                      "normalized_gradient": stat})
     return rows
 
@@ -288,23 +316,19 @@ def gradient_scaling_study(plan: ExperimentPlan, workers: int = 1) -> StudyResul
 
 
 def _drift_worker(replica: int, plan: ExperimentPlan,
-                  times: Tuple[int, ...]) -> List[dict]:
-    phi = plan.phi()
-    noise = plan.noise_for(replica)
+                  times: Tuple[int, ...], horizon: int) -> List[dict]:
     x0 = plan.center_site()
-    horizon = max(times) + 1
+    want = set(times)
     rows = []
     for eps in plan.epsilon_grid:
-        g = LatticeGeometry(plan.d, plan.side_for(horizon))
-        cfg = EvolutionConfig(phi, noise, g, eps, T=horizon)
-        want = set(times)
+        run = plan.run(replica, eps, horizon)
         prev = None
-        for cur in trajectory(cfg):
+        for cur in trajectory(run):
             if prev is not None and prev.t in want:
                 st = prev.stencil_at(x0)
                 rows.append({"replica": replica, "epsilon": eps, "t": prev.t,
                              "increment": cur.value_at(x0) - float(st[0]),
-                             "phi_gap": float(phi.value(st) - st.mean())})
+                             "phi_gap": float(run.phi.value(st) - st.mean())})
             prev = cur
     return rows
 
@@ -313,8 +337,10 @@ def drift_bound_study(plan: ExperimentPlan, times: Sequence[int],
                       workers: int = 1) -> StudyResult:
     """MC means of the one-step drift and of phi(stencil)-mean vs B*eps."""
     times = _capture_times("plan.times", times)
-    plan.side_for(max(times) + 1)
-    raw = map_replicas(_drift_worker, plan.replicas, workers, plan, times)
+    horizon = max(times) + 1  # each capture time reads the step after it
+    plan.side_for(horizon)
+    raw = map_replicas(_drift_worker, plan.replicas, workers, plan, times,
+                       horizon)
     rows = [r for chunk in raw for r in chunk]
     bound_scale = plan.noise_for(0).bound
     table = []
@@ -362,13 +388,6 @@ class GaussianBump:
             raise ValueError("center_x/width_x must have d entries")
         if self.width_t <= 0 or any(w <= 0 for w in self.width_x):
             raise ValueError("widths must be positive")
-
-    def value(self, t, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        e = ((t - self.center_t) / self.width_t) ** 2
-        for c, w, xi in zip(self.center_x, self.width_x, x):
-            e += ((xi - c) / w) ** 2
-        return self.amplitude * math.exp(-e)
 
     def squared_norm(self) -> float:
         """Exact integral of f^2 over t > 0, x in R^d."""
@@ -530,15 +549,10 @@ def whitenoise_pairing_study(plan: ExperimentPlan,
 
 def _stationarity_worker(replica: int, plan: ExperimentPlan,
                          checkpoints: Tuple[int, ...]) -> Dict[int, np.ndarray]:
-    phi = plan.phi()
-    noise = plan.noise_for(replica)
-    eps = plan.epsilon_grid[0]
-    T = max(checkpoints)
-    g = LatticeGeometry(plan.d, plan.side_for(T))
-    cfg = EvolutionConfig(phi, noise, g, eps, T=T)
+    run = plan.run(replica, plan.epsilon_grid[0], max(checkpoints))
     cps = set(checkpoints)
     out: Dict[int, np.ndarray] = {}
-    for cur in trajectory(cfg):
+    for cur in trajectory(run):
         if cur.t in cps:
             # f(x + e_1) - f(x): row 1 of the stencil stack holds x + e_1
             out[cur.t] = (cur.stencil_stack()[1] - cur.values).ravel()

@@ -172,7 +172,7 @@ def test_criterion_06_remainder_shrinks_against_every_term():
     t0 = time.monotonic()
     runs = _criterion(6)
     assert [command for command, _ in runs] == ["remainder"] * 4
-    assert [cli.plan_from_config(cfg) for _, cfg in runs] == [
+    assert [ExperimentPlan.from_config(cfg) for _, cfg in runs] == [
         ExperimentPlan(epsilon_grid=(0.2, 0.1, 0.05, 0.025), replicas=200,
                        seed=0, phi_name=name, schedule=schedule)
         for name in ("polymer", "gkpz")
@@ -193,7 +193,7 @@ def test_criterion_07_neighbor_gap_scales_like_sqrt_eps():
     """
     runs = _criterion(7)
     assert [command for command, _ in runs] == ["gradient"] * 2
-    assert [cli.plan_from_config(cfg) for _, cfg in runs] == [
+    assert [ExperimentPlan.from_config(cfg) for _, cfg in runs] == [
         ExperimentPlan(replicas=1000, seed=0),
         ExperimentPlan(replicas=800, seed=0, d=2)]
     for command, cfg in runs:
@@ -212,7 +212,7 @@ def test_criterion_08_single_step_drift_within_bound():
     """
     [(command, cfg)] = _criterion(8)
     assert command == "drift"
-    assert cli.plan_from_config(cfg) == \
+    assert ExperimentPlan.from_config(cfg) == \
         ExperimentPlan(epsilon_grid=(0.1,), replicas=500, seed=0)
     assert cfg["plan"]["times"] == (10, 100, 1000)
     _, _, assertions = _run(command, cfg)
@@ -231,7 +231,7 @@ def test_criterion_09_rescaled_noise_pairs_like_white_noise():
     t0 = time.monotonic()
     [(command, cfg)] = _criterion(9)
     assert command == "whitenoise"
-    assert cli.plan_from_config(cfg) == \
+    assert ExperimentPlan.from_config(cfg) == \
         ExperimentPlan(epsilon_grid=(0.3, 0.25, 0.2), replicas=2000,
                        seed=0, scheme_preset="intermediate-disorder-1d",
                        scheme_params={})
@@ -254,7 +254,7 @@ def test_criterion_10_gradient_law_shows_no_growth_trend():
     """
     [(command, cfg)] = _criterion(10)
     assert command == "stationarity"
-    assert cli.plan_from_config(cfg) == \
+    assert ExperimentPlan.from_config(cfg) == \
         ExperimentPlan(epsilon_grid=(0.1,), replicas=30, seed=0,
                        geometry_policy="torus", L=512)
     assert cfg["plan"]["checkpoints"] == tuple(2 ** k for k in range(14))

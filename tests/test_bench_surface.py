@@ -71,8 +71,6 @@ def test_side_rule_keeps_the_names_and_sides_the_workloads_use(
         monkeypatch, tmp_path):
     # workloads.py sizes its work from cli.resolve_side and side_for
     assert cli.resolve_side is config.resolve_side
-    assert cli.ConeRefusal is config.ConeRefusal
-    assert issubclass(cli.ConeRefusal, config.ConfigError)
     workloads = _load(monkeypatch, "workloads")
     plans = [workloads._remainder_op(0, "polymer", 30).plan,
              workloads._gradient_op(0, 2, 30).plan,

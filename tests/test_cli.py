@@ -18,8 +18,8 @@ import pytest
 import kpzlab
 from kpzlab import config, lattice, studies
 from kpzlab.assumptions import check_assumptions
-from kpzlab.cli import ConeRefusal, main, resolve_side
-from kpzlab.config import ConfigError, load_config
+from kpzlab.cli import main, resolve_side
+from kpzlab.config import ConeRefusal, ConfigError, load_config
 from kpzlab.driving import make_driving
 from kpzlab.lattice import (ConeWrapWarning, EvolutionConfig, LatticeGeometry,
                             evolve)
@@ -129,6 +129,16 @@ def _fail_on_any_run(monkeypatch):
      "scheme.gamma_exp=1.0 has no effect on stationarity"),
     (["simulate", "--set", "scheme.preset=intermediate-disorder-1d"],
      "scheme.preset='intermediate-disorder-1d' has no effect on simulate"),
+    (["decompose", "--set", "plan.t=3", "--set", "plan.replicas=0"],
+     "plan.replicas >= 1, got 0"),
+    (["decompose", "--set", "plan.t=3", "--set", "plan.replicas=-3"],
+     "plan.replicas >= 1, got -3"),
+    (["gradient", "--set", "model.phi=nope"],
+     "unknown driving function 'nope'"),
+    (["remainder", "--set", "scheme.preset=nope"],
+     "unknown scheme preset 'nope'"),
+    (["drift", "--set", "model.noise_family=gauss"],
+     "unknown noise family 'gauss'"),
 ])
 def test_side_misconfiguration_exits_2_before_any_run(tmp_path, capsys,
                                                       monkeypatch, argv, key,
@@ -138,7 +148,8 @@ def test_side_misconfiguration_exits_2_before_any_run(tmp_path, capsys,
     # side 21; capture times must be a nonempty list of times >= 0; a
     # scheme preset built for one dimension runs in no other, and takes no
     # key it does not read; a run that builds no scheme takes no [scheme]
-    # key at all; the pairing bump needs a positive norm
+    # key at all; the pairing bump needs a positive norm; decompose needs a
+    # replica; a plan refuses unknown phi, scheme and noise names
     _fail_on_any_run(monkeypatch)
     rc = main(argv + ["--out", str(tmp_path), "--workers", workers])
     assert rc == 2

@@ -15,9 +15,8 @@ import kpzlab.assumptions as assumptions_mod
 from kpzlab.assumptions import check_assumptions
 from kpzlab.driving import (CallableDriving, DrivingFunction,
                             EdwardsWilkinsonDriving, GeneralizedKpzDriving,
-                            PolymerDriving, gkpz_monotone_threshold,
-                            make_driving, psi_example, psi_example_prime,
-                            stencil_offsets)
+                            PolymerDriving, make_driving, psi_example,
+                            psi_example_prime, stencil_offsets)
 
 ALL_BUILTINS = [make_driving(n, d) for n in ("polymer", "gkpz", "ew")
                 for d in (1, 2)]
@@ -200,10 +199,11 @@ def test_psi_example_values():
 
 
 def test_monotone_threshold():
-    assert gkpz_monotone_threshold(1) == pytest.approx(1 / 8)
-    assert gkpz_monotone_threshold(2) == pytest.approx(1 / 16)
-    # default coupling sits strictly inside the monotone region
-    assert GeneralizedKpzDriving(1).coupling < gkpz_monotone_threshold(1)
+    # gkpz stays monotone up to the coupling 1/(4d sup|psi'|) = 1/(8d); the
+    # default 1/(16d) sits strictly inside that region
+    for d in (1, 2):
+        assert GeneralizedKpzDriving(d).coupling == pytest.approx(1 / (16 * d))
+        assert GeneralizedKpzDriving(d).coupling < 1 / (8 * d)
 
 
 def test_make_driving_rejects_unknown():
@@ -226,7 +226,7 @@ def test_audit_accepts_polymer():
 
 
 def test_audit_accepts_gkpz_at_threshold():
-    phi = GeneralizedKpzDriving(1, coupling=gkpz_monotone_threshold(1))
+    phi = GeneralizedKpzDriving(1, coupling=1 / 8)  # 1/(8d), the threshold
     rep = check_assumptions(phi, samples=20_000)
     assert {c.name: c.passed for c in rep.checks}["monotonicity"]
     assert rep.passed

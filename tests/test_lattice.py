@@ -420,11 +420,19 @@ def test_evolution_work_counts(monkeypatch, d, L, T):
 @pytest.mark.parametrize("d,L,t", [(1, 9, 0), (1, 9, 3), (2, 191, 1)])
 def test_evolve_and_decompose_work_counts(monkeypatch, d, L, t):
     counts = _count_work(monkeypatch)
-    evolve_and_decompose(PolymerDriving(d), make_noise(seed=4),
-                         LatticeGeometry(d, L), 0.3, t, (0,) * d)
+    evolve_and_decompose(EvolutionConfig(PolymerDriving(d), make_noise(seed=4),
+                                         LatticeGeometry(d, L), 0.3, t + 1),
+                         (0,) * d)
     assert counts["steps"] == t + 1
     assert counts["keys"] == (t + 1) * L ** d
     assert counts["layers"] == list(range(1, t + 2))
+
+
+def test_evolve_and_decompose_refuses_a_run_without_steps():
+    run = EvolutionConfig(PolymerDriving(1), make_noise(seed=4),
+                          LatticeGeometry(1, 3), 0.3, 0)
+    with pytest.raises(ValueError, match="T >= 1"):
+        evolve_and_decompose(run, (0,))
 
 
 def test_nonfinite_heights_raise_with_time_and_site():

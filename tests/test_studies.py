@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from kpzlab.config import ConeRefusal, ConfigError
+from kpzlab.config import ConeRefusal, ConfigError, load_config
 from kpzlab.rng import derive_seed
 from kpzlab.studies import (ExperimentPlan, GaussianBump, WindowTooNarrow,
                             _pairing_cells, _quantile_series,
@@ -44,6 +44,11 @@ def test_plan_rejects_bad_grids():
         ExperimentPlan(schedule="heuristic")
     with pytest.raises(ValueError):
         ExperimentPlan(geometry_policy="open")
+
+
+def test_plan_defaults_are_the_config_defaults():
+    assert ExperimentPlan() == \
+        ExperimentPlan.from_config(load_config(None, "remainder"))
 
 
 def test_plan_horizon_rules():
@@ -217,11 +222,13 @@ def test_bump_squared_norm_matches_quadrature():
     fn = GaussianBump(d=1, amplitude=1.3, center_t=0.4, width_t=0.8,
                       center_x=(-0.2,), width_x=(1.5,))
     t_part, _ = integrate.quad(
-        lambda t: fn.value(t, (fn.center_x[0],)) ** 2, 0.0, 20.0)
+        lambda t: (fn.amplitude
+                   * math.exp(-((t - fn.center_t) / fn.width_t) ** 2)) ** 2,
+        0.0, 20.0)
     x_part, _ = integrate.quad(
         lambda x: math.exp(-2.0 * ((x - fn.center_x[0]) / fn.width_x[0]) ** 2),
         -30.0, 30.0)
-    # t_part already carries amplitude^2 because it squares fn.value
+    # t_part carries amplitude^2; x_part is the unit-height x factor
     assert t_part * x_part == pytest.approx(fn.squared_norm(), rel=1e-9)
 
 

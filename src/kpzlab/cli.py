@@ -7,7 +7,8 @@ A run fault (an ArithmeticError such as non-finite heights) exits 3 and
 writes no artifact.
 
 Every handler in COMMANDS takes a resolved config and a worker count, so
-the acceptance tests run config.CRITERIA through the same handlers.
+the acceptance tests run config.CRITERIA through the same handlers. Each
+builds its runs through studies.ExperimentPlan: this module is only glue.
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ import argparse
 import platform
 import sys
 import time
-from dataclasses import replace
 from importlib import metadata
 from typing import Dict, List, Optional
 
@@ -23,34 +23,16 @@ import numpy as np
 
 from . import __version__, studies
 from .assumptions import check_assumptions
-from .config import (ConfigError, dump_resolved, load_config, resolve_side,
-                     scheme_params)
-from .driving import make_driving
-from .lattice import EvolutionConfig, LatticeGeometry, evolve, slice_columns
-from .noise import NoiseModel, replica_noise
+from .config import ConfigError, dump_resolved, load_config
+# perfbench/workloads.py (_cli_side) sizes the commands' work from this name
+from .config import resolve_side as resolve_side
+from .lattice import evolve, slice_columns
 from .output import rows_to_columns, sha256_text, write_csv, write_json
-from .rescale import (coefficients, evolve_and_decompose, macro_terms,
-                      make_scheme)
+from .rescale import coefficients, evolve_and_decompose, macro_terms
 from .studies import (ExperimentPlan, GaussianBump, drift_bound_study,
                       gradient_scaling_study, remainder_ratio_study,
                       stationarity_study, whitenoise_pairing_study)
 from .walk import derivative_pairs
-
-def _noise(cfg: Dict, replica: int) -> NoiseModel:
-    m = cfg["model"]
-    return replica_noise(m["noise_family"], m["noise_scale"],
-                         cfg["run"]["seed"], replica)
-
-
-def _single_run(cfg: Dict) -> EvolutionConfig:
-    """The evolution of simulate, decompose and walk-check: plan.t steps at
-    plan.epsilon with replica 0's noise, on the side resolve_side gives
-    plan.t."""
-    m, p = cfg["model"], cfg["plan"]
-    L = resolve_side(p["geometry"], p["l"], p["t"])
-    return EvolutionConfig(make_driving(m["phi"], m["d"], m["coupling"]),
-                           _noise(cfg, 0), LatticeGeometry(m["d"], L),
-                           p["epsilon"], p["t"])
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +40,8 @@ def _single_run(cfg: Dict) -> EvolutionConfig:
 
 
 def _cmd_simulate(cfg: Dict, workers: int):
-    run = _single_run(cfg)
+    p = cfg["plan"]
+    run = ExperimentPlan.from_config(cfg).run(0, p["epsilon"], p["t"])
     sl = evolve(run)
     columns = slice_columns(sl, run.epsilon, run.noise.spec.seed)
     v = sl.values
@@ -69,10 +52,11 @@ def _cmd_simulate(cfg: Dict, workers: int):
     return columns, payload, {}
 
 
-def _decompose_worker(replica: int, cfg: Dict, run: EvolutionConfig):
-    """Replica `replica`'s decomposition at (plan.t - 1, origin)."""
-    return evolve_and_decompose(replace(run, noise=_noise(cfg, replica)),
-                                (0,) * run.geometry.d)
+def _decompose_worker(replica: int, plan: ExperimentPlan, epsilon: float,
+                      T: int):
+    """Replica `replica`'s decomposition at (T - 1, origin)."""
+    return evolve_and_decompose(plan.run(replica, epsilon, T),
+                                plan.center_site())
 
 
 def _worst_rel(rows: List[dict], key: str, ref: str) -> float:
@@ -84,17 +68,15 @@ def _cmd_decompose(cfg: Dict, workers: int):
     p = cfg["plan"]
     if p["t"] < 1:
         raise ConfigError("decompose needs plan.t >= 1")
-    if p["replicas"] < 1:
-        raise ConfigError(f"decompose needs plan.replicas >= 1, got "
-                          f"{p['replicas']}")
-    run = _single_run(cfg)
+    plan = ExperimentPlan.from_config(cfg)
+    run = plan.run(0, p["epsilon"], p["t"])
     T, eps, d, sigma = run.T, run.epsilon, run.geometry.d, run.noise.sigma
     hess = run.phi.hessian_origin()
-    scheme = make_scheme(cfg["scheme"]["preset"], **scheme_params(cfg))
+    scheme = plan.scheme()
     degenerate = abs(hess.q - hess.r) < 1e-14
     coef = None if degenerate else coefficients(scheme, eps, d, hess, sigma)
-    samples = studies.map_replicas(_decompose_worker, p["replicas"], workers,
-                                   cfg, run)
+    samples = studies.map_replicas(_decompose_worker, plan.replicas, workers,
+                                   plan, eps, T)
     rows = []
     for k, s in enumerate(samples):
         row = {"replica": k, "epsilon": eps, "t": s.t}
@@ -114,7 +96,7 @@ def _cmd_decompose(cfg: Dict, workers: int):
         rows.append(row)
     worst_lattice = _worst_rel(rows, "lattice_residual", "increment")
     assertions = {"lattice_identity_1e-10": worst_lattice <= 1e-10}
-    payload = {"t": T, "epsilon": eps, "replicas": p["replicas"],
+    payload = {"t": T, "epsilon": eps, "replicas": plan.replicas,
                "worst_lattice_residual_rel": worst_lattice,
                "degenerate_hessian": degenerate}
     if coef is not None:
@@ -127,9 +109,8 @@ def _cmd_decompose(cfg: Dict, workers: int):
 
 
 def _cmd_check_phi(cfg: Dict, workers: int):
-    m = cfg["model"]
-    phi = make_driving(m["phi"], m["d"], m["coupling"])
-    report = check_assumptions(phi, seed=cfg["run"]["seed"])
+    plan = ExperimentPlan.from_config(cfg)
+    report = check_assumptions(plan.phi(), seed=plan.seed)
     rows = [{"check": c.name, "passed": c.passed, "worst": c.worst,
              "detail": c.detail} for c in report.checks]
     assertions = {c.name: c.passed for c in report.checks}
@@ -137,11 +118,13 @@ def _cmd_check_phi(cfg: Dict, workers: int):
 
 
 def _cmd_walk_check(cfg: Dict, workers: int):
-    if cfg["plan"]["t"] < 1:
+    p = cfg["plan"]
+    if p["t"] < 1:
         raise ConfigError("walk-check needs plan.t >= 1")
-    run = _single_run(cfg)
+    plan = ExperimentPlan.from_config(cfg)
+    run = plan.run(0, p["epsilon"], p["t"])
     T, eps, d = run.T, run.epsilon, run.geometry.d
-    pairs, mass_errors = derivative_pairs(run, (0,) * d)
+    pairs, mass_errors = derivative_pairs(run, plan.center_site())
     tol = max(1e-8, 1e-4 * eps)
     rows = [{"s": s, **{f"y{i}": yi for i, yi in enumerate(y, start=1)},
              "walk_derivative": dw, "fd_derivative": df,

@@ -38,7 +38,7 @@ def resolve_side(policy: str, side: int, horizon: int) -> int:
     The one side rule of every command and study. cone-exact: side 0
     auto-sizes to 2*horizon+1 (at least 3), a given side is used when it
     is at least that and refused (ConeRefusal) when smaller. torus: the
-    given side, which must be positive; wrap is accepted.
+    given side, which must be at least 3; wrap is accepted.
     """
     if policy not in ("cone-exact", "torus"):
         raise ConfigError(f"plan.geometry must be cone-exact or torus, "
@@ -50,8 +50,8 @@ def resolve_side(policy: str, side: int, horizon: int) -> int:
         if side < needed:
             raise ConeRefusal(needed, side, horizon)
         return side
-    if side <= 0:
-        raise ConfigError("torus geometry needs plan.l > 0")
+    if side < 3:
+        raise ConfigError(f"torus geometry needs plan.l >= 3, got {side}")
     return side
 
 
@@ -95,13 +95,16 @@ SCHEMA: Dict[str, Dict[str, tuple]] = {
                          "strictly decreasing noise strengths"),
         "epsilon": (float, 0.1, "single-run noise strength (simulate, "
                     "decompose, walk-check)"),
-        "replicas": (int, 200, "independent replicas per epsilon (>= 30)"),
+        "replicas": (int, 200, "independent replicas per epsilon (>= 30 "
+                     "in a study, >= 1 in decompose)"),
         "schedule": (str, "adversarial",
                      "horizon rule: adversarial (ceil(1/eps)) | macro-fixed "
                      "(ceil(macro_time/alpha(eps)))"),
-        "macro_time": (float, 1.0, "macroscopic horizon for macro-fixed"),
+        "macro_time": (float, 1.0, "macroscopic horizon for macro-fixed "
+                       "(> 0)"),
         "geometry": (str, "cone-exact", "cone-exact | torus"),
-        "l": (int, 0, "torus side; 0 = auto 2h+1 (cone-exact only)"),
+        "l": (int, 0, "torus side (>= 3 under torus); 0 = auto 2h+1 "
+              "(cone-exact only)"),
         "t": (int, 100, "growth steps for simulate/decompose/walk-check"),
         "times": (_ints, (10, 100, 1000), "drift study capture times"),
         "checkpoints": (_ints, tuple(2 ** k for k in range(14)),
@@ -135,6 +138,33 @@ COMMAND_OVERLAYS: Dict[str, Dict[Tuple[str, str], object]] = {
     "walk-check": {("plan", "t"): 4},
     "decompose": {("plan", "replicas"): 100},
 }
+
+_SINGLE_RUN = ("plan.epsilon", "plan.t", "plan.geometry", "plan.l")
+_SCHEDULED = ("plan.epsilon_grid", "plan.replicas", "plan.schedule",
+              "plan.geometry", "plan.l")
+
+# What each command reads of [plan] (a dotted key each) and of [scheme] and
+# [test_function] (the section name, for the whole section). A command
+# that reads plan.schedule also reads plan.macro_time and [scheme] under
+# macro-fixed, whose horizons are ceil(macro_time/alpha(eps)). load_config
+# refuses a --set of a [plan] or [test_function] key that the command does
+# not read, and a [scheme] value off its default in a command that does
+# not read [scheme].
+COMMAND_READS: Dict[str, Tuple[str, ...]] = {
+    "simulate": _SINGLE_RUN,
+    "walk-check": _SINGLE_RUN,
+    "decompose": _SINGLE_RUN + ("plan.replicas", "scheme"),
+    "check-phi": (),
+    "remainder": _SCHEDULED + ("scheme",),
+    "gradient": _SCHEDULED,
+    "drift": ("plan.epsilon_grid", "plan.replicas", "plan.times",
+              "plan.geometry", "plan.l"),
+    "whitenoise": ("plan.epsilon_grid", "plan.replicas", "scheme",
+                   "test_function"),
+    "stationarity": ("plan.epsilon_grid", "plan.replicas", "plan.checkpoints",
+                     "plan.geometry", "plan.l"),
+}
+
 
 # The CLI runs of each Monte Carlo acceptance criterion: (command, --set
 # items applied on top of the command's overlay). tests/test_acceptance.py
@@ -204,6 +234,7 @@ def load_config(path: Optional[str], command: str,
                     sec, key, raw,
                     lambda: f"{path}, line {_find_line(path, sec, key)}")
 
+    set_keys = []
     for item in sets or []:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"--set expects section.key=value, got {item!r}")
@@ -213,7 +244,17 @@ def load_config(path: Optional[str], command: str,
             raise ConfigError(f"--set: unknown key '{sec}.{key}'")
         resolved[sec][key] = _parse_value(sec, key, raw,
                                          lambda: f"--set {item}")
-    _refuse_unread_scheme(resolved, command)
+        set_keys.append((sec, dotted))
+    reads = COMMAND_READS[command]
+    if "plan.schedule" in reads and \
+            resolved["plan"]["schedule"] == "macro-fixed":
+        reads += ("plan.macro_time", "scheme")
+    for sec, dotted in set_keys:
+        if sec in ("plan", "test_function") and sec not in reads and \
+                dotted not in reads:
+            raise ConfigError(f"--set {dotted} has no effect on {command}, "
+                              f"which does not read it")
+    _refuse_unread_scheme(resolved, command, reads)
     return resolved
 
 
@@ -257,11 +298,10 @@ def scheme_params(cfg: Dict[str, Dict]) -> Dict:
     return {arg: s[key] for key, arg in reads.items()}
 
 
-def _refuse_unread_scheme(cfg: Dict[str, Dict], command: str) -> None:
+def _refuse_unread_scheme(cfg: Dict[str, Dict], command: str,
+                          reads: Tuple[str, ...]) -> None:
     """Refuse [scheme] keys off their defaults in runs that build no scheme."""
-    if command in ("remainder", "decompose", "whitenoise") or (
-            command == "gradient"
-            and cfg["plan"]["schedule"] == "macro-fixed"):
+    if "scheme" in reads:
         return
     for key, spec in SCHEMA["scheme"].items():
         if cfg["scheme"][key] != spec[1]:

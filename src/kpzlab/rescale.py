@@ -34,7 +34,6 @@ from .noise import NoiseModel
 class ScalingScheme:
     """Time/space/height scale factors alpha, beta, gamma as functions of eps."""
 
-    name: str
     alpha: Callable[[float], float]
     beta: Callable[[float], float]
     gamma: Callable[[float], float]
@@ -55,8 +54,7 @@ class ScalingScheme:
 
 def intermediate_disorder_1d() -> ScalingScheme:
     """alpha = eps^4, beta = eps^2, gamma = 1 (d=1 weak-noise window)."""
-    return ScalingScheme("intermediate-disorder-1d",
-                         alpha=lambda e: e ** 4,
+    return ScalingScheme(alpha=lambda e: e ** 4,
                          beta=lambda e: e ** 2,
                          gamma=lambda e: 1.0)
 
@@ -65,8 +63,7 @@ def exponential_2d(C: float = 1.0) -> ScalingScheme:
     """alpha = exp(-C/eps^2), beta = sqrt(alpha), gamma = 1/eps (d=2 regime)."""
     if C <= 0:
         raise ValueError("C must be positive")
-    return ScalingScheme("2d-exponential",
-                         alpha=lambda e: math.exp(-C / e ** 2),
+    return ScalingScheme(alpha=lambda e: math.exp(-C / e ** 2),
                          beta=lambda e: math.exp(-C / (2 * e ** 2)),
                          gamma=lambda e: 1.0 / e)
 
@@ -75,10 +72,7 @@ def power_law(alpha_exp: float, beta_exp: float, gamma_exp: float = 0.0,
               alpha_coef: float = 1.0, beta_coef: float = 1.0,
               gamma_coef: float = 1.0) -> ScalingScheme:
     """Custom scheme alpha = a*eps^p, beta = b*eps^q, gamma = c*eps^s."""
-    name = f"power-law[a={alpha_coef}e^{alpha_exp},b={beta_coef}e^{beta_exp}," \
-           f"g={gamma_coef}e^{gamma_exp}]"
-    return ScalingScheme(name,
-                         alpha=lambda e: alpha_coef * e ** alpha_exp,
+    return ScalingScheme(alpha=lambda e: alpha_coef * e ** alpha_exp,
                          beta=lambda e: beta_coef * e ** beta_exp,
                          gamma=lambda e: gamma_coef * e ** gamma_exp)
 

@@ -7,11 +7,11 @@ dict of named boolean assertions. Replica k reuses the same derived seed
 across the whole epsilon grid, so per-epsilon statistics are paired and
 trend/band assertions are stable at moderate replica counts.
 
-plan.run(replica, eps, horizon) is the one builder of a study evolution,
-and map_replicas the one replica runner, for every study and for the
-decompose command. A plan refuses unknown names when it is built, and
-each study checks its inputs and its largest torus side before
-map_replicas, so a refusal comes before any replica runs.
+plan.run(replica, eps, horizon) is the one builder of an evolution, for
+every command, and map_replicas the one replica runner. A plan refuses bad
+values and unknown names when it is built, and each study checks its
+inputs, its largest torus side and its replica floor before map_replicas,
+so a refusal comes before any replica runs.
 
 scipy is imported only inside the functions that use it (GaussianBump's
 erf integrals, the white-noise and stationarity statistics): importing
@@ -46,7 +46,7 @@ def _config_key(section: str, key: str):
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """Declarative description of one study run.
+    """Declarative description of a study or of a single run.
 
     Each field but scheme_params names its config key and defaults to that
     key's SCHEMA default; scheme_params is config.scheme_params, by default
@@ -57,7 +57,7 @@ class ExperimentPlan:
     L is the config's plan.l, and side_for applies config.resolve_side:
     under 'cone-exact', L = 0 sizes each torus to 2h+1 for its horizon h,
     so no wrap reaches the anchor, and a given L is used when it is at
-    least that and refused when smaller; 'torus' needs L > 0, uses it for
+    least that and refused when smaller; 'torus' needs L >= 3, uses it for
     every horizon and accepts wrap bias.
     """
 
@@ -87,14 +87,18 @@ class ExperimentPlan:
     def __post_init__(self):
         eps = self.epsilon_grid
         if not eps or any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
-            raise ValueError("epsilon grid must be nonempty and strictly "
-                             "decreasing")
+            raise ConfigError("plan.epsilon_grid must be nonempty and "
+                              "strictly decreasing")
         if any(not (0 < e <= 1) for e in eps):
-            raise ValueError("epsilons must lie in (0, 1]")
-        if self.replicas < 30:
-            raise ValueError("need at least 30 replicas")
+            raise ConfigError("plan.epsilon_grid values must lie in (0, 1]")
+        if self.replicas < 1:
+            raise ConfigError(f"plan.replicas >= 1, got {self.replicas}")
         if self.schedule not in ("adversarial", "macro-fixed"):
-            raise ValueError("schedule must be adversarial or macro-fixed")
+            raise ConfigError("plan.schedule must be adversarial or "
+                              "macro-fixed")
+        if not (math.isfinite(self.macro_time) and self.macro_time > 0):
+            raise ConfigError(f"plan.macro_time must be positive and finite, "
+                              f"got {self.macro_time}")
         # each builder refuses its unknown names here, before any replica
         self.phi()
         self.scheme()
@@ -127,7 +131,7 @@ class ExperimentPlan:
     def run(self, replica: int, epsilon: float,
             horizon: int) -> EvolutionConfig:
         """Replica `replica`'s evolution at `epsilon` for `horizon` steps,
-        on the torus side_for(horizon): the one study evolution builder."""
+        on the torus side_for(horizon): the one evolution builder."""
         return EvolutionConfig(self.phi(), self.noise_for(replica),
                                LatticeGeometry(self.d, self.side_for(horizon)),
                                epsilon, T=horizon)
@@ -195,6 +199,13 @@ def map_replicas(worker: Callable, replicas: int, workers: int,
         return [r for part in ranges for r in part]
 
 
+def _check_study_replicas(plan: ExperimentPlan) -> None:
+    """Refuse a study of fewer than the 30 replicas its statistics need."""
+    if plan.replicas < 30:
+        raise ConfigError(f"a study needs plan.replicas >= 30, got "
+                          f"{plan.replicas}")
+
+
 # ---------------------------------------------------------------------------
 # remainder negligibility
 
@@ -233,6 +244,7 @@ _RATIO_DENOMS = ("laplacian_term", "grad_sq_term", "noise_term",
 
 def remainder_ratio_study(plan: ExperimentPlan, workers: int = 1) -> StudyResult:
     """Medians of |remainder| over each macroscopic term must fall with eps."""
+    _check_study_replicas(plan)
     plan.side_for(max(_remainder_horizon(plan, e) for e in plan.epsilon_grid))
     raw = map_replicas(_remainder_worker, plan.replicas, workers, plan)
     rows = [r for chunk in raw for r in chunk]
@@ -295,6 +307,7 @@ BAND_LIMIT = 3.0  # largest allowed ratio of p95s across the epsilon grid
 
 def gradient_scaling_study(plan: ExperimentPlan, workers: int = 1) -> StudyResult:
     """max_a |f(t,x)-f(t,x+a)| / sqrt(eps): p95 must stay in a flat band."""
+    _check_study_replicas(plan)
     plan.side_for(max(map(plan.t_for, plan.epsilon_grid)))
     raw = map_replicas(_gradient_worker, plan.replicas, workers, plan)
     rows = [r for chunk in raw for r in chunk]
@@ -336,6 +349,7 @@ def _drift_worker(replica: int, plan: ExperimentPlan,
 def drift_bound_study(plan: ExperimentPlan, times: Sequence[int],
                       workers: int = 1) -> StudyResult:
     """MC means of the one-step drift and of phi(stencil)-mean vs B*eps."""
+    _check_study_replicas(plan)
     times = _capture_times("plan.times", times)
     horizon = max(times) + 1  # each capture time reads the step after it
     plan.side_for(horizon)
@@ -489,6 +503,7 @@ def whitenoise_pairing_study(plan: ExperimentPlan,
     reach each map_replicas range once. Each replica is paired against
     every grid, hashing each time row of the open cell mesh once.
     """
+    _check_study_replicas(plan)
     from scipy import stats
     if fn is None:
         fn = GaussianBump(d=plan.d,
@@ -570,6 +585,7 @@ def stationarity_study(plan: ExperimentPlan, checkpoints: Sequence[int],
     explicitly accept torus geometry; the first grid epsilon drives the
     dynamics.
     """
+    _check_study_replicas(plan)
     from scipy import stats
     if plan.geometry_policy != "torus":
         raise ConfigError("stationarity runs on a fixed torus; set the "

@@ -6,12 +6,13 @@ sits at y at time s. The walk steps from (s, y) to (s-1, y+a) with
 probability equal to the a-component of grad phi evaluated on the
 time-(s-1) stencil around y, so its law is computed here exactly by
 propagating the full mass vector (no sampling). derivative_pairs checks
-it against finite differences for walk-check and acceptance criterion 03.
+it against finite differences for walk-check and acceptance criterion 03;
+derivative_fd reruns the evolution it is given with one draw shifted.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -19,7 +20,6 @@ import numpy as np
 from .driving import DrivingFunction, stencil_offsets
 from .lattice import (EvolutionConfig, HeightSlice, LatticeGeometry, evolve,
                       trajectory)
-from .noise import NoiseModel
 
 WEIGHT_TOL = 1e-12
 
@@ -103,20 +103,19 @@ def derivative_via_walk(dist: WalkDistribution, s: int, y,
     return epsilon * dist.mass_at(s, y)
 
 
-def derivative_fd(phi: DrivingFunction, noise: NoiseModel,
-                  geometry: LatticeGeometry, epsilon: float, t: int, x,
-                  s: int, y, h: float = 1e-5) -> float:
-    """Central finite difference of f(t,x) in the single draw z_{s,y}.
+def derivative_fd(config: EvolutionConfig, x, s: int, y,
+                  h: float = 1e-5) -> float:
+    """Central finite difference of f(T, x), T = config.T, in the single
+    draw z_{s,y} of config's noise.
 
     The torus reads the noise only at canonical sites, so the draw that
     is shifted is the one at the wrapped y.
     """
-    yw = geometry.wrap(y)
+    yw = config.geometry.wrap(y)
     vals = []
     for sign in (+1.0, -1.0):
-        cfg = EvolutionConfig(phi, noise.perturb_at(s, yw, sign * h),
-                              geometry, epsilon, T=t)
-        vals.append(evolve(cfg).value_at(x))
+        noise = config.noise.perturb_at(s, yw, sign * h)
+        vals.append(evolve(replace(config, noise=noise)).value_at(x))
     return (vals[0] - vals[1]) / (2.0 * h)
 
 
@@ -128,7 +127,7 @@ def derivative_pairs(config: EvolutionConfig, x):
     dist = backward_walk_distribution(list(trajectory(config)), config.phi,
                                       T, x)
     pairs = [(s, y, derivative_via_walk(dist, s, y, eps),
-              derivative_fd(config.phi, config.noise, g, eps, T, x, s, y))
+              derivative_fd(config, x, s, y))
              for s in range(1, T + 1) for y in _l1_ball(tuple(x), T - s, g.d)]
     return pairs, [abs(eps * dist.total_mass(s) - eps)
                    for s in range(1, T + 1)]

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import kpzlab
-from kpzlab import config, lattice, studies
+from kpzlab import cli, config, lattice, studies
 from kpzlab.assumptions import check_assumptions
 from kpzlab.cli import main, resolve_side
 from kpzlab.config import ConeRefusal, ConfigError, load_config
@@ -72,8 +72,19 @@ def test_cone_refusal_survives_pickling():
 
 def test_resolve_side_torus():
     assert resolve_side("torus", 8, 5) == 8
-    with pytest.raises(ConfigError):
-        resolve_side("torus", 0, 5)
+    assert resolve_side("torus", 3, 5) == 3
+    for side in (0, 2):
+        with pytest.raises(ConfigError, match="plan.l >= 3"):
+            resolve_side("torus", side, 5)
+
+
+def test_command_reads_names_every_command_and_only_real_keys():
+    assert set(config.COMMAND_READS) == set(cli.COMMANDS)
+    for reads in config.COMMAND_READS.values():
+        for name in reads:
+            sec, _, key = name.partition(".")
+            assert sec in config.SCHEMA and (not key or
+                                             key in config.SCHEMA[sec])
 
 
 def _fail_on_any_run(monkeypatch):
@@ -139,6 +150,29 @@ def _fail_on_any_run(monkeypatch):
      "unknown scheme preset 'nope'"),
     (["drift", "--set", "model.noise_family=gauss"],
      "unknown noise family 'gauss'"),
+    (["stationarity", "--set", "plan.l=2"], "plan.l >= 3, got 2"),
+    (["gradient", "--set", "plan.geometry=torus", "--set", "plan.l=2"],
+     "plan.l >= 3, got 2"),
+    (["remainder", "--set", "plan.schedule=macro-fixed", "--set",
+      "plan.macro_time=-1", "--set", "plan.replicas=30", "--set",
+      "plan.epsilon_grid=0.5,0.4"], "plan.macro_time"),
+    (["gradient", "--set", "plan.schedule=macro-fixed", "--set",
+      "plan.macro_time=0", "--set", "plan.replicas=30", "--set",
+      "plan.epsilon_grid=0.5,0.4"], "plan.macro_time"),
+    (["gradient", "--set", "plan.replicas=29", "--set",
+      "plan.epsilon_grid=0.5,0.4"], "plan.replicas >= 30, got 29"),
+    (["decompose", "--set", "plan.schedule=foo", "--set", "plan.t=2"],
+     "plan.schedule has no effect on decompose"),
+    (["simulate", "--set", "plan.replicas=3"],
+     "plan.replicas has no effect on simulate"),
+    (["check-phi", "--set", "plan.t=-5", "--set", "test_function.width_t=-1"],
+     "plan.t has no effect on check-phi"),
+    (["check-phi", "--set", "test_function.width_t=-1"],
+     "test_function.width_t has no effect on check-phi"),
+    (["drift", "--set", "plan.schedule=macro-fixed"],
+     "plan.schedule has no effect on drift"),
+    (["remainder", "--set", "plan.macro_time=2"],
+     "plan.macro_time has no effect on remainder"),
 ])
 def test_side_misconfiguration_exits_2_before_any_run(tmp_path, capsys,
                                                       monkeypatch, argv, key,
@@ -149,7 +183,10 @@ def test_side_misconfiguration_exits_2_before_any_run(tmp_path, capsys,
     # scheme preset built for one dimension runs in no other, and takes no
     # key it does not read; a run that builds no scheme takes no [scheme]
     # key at all; the pairing bump needs a positive norm; decompose needs a
-    # replica; a plan refuses unknown phi, scheme and noise names
+    # replica; a plan refuses unknown phi, scheme and noise names, a torus
+    # side below 3 and a macro_time that is not positive; a study needs 30
+    # replicas; a command takes no --set of a [plan] or [test_function]
+    # key it does not read (plan.macro_time is read under macro-fixed only)
     _fail_on_any_run(monkeypatch)
     rc = main(argv + ["--out", str(tmp_path), "--workers", workers])
     assert rc == 2
@@ -551,6 +588,20 @@ def test_set_wins_over_file(tmp_path):
     assert doc["report"]["epsilon"] == 0.2
     assert "plan.epsilon=0.2" in doc["manifest"]["resolved_config"]
     assert doc["report"]["replicas"] == 3  # untouched file values survive
+
+
+def test_unread_key_rule_checks_set_items_only(tmp_path):
+    # one config file may serve several commands, so its values of keys a
+    # command does not read pass; macro_time counts under macro-fixed, in
+    # whichever order the --set items come
+    ini = tmp_path / "run.ini"
+    ini.write_text("[plan]\nreplicas = 3\n[test_function]\nwidth_t = 2\n")
+    assert load_config(str(ini), "simulate")["plan"]["replicas"] == 3
+    for sets in (["plan.schedule=macro-fixed", "plan.macro_time=0.5"],
+                 ["plan.macro_time=0.5", "plan.schedule=macro-fixed"]):
+        for command in ("remainder", "gradient"):
+            cfg = load_config(None, command, sets)
+            assert cfg["plan"]["macro_time"] == 0.5
 
 
 def test_version_flag(capsys):

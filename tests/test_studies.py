@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from kpzlab import studies
 from kpzlab.config import ConeRefusal, ConfigError, load_config
 from kpzlab.rng import derive_seed
 from kpzlab.studies import (ExperimentPlan, GaussianBump, WindowTooNarrow,
@@ -38,12 +39,19 @@ def test_plan_rejects_bad_grids():
         ExperimentPlan(epsilon_grid=(0.1, 0.2))
     with pytest.raises(ValueError):
         ExperimentPlan(epsilon_grid=(1.5, 0.5))
-    with pytest.raises(ValueError):
-        ExperimentPlan(replicas=10)
+    with pytest.raises(ConfigError, match="plan.replicas >= 1, got 0"):
+        ExperimentPlan(replicas=0)
     with pytest.raises(ValueError):
         ExperimentPlan(schedule="heuristic")
     with pytest.raises(ValueError):
         ExperimentPlan(geometry_policy="open")
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ConfigError, match="plan.macro_time"):
+            ExperimentPlan(macro_time=bad)
+    # ten replicas make a plan, which a single run may use, but no study
+    plan = ExperimentPlan(replicas=10)
+    with pytest.raises(ConfigError, match="plan.replicas >= 30, got 10"):
+        gradient_scaling_study(plan)
 
 
 def test_plan_defaults_are_the_config_defaults():
@@ -77,9 +85,11 @@ def test_plan_geometry_rules():
     with pytest.raises(ConeRefusal) as exc:
         r.side_for(8)
     assert exc.value.needed == 17
-    # torus needs a side; plan.l = 0 means nothing there
-    with pytest.raises(ConfigError, match="plan.l > 0"):
-        small_plan(geometry_policy="torus")
+    # torus needs a side of at least 3; plan.l = 0 means nothing there
+    for side in (0, 2):
+        with pytest.raises(ConfigError, match="plan.l >= 3"):
+            small_plan(geometry_policy="torus", L=side)
+    assert small_plan(geometry_policy="torus", L=3).side_for(5) == 3
     with pytest.raises(ConfigError, match="plan.geometry"):
         small_plan(geometry_policy="cone")
     assert small_plan(d=2).center_site() == (0, 0)
@@ -125,6 +135,20 @@ def test_map_replicas_runs_each_replica_once_in_order(tmp_path, workers):
     assert map_replicas(_logged_gradient_worker, 31, workers, plan,
                         tmp_path) == ref
     assert sorted(int(p.name) for p in tmp_path.iterdir()) == list(range(31))
+
+
+@pytest.mark.parametrize("study,args", [
+    (remainder_ratio_study, ()), (gradient_scaling_study, ()),
+    (drift_bound_study, ((1, 2),)), (whitenoise_pairing_study, ()),
+    (stationarity_study, ((1, 2),))])
+def test_every_study_refuses_fewer_than_30_replicas(monkeypatch, study,
+                                                     args):
+    def ran(*a, **kw):
+        raise AssertionError("replicas ran before the refusal")
+    monkeypatch.setattr(studies, "map_replicas", ran)
+    plan = small_plan(replicas=29, geometry_policy="torus", L=9)
+    with pytest.raises(ConfigError, match="plan.replicas >= 30, got 29"):
+        study(plan, *args)
 
 
 # ---------------------------------------------------------------------------

@@ -113,11 +113,11 @@ def test_linear_dynamics_fd_is_exact_at_any_step():
     nm = make_noise(seed=6)
     g = LatticeGeometry(1, 11)
     eps = 0.7
-    slices = list(trajectory(EvolutionConfig(phi, nm, g, eps, T=4)))
-    dist = backward_walk_distribution(slices, phi, 4, (0,))
+    run = EvolutionConfig(phi, nm, g, eps, T=4)
+    dist = backward_walk_distribution(list(trajectory(run)), phi, 4, (0,))
     for (s, y) in [(1, 0), (1, 2), (2, -1), (4, 0)]:
         walk = derivative_via_walk(dist, s, (y,), eps)
-        fd = derivative_fd(phi, nm, g, eps, 4, (0,), s, (y,), h=0.3)
+        fd = derivative_fd(run, (0,), s, (y,), h=0.3)
         assert fd == pytest.approx(walk, abs=1e-12)
 
 
@@ -138,14 +138,13 @@ def test_fd_shifts_the_wrapped_site_on_a_small_torus():
     nm = make_noise(seed=0)
     g = LatticeGeometry(1, 5)
     eps, T = 0.1, 4
-    slices = list(trajectory(EvolutionConfig(phi, nm, g, eps, T)))
-    dist = backward_walk_distribution(slices, phi, T, (0,))
+    run = EvolutionConfig(phi, nm, g, eps, T)
+    dist = backward_walk_distribution(list(trajectory(run)), phi, T, (0,))
     walk = derivative_via_walk(dist, 1, (3,), eps)
     assert walk > 1e-3
     with pytest.warns(ConeWrapWarning):
-        fd = derivative_fd(phi, nm, g, eps, T, (0,), 1, (3,), h=1e-6)
-        fd_canonical = derivative_fd(phi, nm, g, eps, T, (0,), 1, (-2,),
-                                     h=1e-6)
+        fd = derivative_fd(run, (0,), 1, (3,), h=1e-6)
+        fd_canonical = derivative_fd(run, (0,), 1, (-2,), h=1e-6)
     assert fd == fd_canonical
     assert fd == pytest.approx(walk, rel=1e-6, abs=1e-9)
 
@@ -156,11 +155,11 @@ def test_fd_richardson_rate():
     nm = make_noise(seed=7)
     g = LatticeGeometry(1, 9)
     eps = 0.5
-    slices = list(trajectory(EvolutionConfig(phi, nm, g, eps, T=3)))
-    dist = backward_walk_distribution(slices, phi, 3, (0,))
+    run = EvolutionConfig(phi, nm, g, eps, T=3)
+    dist = backward_walk_distribution(list(trajectory(run)), phi, 3, (0,))
     exact = derivative_via_walk(dist, 1, (1,), eps)
-    e1 = abs(derivative_fd(phi, nm, g, eps, 3, (0,), 1, (1,), h=1e-2) - exact)
-    e2 = abs(derivative_fd(phi, nm, g, eps, 3, (0,), 1, (1,), h=5e-3) - exact)
+    e1 = abs(derivative_fd(run, (0,), 1, (1,), h=1e-2) - exact)
+    e2 = abs(derivative_fd(run, (0,), 1, (1,), h=5e-3) - exact)
     assert 3.0 <= e1 / e2 <= 5.0
 
 

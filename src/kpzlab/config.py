@@ -139,30 +139,35 @@ COMMAND_OVERLAYS: Dict[str, Dict[Tuple[str, str], object]] = {
     "decompose": {("plan", "replicas"): 100},
 }
 
-_SINGLE_RUN = ("plan.epsilon", "plan.t", "plan.geometry", "plan.l")
-_SCHEDULED = ("plan.epsilon_grid", "plan.replicas", "plan.schedule",
-              "plan.geometry", "plan.l")
+# every command reads model.phi and model.d; all but check-phi, which draws
+# no noise, read the noise keys
+_MODEL = ("model.phi", "model.d")
+_NOISE = _MODEL + ("model.noise_family", "model.noise_scale")
+_SINGLE_RUN = _NOISE + ("plan.epsilon", "plan.t", "plan.geometry", "plan.l")
+_SCHEDULED = _NOISE + ("plan.epsilon_grid", "plan.replicas", "plan.schedule",
+                       "plan.geometry", "plan.l")
 
-# What each command reads of [plan] (a dotted key each) and of [scheme] and
-# [test_function] (the section name, for the whole section). A command
+# What each command reads of [model] and [plan] (a dotted key each) and of
+# [scheme] and [test_function] (the section name, for the whole section).
+# Under model.phi=gkpz every command also reads model.coupling. A command
 # that reads plan.schedule also reads plan.macro_time and [scheme] under
 # macro-fixed, whose horizons are ceil(macro_time/alpha(eps)). load_config
-# refuses a --set of a [plan] or [test_function] key that the command does
-# not read, and a [scheme] value off its default in a command that does
-# not read [scheme].
+# refuses a --set of a [model], [plan] or [test_function] key that the
+# command does not read, and a [scheme] value off its default in a command
+# that does not read [scheme].
 COMMAND_READS: Dict[str, Tuple[str, ...]] = {
     "simulate": _SINGLE_RUN,
     "walk-check": _SINGLE_RUN,
     "decompose": _SINGLE_RUN + ("plan.replicas", "scheme"),
-    "check-phi": (),
+    "check-phi": _MODEL,
     "remainder": _SCHEDULED + ("scheme",),
     "gradient": _SCHEDULED,
-    "drift": ("plan.epsilon_grid", "plan.replicas", "plan.times",
-              "plan.geometry", "plan.l"),
-    "whitenoise": ("plan.epsilon_grid", "plan.replicas", "scheme",
-                   "test_function"),
-    "stationarity": ("plan.epsilon_grid", "plan.replicas", "plan.checkpoints",
-                     "plan.geometry", "plan.l"),
+    "drift": _NOISE + ("plan.epsilon_grid", "plan.replicas", "plan.times",
+                       "plan.geometry", "plan.l"),
+    "whitenoise": _NOISE + ("plan.epsilon_grid", "plan.replicas", "scheme",
+                            "test_function"),
+    "stationarity": _NOISE + ("plan.epsilon_grid", "plan.replicas",
+                              "plan.checkpoints", "plan.geometry", "plan.l"),
 }
 
 
@@ -246,15 +251,20 @@ def load_config(path: Optional[str], command: str,
                                          lambda: f"--set {item}")
         set_keys.append((sec, dotted))
     reads = COMMAND_READS[command]
+    if resolved["model"]["phi"] == "gkpz":
+        reads += ("model.coupling",)
     if "plan.schedule" in reads and \
             resolved["plan"]["schedule"] == "macro-fixed":
         reads += ("plan.macro_time", "scheme")
     for sec, dotted in set_keys:
-        if sec in ("plan", "test_function") and sec not in reads and \
-                dotted not in reads:
-            raise ConfigError(f"--set {dotted} has no effect on {command}, "
-                              f"which does not read it")
+        if sec in ("model", "plan", "test_function") and \
+                sec not in reads and dotted not in reads:
+            under = (f" under model.phi={resolved['model']['phi']}"
+                     if dotted == "model.coupling" else "")
+            raise ConfigError(f"--set {dotted} has no effect on {command}"
+                              f"{under}, which does not read it")
     _refuse_unread_scheme(resolved, command, reads)
+    _refuse_bad_read_values(resolved, reads)
     return resolved
 
 
@@ -271,6 +281,11 @@ def _parse_value(sec: str, key: str, raw: str, where: Callable[[], str]):
 # the [scheme] keys the power-law preset reads, each its make_scheme keyword
 POWER_LAW_KEYS = ("alpha_exp", "beta_exp", "gamma_exp", "alpha_coef",
                   "beta_coef", "gamma_coef")
+# preset -> the [scheme] keys it reads -> their make_scheme keywords
+SCHEME_READS: Dict[str, Dict[str, str]] = {
+    "power-law": {k: k for k in POWER_LAW_KEYS},
+    "2d-exponential": {"c": "C"},
+}
 
 
 def scheme_params(cfg: Dict[str, Dict]) -> Dict:
@@ -287,15 +302,39 @@ def scheme_params(cfg: Dict[str, Dict]) -> Dict:
         if preset == name and d != preset_d:
             raise ConfigError(f"scheme.preset={name} is a d={preset_d} "
                               f"scheme, but model.d={d}")
-    # [scheme] key -> make_scheme keyword, for the keys the preset reads
-    reads = {"power-law": {k: k for k in POWER_LAW_KEYS},
-             "2d-exponential": {"c": "C"}}.get(preset, {})
+    reads = SCHEME_READS.get(preset, {})
     for key in POWER_LAW_KEYS + ("c",):
         if key not in reads and s[key] != SCHEMA["scheme"][key][1]:
             raise ConfigError(f"scheme.{key}={s[key]!r} has no effect under "
                               f"scheme.preset={preset}; leave it at its "
                               f"default or choose a preset that reads it")
     return {arg: s[key] for key, arg in reads.items()}
+
+
+def _refuse_bad_read_values(cfg: Dict[str, Dict],
+                            reads: Tuple[str, ...]) -> None:
+    """Refuse, naming the key, a value the command reads that no run takes.
+
+    These are the single-run keys, which no ExperimentPlan field holds,
+    and [test_function]; ExperimentPlan checks the keys it holds.
+    """
+    p, f, d = cfg["plan"], cfg["test_function"], cfg["model"]["d"]
+    if "plan.epsilon" in reads and not 0 < p["epsilon"] <= 1:
+        raise ConfigError(f"plan.epsilon must lie in (0, 1], "
+                          f"got {p['epsilon']}")
+    if "plan.t" in reads and p["t"] < 0:
+        raise ConfigError(f"plan.t must be >= 0, got {p['t']}")
+    if "test_function" not in reads:
+        return
+    for key in ("center_x", "width_x"):
+        if len(f[key]) != d:
+            raise ConfigError(f"test_function.{key} needs model.d = {d} "
+                              f"entries, got {len(f[key])}")
+    for key, widths in (("width_t", (f["width_t"],)),
+                        ("width_x", f["width_x"])):
+        if not all(w > 0 for w in widths):
+            raise ConfigError(f"test_function.{key} must be positive, "
+                              f"got {f[key]}")
 
 
 def _refuse_unread_scheme(cfg: Dict[str, Dict], command: str,

@@ -4,6 +4,10 @@ Artifacts are written to a temp file in the destination directory and
 renamed into place, so a crashed run never leaves a truncated file. Floats
 are serialized with repr, which round-trips exactly in both formats; reruns
 with the same plan and seed therefore produce byte-identical CSV.
+
+write_csv streams its columns: it converts and writes _CHUNK_ROWS rows at a
+time, so beside the caller's columns an export holds at most one chunk of
+rows as Python objects and text, whatever the table's length.
 """
 from __future__ import annotations
 
@@ -59,7 +63,9 @@ def rows_to_columns(rows: Iterable[dict]) -> Dict[str, list]:
 
 
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
-_CHUNK_ROWS = 1 << 14  # lines joined per write, so no whole-table text exists
+# rows converted and written at a time: the most rows that exist at once as
+# Python objects and as text
+_CHUNK_ROWS = 1 << 12
 
 
 def _quote(text: str) -> str:
@@ -97,19 +103,25 @@ def write_csv(path: str, columns: Mapping[str, object]) -> None:
     lengths = {len(c) for c in columns.values() if _is_column(c)}
     if len(lengths) > 1:
         raise ValueError(f"CSV columns differ in length: {sorted(lengths)}")
-    n = lengths.pop() if lengths else 1
-    cells = [_cells(c) if _is_column(c)
-             else itertools.repeat(_quote(fmt_value(c)), n)
-             for c in columns.values()]
-    lines = itertools.chain([",".join(map(_quote, columns))],
-                            map(",".join, zip(*cells)))
-    if len(columns) == 1:  # csv quotes a lone empty field: no row is blank
-        lines = ('""' if line == "" else line for line in lines)
+    n = lengths.pop() if lengths else min(len(columns), 1)
+    # each column is a sequence to slice or, as a str, its scalar's text
+    cols = [c if _is_column(c) else _quote(fmt_value(c))
+            for c in columns.values()]
+
+    def lines(r0: int, r1: int) -> Iterator[str]:
+        return map(",".join, zip(*(
+            _cells(c[r0:r1]) if not isinstance(c, str)
+            else itertools.repeat(c, r1 - r0) for c in cols)))
+
+    def write(fh, text: Iterable[str]) -> None:
+        if len(columns) == 1:  # csv quotes a lone empty field: no row is blank
+            text = ('""' if line == "" else line for line in text)
+        fh.write("\r\n".join(text) + "\r\n")
 
     def emit(fh):
-        for chunk in iter(lambda: list(itertools.islice(lines, _CHUNK_ROWS)),
-                          []):
-            fh.write("\r\n".join(chunk) + "\r\n")
+        write(fh, [",".join(map(_quote, columns))])
+        for r0 in range(0, n, _CHUNK_ROWS):
+            write(fh, lines(r0, min(r0 + _CHUNK_ROWS, n)))
 
     _atomic_write(path, emit)
 

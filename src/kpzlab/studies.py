@@ -27,7 +27,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import POWER_LAW_KEYS, SCHEMA, ConfigError, resolve_side
+from .config import (POWER_LAW_KEYS, SCHEMA, SCHEME_READS, ConfigError,
+                     resolve_side)
 from .config import scheme_params as config_scheme_params
 from .driving import DrivingFunction, make_driving
 from .lattice import EvolutionConfig, LatticeGeometry, evolve, trajectory
@@ -99,6 +100,15 @@ class ExperimentPlan:
         if not (math.isfinite(self.macro_time) and self.macro_time > 0):
             raise ConfigError(f"plan.macro_time must be positive and finite, "
                               f"got {self.macro_time}")
+        if self.d < 1:
+            raise ConfigError(f"model.d must be >= 1, got {self.d}")
+        if self.phi_name == "gkpz" and self.coupling is not None and \
+                not self.coupling > 0:
+            raise ConfigError(f"model.coupling must be positive, "
+                              f"got {self.coupling}")
+        if not self.noise_scale > 0:
+            raise ConfigError(f"model.noise_scale must be positive, "
+                              f"got {self.noise_scale}")
         # each builder refuses its unknown names here, before any replica
         self.phi()
         self.scheme()
@@ -112,6 +122,22 @@ class ExperimentPlan:
 
     def scheme(self) -> ScalingScheme:
         return make_scheme(self.scheme_preset, **self.scheme_params)
+
+    def scheme_on_grid(self) -> ScalingScheme:
+        """The scheme, refused unless its alpha and beta are positive and
+        decrease along plan.epsilon_grid."""
+        scheme = self.scheme()
+        try:
+            scheme.validate_on_grid(self.epsilon_grid)
+        except ValueError as e:
+            keys = "".join(
+                f", scheme.{key}={self.scheme_params[arg]!r}" for key, arg
+                in SCHEME_READS.get(self.scheme_preset, {}).items())
+            raise ConfigError(f"{e} plan.epsilon_grid = "
+                              f"{list(self.epsilon_grid)} under "
+                              f"scheme.preset={self.scheme_preset}{keys}"
+                              ) from e
+        return scheme
 
     def noise_for(self, replica: int) -> NoiseModel:
         return replica_noise(self.noise_family, self.noise_scale, self.seed,
@@ -515,8 +541,7 @@ def whitenoise_pairing_study(plan: ExperimentPlan,
     if not (math.isfinite(target) and target > 0):
         raise ConfigError(f"the [test_function] squared norm must be "
                           f"positive and finite, got {target}")
-    scheme = plan.scheme()
-    scheme.validate_on_grid(plan.epsilon_grid)
+    scheme = plan.scheme_on_grid()
     sigma = plan.noise_for(0).sigma
     grids, lattice_vars = [], []
     for eps in plan.epsilon_grid:

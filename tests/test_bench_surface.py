@@ -83,6 +83,30 @@ def test_side_rule_keeps_the_names_and_sides_the_workloads_use(
     assert workloads._cli_side(simulate) == 321
 
 
+@pytest.mark.parametrize("by_keyword", [False, True],
+                         ids=["positional", "keyword"])
+def test_tracer_counts_the_bytes_write_csv_writes(monkeypatch, tmp_path,
+                                                  by_keyword):
+    # _file_bytes reads the path from args[0] or the "path" keyword, so a
+    # new write_csv signature fails here before it fails in the benchmark
+    tracer = _load(monkeypatch, "tracer")
+    path = tmp_path / "one.csv"
+    columns = {"seed": 3, "x": [-1, 0, 1], "value": [0.5, 0.25, 1 / 3]}
+    t = tracer.Tracer()
+    t.install()
+    try:
+        t.begin_run(0)
+        if by_keyword:
+            output.write_csv(path=str(path), columns=columns)
+        else:
+            output.write_csv(str(path), columns)
+    finally:
+        t.uninstall()
+    m = t.run_metrics()[0]
+    assert m["output.write_csv.calls"] == 1
+    assert m["output.write_csv.bytes"] == path.stat().st_size > 0
+
+
 def test_traced_write_csv_bytes_equal_the_file(monkeypatch, tmp_path):
     # the tracer counts output.write_csv.bytes from the size of the file at
     # its first argument or its "path" keyword

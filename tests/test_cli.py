@@ -194,6 +194,59 @@ def test_side_misconfiguration_exits_2_before_any_run(tmp_path, capsys,
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv,key", [
+    (["simulate", "--set", "plan.epsilon=1.5"], "plan.epsilon"),
+    (["walk-check", "--set", "plan.epsilon=0"], "plan.epsilon"),
+    (["simulate", "--set", "plan.t=-1"], "plan.t"),
+    (["simulate", "--set", "model.noise_scale=-1"], "model.noise_scale"),
+    (["drift", "--set", "model.noise_scale=0"], "model.noise_scale"),
+    (["simulate", "--set", "model.d=0"], "model.d"),
+    (["check-phi", "--set", "model.phi=gkpz", "--set", "model.coupling=-1"],
+     "model.coupling"),
+    (["whitenoise", "--set", "test_function.width_t=0", "--set",
+      "plan.replicas=30"], "test_function.width_t"),
+    (["whitenoise", "--set", "test_function.width_x=-1", "--set",
+      "plan.replicas=30"], "test_function.width_x"),
+    (["whitenoise", "--set", "test_function.center_x=0,0", "--set",
+      "plan.replicas=30"], "test_function.center_x"),
+    (["whitenoise", "--set", "scheme.preset=power-law", "--set",
+      "scheme.alpha_exp=-1", "--set", "plan.replicas=30"],
+     "scheme.alpha_exp=-1.0"),
+    (["check-phi", "--set", "model.coupling=0.5"],
+     "model.coupling has no effect on check-phi under model.phi=polymer"),
+    (["simulate", "--set", "model.coupling=0.5", "--set", "plan.t=3"],
+     "model.coupling has no effect on simulate under model.phi=polymer"),
+    (["check-phi", "--set", "model.noise_scale=2"],
+     "model.noise_scale has no effect on check-phi"),
+    (["check-phi", "--set", "model.noise_family=triangular"],
+     "model.noise_family has no effect on check-phi"),
+])
+def test_refusals_name_their_key(tmp_path, capsys, monkeypatch, argv, key):
+    # a value no run takes, or a --set [model] key the run does not read
+    # (model.coupling is read under model.phi=gkpz only, and check-phi draws
+    # no noise), exits 2 naming its key before any replica runs
+    _fail_on_any_run(monkeypatch)
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert key in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_model_keys_are_read_where_the_model_uses_them(tmp_path):
+    # coupling counts under gkpz, in whichever order the --set items come
+    for sets in (["model.phi=gkpz", "model.coupling=0.05"],
+                 ["model.coupling=0.05", "model.phi=gkpz"]):
+        for command in ("check-phi", "simulate", "remainder"):
+            cfg = load_config(None, command, sets)
+            assert cfg["model"]["coupling"] == 0.05
+    cfg = load_config(None, "simulate", ["model.noise_scale=2",
+                                         "model.noise_family=triangular"])
+    assert cfg["model"]["noise_family"] == "triangular"
+    # a file value of a [model] key the command does not read passes
+    ini = tmp_path / "run.ini"
+    ini.write_text("[model]\ncoupling = 0.5\nnoise_scale = 2\n")
+    assert load_config(str(ini), "check-phi")["model"]["coupling"] == 0.5
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_cone_exact_study_on_a_given_side_matches_auto_size(tmp_path,
                                                             workers):

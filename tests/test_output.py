@@ -1,16 +1,17 @@
-"""Artifact writer tests: formatting, column union, atomicity.
+"""Artifact writer tests: formatting, column union, atomicity, memory.
 
 The columnar CSV writer is checked byte for byte against the csv.writer
-row oracle in tests/oracles.py.
+row oracle in tests/oracles.py, on both sides of its chunk edges.
 """
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from kpzlab.output import (fmt_value, rows_to_columns, sha256_text,
-                           write_csv, write_json, _atomic_write)
+from kpzlab.output import (_CHUNK_ROWS, fmt_value, rows_to_columns,
+                           sha256_text, write_csv, write_json, _atomic_write)
 from oracles import csv_writer_rows
 
 
@@ -103,6 +104,45 @@ def test_write_csv_scalar_columns_repeat_and_lengths_must_agree(tmp_path):
     with pytest.raises(ValueError, match="differ in length"):
         write_csv(tmp_path / "bad.csv", {"a": [1, 2], "b": np.zeros(3)})
     assert not (tmp_path / "bad.csv").exists()
+
+
+def _mixed_table(n):
+    """Float and int arrays, lists, scalars and quoted text, n rows."""
+    return {"value": np.linspace(-1.0, 1.0, n) / 3, "x": np.arange(n) - n // 2,
+            "label": [TEXT[i % len(TEXT)] for i in range(n)],
+            "passed": [i % 3 == 0 for i in range(n)],
+            "seed": 7, "epsilon": 0.1, "note": 'a "b", c'}
+
+
+@pytest.mark.parametrize("n", [_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
+                               2 * _CHUNK_ROWS + 1])
+@pytest.mark.parametrize("table", [_mixed_table, lambda n: {"": [""] * n}],
+                         ids=["mixed", "lone-empty"])
+def test_chunk_edges_match_the_row_writer(tmp_path, n, table):
+    cols = table(n)
+    seqs = {k for k, v in cols.items() if isinstance(v, (list, np.ndarray))}
+    rows = [{k: (v[i] if k in seqs else v) for k, v in cols.items()}
+            for i in range(n)]
+    _same_as_oracle(tmp_path, cols, rows)
+
+
+def _write_csv_peak(path, n):
+    """tracemalloc peak of write_csv on an n-row simulate-like table."""
+    cols = {"d": 1, "t": 400, "epsilon": 0.1, "x1": np.arange(n) - n // 2,
+            "value": np.linspace(0.0, 1.0, n)}
+    tracemalloc.start()
+    try:
+        write_csv(path, cols)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_csv_memory_does_not_grow_with_rows(tmp_path):
+    # only one chunk of rows exists as Python objects and text at a time
+    small = _write_csv_peak(tmp_path / "small.csv", 1 << 16)
+    large = _write_csv_peak(tmp_path / "large.csv", 1 << 20)
+    assert large < 2 * small, (small, large)
 
 
 def test_write_json_handles_numpy(tmp_path):

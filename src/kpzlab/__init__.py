@@ -11,10 +11,9 @@ white-noise pairings, long-run gradient stability).
 __version__ = "0.1.0"
 
 from .assumptions import AssumptionReport, CheckResult, check_assumptions
-from .driving import (CallableDriving, DrivingFunction,
-                      EdwardsWilkinsonDriving, GeneralizedKpzDriving,
-                      HessianAtOrigin, PolymerDriving, make_driving,
-                      psi_example, stencil_offsets)
+from .driving import (DrivingFunction, EdwardsWilkinsonDriving,
+                      GeneralizedKpzDriving, HessianAtOrigin, PolymerDriving,
+                      make_driving, psi_example, stencil_offsets)
 from .lattice import (ConeWrapWarning, EvolutionConfig, HeightSlice,
                       LatticeGeometry, evolve, min_cone_side, slice_columns,
                       step, trajectory)
@@ -22,7 +21,7 @@ from .noise import NoiseModel, NoiseSpec, make_noise, replica_noise
 from .rescale import (Coefficients, DecompositionSample, ScalingScheme,
                       coefficients, decompose, evolve_and_decompose,
                       macro_terms, make_scheme)
-from .rng import derive_seed, hash_keys, mix64, unit_open
+from .rng import derive_seed, hash_keys, mix64
 from .studies import (ExperimentPlan, GaussianBump, StudyResult,
                       drift_bound_study, gradient_scaling_study,
                       remainder_ratio_study, stationarity_study,
@@ -33,15 +32,15 @@ from .walk import (WalkDistribution, backward_walk_distribution,
 __all__ = [
     "__version__",
     "AssumptionReport", "CheckResult", "check_assumptions",
-    "CallableDriving", "DrivingFunction", "EdwardsWilkinsonDriving",
-    "GeneralizedKpzDriving", "HessianAtOrigin", "PolymerDriving",
-    "make_driving", "psi_example", "stencil_offsets",
+    "DrivingFunction", "EdwardsWilkinsonDriving", "GeneralizedKpzDriving",
+    "HessianAtOrigin", "PolymerDriving", "make_driving", "psi_example",
+    "stencil_offsets",
     "ConeWrapWarning", "EvolutionConfig", "HeightSlice", "LatticeGeometry",
     "evolve", "min_cone_side", "slice_columns", "step", "trajectory",
     "NoiseModel", "NoiseSpec", "make_noise", "replica_noise",
     "Coefficients", "DecompositionSample", "ScalingScheme", "coefficients",
     "decompose", "evolve_and_decompose", "macro_terms", "make_scheme",
-    "derive_seed", "hash_keys", "mix64", "unit_open",
+    "derive_seed", "hash_keys", "mix64",
     "ExperimentPlan", "GaussianBump", "StudyResult",
     "drift_bound_study", "gradient_scaling_study", "remainder_ratio_study",
     "stationarity_study", "whitenoise_pairing_study",

@@ -13,10 +13,10 @@ builds its runs through studies.ExperimentPlan: this module is only glue.
 from __future__ import annotations
 
 import argparse
+import functools
 import platform
 import sys
 import time
-from importlib import metadata
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -33,6 +33,14 @@ from .studies import (ExperimentPlan, GaussianBump, drift_bound_study,
                       gradient_scaling_study, remainder_ratio_study,
                       stationarity_study, whitenoise_pairing_study)
 from .walk import derivative_pairs
+
+
+@functools.cache
+def _scipy_version() -> str:
+    """The installed scipy's version, read once per process. Importing
+    importlib.metadata here keeps its import chain off every start-up."""
+    from importlib import metadata
+    return metadata.version("scipy")
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +265,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "versions": {"kpzlab": __version__,
                      "python": platform.python_version(),
                      "numpy": np.__version__,
-                     "scipy": metadata.version("scipy")},
+                     "scipy": _scipy_version()},
         "wall_time_s": t_export - t0,
         "phases": {"run": {"wall_s": t_run - t0},
                    "export": {"wall_s": t_export - t_run}},

@@ -13,7 +13,7 @@ Built-ins:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -70,10 +70,11 @@ PSI_EXAMPLE_CURVATURE = 2.0  # psi''(0)
 
 
 class DrivingFunction:
-    """Base: scalar/vectorized evaluation plus finite-difference fallbacks.
+    """Base: scalar and vectorized evaluation plus the finite-difference
+    Hessian that check_assumptions compares with hessian_origin.
 
-    Subclasses set `name` and `d` and override value_many (and, when
-    closed forms exist, gradient_many and hessian_origin).
+    Subclasses set `name` and `d` and override value_many, gradient_many
+    and hessian_origin with closed forms.
     """
 
     name = "custom"
@@ -96,17 +97,7 @@ class DrivingFunction:
     # -- first derivatives ----------------------------------------------------
 
     def gradient_many(self, U: np.ndarray) -> np.ndarray:
-        """Central finite differences, step 1e-5 * max(1, |u|_inf)."""
-        U = np.asarray(U, dtype=np.float64)
-        h = 1e-5 * np.maximum(1.0, np.abs(U).max(axis=0))
-        G = np.empty_like(U)
-        for a in range(self.n):
-            Up = U.copy()
-            Um = U.copy()
-            Up[a] += h
-            Um[a] -= h
-            G[a] = (self.value_many(Up) - self.value_many(Um)) / (2.0 * h)
-        return G
+        raise NotImplementedError
 
     def gradient(self, u) -> np.ndarray:
         v = _as_values(u, self.d)
@@ -134,12 +125,7 @@ class DrivingFunction:
         return 0.5 * (H + H.T)
 
     def hessian_origin(self) -> HessianAtOrigin:
-        H = self.hessian_matrix_fd()
-        n = self.n
-        q = float(np.trace(H) / n)
-        off = H[~np.eye(n, dtype=bool)]
-        r = float(off.mean())
-        return HessianAtOrigin(q, r)
+        raise NotImplementedError
 
 
 class PolymerDriving(DrivingFunction):
@@ -207,27 +193,6 @@ class EdwardsWilkinsonDriving(DrivingFunction):
 
     def hessian_origin(self) -> HessianAtOrigin:
         return HessianAtOrigin(0.0, 0.0)
-
-
-class CallableDriving(DrivingFunction):
-    """Wrap a user-supplied scalar function of 2d+1 stencil values.
-
-    Derivatives fall back to finite differences; nothing is assumed about
-    smoothness beyond what check_assumptions verifies.
-    """
-
-    name = "user"
-
-    def __init__(self, d: int, fn: Callable[[np.ndarray], float], name: str = "user"):
-        super().__init__(d)
-        self.fn = fn
-        self.name = name
-
-    def value_many(self, U: np.ndarray) -> np.ndarray:
-        U = np.asarray(U, dtype=np.float64)
-        flatcols = U.reshape(self.n, -1)
-        out = np.array([self.fn(flatcols[:, j]) for j in range(flatcols.shape[1])])
-        return out.reshape(U.shape[1:])
 
 
 def make_driving(name: str, d: int, coupling: float | None = None) -> DrivingFunction:

@@ -14,8 +14,7 @@ from typing import Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .rng import (derive_seed, hash_keys, hash_keys_vec, unit_open,
-                  unit_open_vec)
+from .rng import derive_seed, hash_keys_vec, unit_open_vec
 
 Site = Tuple[int, ...]
 
@@ -65,10 +64,6 @@ class NoiseSpec:
         return self.scale
 
 
-def _uniform_icdf(u, scale):
-    return scale * (2.0 * u - 1.0)
-
-
 def _triangular_icdf(u, scale):
     # symmetric triangle on [-s, s] with mode 0
     lo = scale * (np.sqrt(2.0 * u) - 1.0)
@@ -94,19 +89,16 @@ class NoiseModel:
     def bound(self) -> float:
         return self.spec.bound
 
-    def _raw(self, t: int, x: Site) -> float:
-        h = hash_keys(self.spec.seed, (t, *x))
-        u = unit_open(h)
-        if self.spec.family == "uniform":
-            return float(_uniform_icdf(u, self.spec.scale))
-        return float(_triangular_icdf(np.float64(u), self.spec.scale))
-
     def sample(self, t: int, x) -> float:
-        """Noise value z_{t,x}; t >= 1, x an integer site (int or tuple)."""
+        """Noise value z_{t,x}; t >= 1, x an integer site (int or tuple).
+
+        One cell of _draws plus its shift, kept off sample_spacetime, the
+        path of grid draws.
+        """
         if t < 1:
             raise ValueError("noise layers start at t=1")
         xs = _as_site(x)
-        return self._raw(t, xs) + self.shifts.get((t, xs), 0.0)
+        return float(self._draws((t, *xs))) + self.shifts.get((t, xs), 0.0)
 
     def sample_grid(self, t: int, coords: Sequence[np.ndarray]) -> np.ndarray:
         """Draws at layer t for coordinate arrays (one per axis).
@@ -122,7 +114,7 @@ class NoiseModel:
         times and coords may form a full or an open mesh; with times of
         shape (M, 1, ...) each time row is hashed once and broadcast over
         space. Returns the draws over the broadcast shape, computed in row
-        blocks, bit-identical to sample() at every cell.
+        blocks; no cell's value depends on the blocking or the mesh form.
         """
         times = np.asarray(times)
         if times.size and times.min() < 1:
@@ -171,7 +163,7 @@ class NoiseModel:
         """Map hash words to draws of the family, written into dst."""
         u = unit_open_vec(h, out=dst)
         if self.spec.family == "uniform":
-            # _uniform_icdf in place, operation for operation
+            # scale * (2u - 1) in place
             np.multiply(u, 2.0, out=u)
             np.subtract(u, 1.0, out=u)
             np.multiply(u, self.spec.scale, out=u)

@@ -41,17 +41,8 @@ def derive_seed(seed: int, *indices: int) -> int:
     return hash_keys(seed, indices)
 
 
-def unit_open(h: int) -> float:
-    """Map a 64-bit word to the unit interval, symmetric about 1/2.
-
-    Mathematically ((h >> 11) + 1/2) * 2^-53 lies in (0, 1); the top word
-    rounds to 1.0 in float64, so downstream maps must tolerate u = 1.
-    """
-    return ((h >> 11) + 0.5) * 2.0**-53
-
-
 # ---------------------------------------------------------------------------
-# vectorized twins; must stay bit-identical to the scalar path
+# array path: hash_keys_vec equals hash_keys element by element
 
 _M1_U = np.uint64(_M1)
 _M2_U = np.uint64(_M2)
@@ -107,6 +98,11 @@ def hash_keys_vec(seed: int, key_arrays: Iterable[np.ndarray]) -> np.ndarray:
 
 def unit_open_vec(h: np.ndarray,
                   out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Vectorized unit_open; writes into out (float64) when given."""
+    """Map 64-bit words to the unit interval, symmetric about 1/2.
+
+    Mathematically ((h >> 11) + 1/2) * 2^-53 lies in (0, 1); the top word
+    rounds to 1.0 in float64, so downstream maps must tolerate u = 1.
+    Writes into out (float64) when given.
+    """
     u = np.add(h >> _S11, 0.5, out=out, dtype=np.float64)
     return np.multiply(u, 2.0**-53, out=out)

@@ -109,9 +109,13 @@ class ExperimentPlan:
         if not self.noise_scale > 0:
             raise ConfigError(f"model.noise_scale must be positive, "
                               f"got {self.noise_scale}")
-        # each builder refuses its unknown names here, before any replica
+        # each builder refuses its unknown names here, before any replica;
+        # macro-fixed horizons ceil(macro_time/alpha) need alpha to shrink
         self.phi()
-        self.scheme()
+        if self.schedule == "macro-fixed":
+            self.scheme_on_grid()
+        else:
+            self.scheme()
         self.noise_for(0)
         self.side_for(0)  # refuses an unknown policy and a torus without L
 

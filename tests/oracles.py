@@ -1,21 +1,126 @@
 """Test oracles: independent computations the package is checked against.
 
 None is used by the package itself; each recomputes a quantity by a
-route that shares no code path with the one under test.
+route that shares no code path with the one under test. The scalar draw
+path here is the reference for the package's array draws, and
+CallableDriving is the driving function of a plain callable, with
+finite-difference derivatives.
 """
 import csv
 import itertools
 import math
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from kpzlab.driving import DrivingFunction, stencil_offsets
+from kpzlab.driving import (DrivingFunction, HessianAtOrigin,
+                            stencil_offsets)
 from kpzlab.lattice import (EvolutionConfig, HeightSlice, LatticeGeometry,
                             evolve, step)
 from kpzlab.noise import NoiseModel
 from kpzlab.output import fmt_value
+from kpzlab.rng import hash_keys
 from kpzlab.walk import _l1_ball
+
+
+# ---------------------------------------------------------------------------
+# the scalar draw path: Python ints and floats, one cell at a time
+
+
+def unit_open(h: int) -> float:
+    """Map a 64-bit word to the unit interval, symmetric about 1/2.
+
+    Mathematically ((h >> 11) + 1/2) * 2^-53 lies in (0, 1); the top word
+    rounds to 1.0 in float64, so downstream maps must tolerate u = 1.
+    """
+    return ((h >> 11) + 0.5) * 2.0**-53
+
+
+def uniform_icdf(u, scale):
+    """Inverse CDF of the uniform law on [-scale, scale]."""
+    return scale * (2.0 * u - 1.0)
+
+
+def word_to_draw(h: int, family: str, scale: float) -> float:
+    """The draw of one 64-bit hash word: unit_open, then the inverse CDF of
+    the family, on Python floats (math.sqrt for the triangle's branches)."""
+    u = unit_open(h)
+    if family == "uniform":
+        return uniform_icdf(u, scale)
+    if u < 0.5:
+        return scale * (math.sqrt(2.0 * u) - 1.0)
+    return scale * (1.0 - math.sqrt(2.0 * (1.0 - u)))
+
+
+def scalar_sample(noise: NoiseModel, t: int, x) -> float:
+    """z_{t,x} of a noise view by the scalar route, shift included.
+
+    hash_keys on Python ints over the key stream (t, *x), word_to_draw,
+    plus the view's shift at (t, x): no array code, so it checks every
+    vectorized draw of the package from outside.
+    """
+    xs = (int(x),) if isinstance(x, (int, np.integer)) else \
+        tuple(int(c) for c in x)
+    h = hash_keys(noise.spec.seed, (t, *xs))
+    z = word_to_draw(h, noise.spec.family, noise.spec.scale)
+    return z + noise.shifts.get((t, xs), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# a driving function given as a plain callable
+
+
+def fd_gradient_many(phi: DrivingFunction, U: np.ndarray) -> np.ndarray:
+    """Gradients of phi at the stencil columns of U by central finite
+    differences of phi.value_many, step 1e-5 * max(1, |u|_inf)."""
+    U = np.asarray(U, dtype=np.float64)
+    h = 1e-5 * np.maximum(1.0, np.abs(U).max(axis=0))
+    G = np.empty_like(U)
+    for a in range(phi.n):
+        Up = U.copy()
+        Um = U.copy()
+        Up[a] += h
+        Um[a] -= h
+        G[a] = (phi.value_many(Up) - phi.value_many(Um)) / (2.0 * h)
+    return G
+
+
+class CallableDriving(DrivingFunction):
+    """Wrap a scalar function of 2d+1 stencil values.
+
+    Derivatives are finite differences: fd_gradient_many for the
+    gradient, and the base class's hessian_matrix_fd for the Hessian at
+    the flat stencil. Nothing is assumed about smoothness beyond what
+    check_assumptions verifies.
+    """
+
+    def __init__(self, d: int, fn: Callable[[np.ndarray], float],
+                 name: str = "user"):
+        super().__init__(d)
+        self.fn = fn
+        self.name = name
+
+    def value_many(self, U: np.ndarray) -> np.ndarray:
+        U = np.asarray(U, dtype=np.float64)
+        flatcols = U.reshape(self.n, -1)
+        out = np.array([self.fn(flatcols[:, j])
+                        for j in range(flatcols.shape[1])])
+        return out.reshape(U.shape[1:])
+
+    def gradient_many(self, U: np.ndarray) -> np.ndarray:
+        return fd_gradient_many(self, U)
+
+    def hessian_origin(self) -> HessianAtOrigin:
+        H = self.hessian_matrix_fd()
+        n = self.n
+        q = float(np.trace(H) / n)
+        off = H[~np.eye(n, dtype=bool)]
+        r = float(off.mean())
+        return HessianAtOrigin(q, r)
+
+
+# ---------------------------------------------------------------------------
+# recursions recomputed by other routes
 
 
 def polymer_path_sum(noise: NoiseModel, epsilon: float, t: int, x,
@@ -39,10 +144,10 @@ def polymer_path_sum(noise: NoiseModel, epsilon: float, t: int, x,
     exponents = np.empty(n_paths)
     for idx, steps in enumerate(itertools.product(offs, repeat=t - 1)):
         pos = x
-        acc = noise.sample(t, pos)  # i = 0 term
+        acc = scalar_sample(noise, t, pos)  # i = 0 term
         for i, st in enumerate(steps, start=1):
             pos = tuple(p + o for p, o in zip(pos, st))
-            acc += noise.sample(t - i, pos)
+            acc += scalar_sample(noise, t - i, pos)
         exponents[idx] = epsilon * acc
     m = exponents.max()
     return float(m + math.log(np.exp(exponents - m).sum())
@@ -55,20 +160,23 @@ def zero_layer_shift(phi: DrivingFunction, noise: NoiseModel,
     """Effect of erasing the first noise layer, with its a-priori bound.
 
     Returns (shift, bound): shift = f(t,x) - g(t,x) where g is stepped
-    with a zero first layer and each later layer drawn on its own, and
-    bound = epsilon * max |z_{1,y}| over the sites y within L1 distance
-    < t of x.
+    with a zero first layer and each later layer drawn site by site by
+    scalar_sample, and bound = epsilon * max |z_{1,y}| over the sites y
+    within L1 distance < t of x.
     """
     f = evolve(EvolutionConfig(phi, noise, geometry, epsilon, T=t))
     g = HeightSlice.flat(geometry, t=0)
+    sites = list(itertools.product(range(geometry.lo,
+                                         geometry.lo + geometry.L),
+                                   repeat=geometry.d))
     for s in range(1, t + 1):
-        z = (np.zeros(geometry.shape) if s == 1
-             else noise.sample_grid(s, geometry.site_mesh()))
+        z = np.array([0.0 if s == 1 else scalar_sample(noise, s, y)
+                      for y in sites]).reshape(geometry.shape)
         g = step(g, phi, epsilon, z)
     xs = geometry.wrap(x)
     zmax = 0.0
     for y in _l1_ball(xs, t - 1, geometry.d):
-        zmax = max(zmax, abs(noise.sample(1, geometry.wrap(y))))
+        zmax = max(zmax, abs(scalar_sample(noise, 1, geometry.wrap(y))))
     return f.value_at(x) - g.value_at(x), epsilon * zmax
 
 

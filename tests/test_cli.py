@@ -173,6 +173,14 @@ def _fail_on_any_run(monkeypatch):
      "plan.schedule has no effect on drift"),
     (["remainder", "--set", "plan.macro_time=2"],
      "plan.macro_time has no effect on remainder"),
+    (["remainder", "--set", "scheme.alpha_exp=-1", "--set",
+      "plan.schedule=macro-fixed", "--set", "plan.replicas=30", "--set",
+      "plan.epsilon_grid=0.5,0.4"],
+     "scheme.preset=power-law, scheme.alpha_exp=-1.0"),
+    (["gradient", "--set", "scheme.alpha_exp=-1", "--set",
+      "plan.schedule=macro-fixed", "--set", "plan.replicas=30", "--set",
+      "plan.epsilon_grid=0.5,0.4"],
+     "scheme.preset=power-law, scheme.alpha_exp=-1.0"),
 ])
 def test_side_misconfiguration_exits_2_before_any_run(tmp_path, capsys,
                                                       monkeypatch, argv, key,
@@ -184,7 +192,8 @@ def test_side_misconfiguration_exits_2_before_any_run(tmp_path, capsys,
     # key it does not read; a run that builds no scheme takes no [scheme]
     # key at all; the pairing bump needs a positive norm; decompose needs a
     # replica; a plan refuses unknown phi, scheme and noise names, a torus
-    # side below 3 and a macro_time that is not positive; a study needs 30
+    # side below 3, a macro_time that is not positive and, under
+    # macro-fixed, a scheme whose alpha does not shrink; a study needs 30
     # replicas; a command takes no --set of a [plan] or [test_function]
     # key it does not read (plan.macro_time is read under macro-fixed only)
     _fail_on_any_run(monkeypatch)
@@ -318,6 +327,7 @@ _IMPORT_GUARD = """
 import sys
 import kpzlab, kpzlab.cli
 from kpzlab.cli import main
+assert "importlib.metadata" not in sys.modules
 out = sys.argv[1]
 tiny = ["--set", "plan.replicas=30", "--set", "plan.epsilon_grid=0.5 0.4"]
 for argv in (["simulate", "--set", "plan.t=3"], ["check-phi"],
@@ -329,12 +339,16 @@ for argv in (["simulate", "--set", "plan.t=3"], ["check-phi"],
 assert "scipy" not in sys.modules
 assert main(["whitenoise", "--out", out] + tiny) in (0, 1)
 assert "scipy.stats" in sys.modules
+# the manifest read the scipy version once, for all eight commands
+assert "importlib.metadata" in sys.modules
+assert kpzlab.cli._scipy_version.cache_info().misses == 1
 """
 
 
 def test_only_scipy_commands_import_scipy(tmp_path):
     # importing scipy.stats takes ~1 s, which no command pays unless it
-    # uses scipy; the whitenoise run shows the guard can fail
+    # uses scipy; the whitenoise run shows the guard can fail. Importing
+    # importlib.metadata (~15 ms) waits for the first manifest.
     src = str(Path(kpzlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD,

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 
 import kpzlab.assumptions as assumptions_mod
 from kpzlab.assumptions import check_assumptions
-from kpzlab.driving import (CallableDriving, DrivingFunction,
-                            EdwardsWilkinsonDriving, GeneralizedKpzDriving,
-                            PolymerDriving, make_driving, psi_example,
-                            psi_example_prime, stencil_offsets)
+from kpzlab.driving import (DrivingFunction, EdwardsWilkinsonDriving,
+                            GeneralizedKpzDriving, PolymerDriving,
+                            make_driving, psi_example, psi_example_prime,
+                            stencil_offsets)
+from oracles import CallableDriving, fd_gradient_many
 
 ALL_BUILTINS = [make_driving(n, d) for n in ("polymer", "gkpz", "ew")
                 for d in (1, 2)]
@@ -128,7 +129,7 @@ def test_gkpz_gradient_matches_fd():
     # stay away from the psi kink at |u_a - mean| = 1
     U = rng.uniform(-0.3, 0.3, size=(3, 32))
     G = phi.gradient_many(U)
-    G_fd = DrivingFunction.gradient_many(phi, U)
+    G_fd = fd_gradient_many(phi, U)
     assert np.abs(G - G_fd).max() < 1e-6
 
 
@@ -136,8 +137,18 @@ def test_polymer_gradient_matches_fd():
     phi = PolymerDriving(2)
     rng = np.random.default_rng(9)
     U = rng.uniform(-1, 1, size=(5, 16))
-    assert np.abs(phi.gradient_many(U)
-                  - DrivingFunction.gradient_many(phi, U)).max() < 1e-6
+    assert np.abs(phi.gradient_many(U) - fd_gradient_many(phi, U)).max() < 1e-6
+
+
+def test_base_class_has_no_derivative_fallbacks():
+    # every driving function the package builds brings closed forms; the
+    # finite-difference fallbacks live with CallableDriving in the oracles
+    phi = DrivingFunction(1)
+    for call in (lambda: phi.value_many(np.zeros((3, 1))),
+                 lambda: phi.gradient_many(np.zeros((3, 1))),
+                 phi.hessian_origin):
+        with pytest.raises(NotImplementedError):
+            call()
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,15 @@ from scipy import stats
 
 import kpzlab.lattice as lattice_mod
 import kpzlab.noise as noise_mod
-from kpzlab.driving import (CallableDriving, EdwardsWilkinsonDriving,
-                            PolymerDriving, make_driving)
+from kpzlab.driving import (EdwardsWilkinsonDriving, PolymerDriving,
+                            make_driving)
 from kpzlab.lattice import (ConeWrapWarning, EvolutionConfig, HeightSlice,
                             LatticeGeometry, _site_axes, evolve,
                             min_cone_side, slice_columns, step, trajectory)
 from kpzlab.noise import _BLOCK, _PHI_BLOCK, NoiseModel, make_noise
 from kpzlab.rescale import evolve_and_decompose
-from oracles import polymer_path_sum, unblocked_evolve
+from oracles import (CallableDriving, polymer_path_sum, scalar_sample,
+                     unblocked_evolve)
 
 
 class ShiftedNoise:
@@ -230,7 +231,7 @@ def test_first_step_is_pure_noise():
         assert nxt.t == 1
         for x in range(g.lo, g.lo + g.L):
             assert nxt.value_at((x,)) == pytest.approx(
-                eps * nm.sample(1, (x,)), abs=1e-16)
+                eps * scalar_sample(nm, 1, (x,)), abs=1e-16)
 
 
 def test_ew_step_closed_form():
@@ -240,7 +241,8 @@ def test_ew_step_closed_form():
     nm = make_noise(seed=5)
     nxt = step(sl, EdwardsWilkinsonDriving(1), 0.2, _layer(nm, 4, g))
     for x in range(g.lo, g.lo + g.L):
-        expect = sl.stencil_at((x,)).mean() + 0.2 * nm.sample(4, (x,))
+        expect = sl.stencil_at((x,)).mean() + 0.2 * scalar_sample(nm, 4,
+                                                                   (x,))
         assert nxt.value_at((x,)) == pytest.approx(expect, abs=1e-15)
 
 
@@ -251,8 +253,8 @@ def test_polymer_two_steps_closed_form():
     eps = 0.4
     final = evolve(EvolutionConfig(PolymerDriving(1), nm, g, eps, T=2))
     x = 0
-    z1 = [nm.sample(1, (x + a,)) for a in (0, 1, -1)]
-    expect = eps * nm.sample(2, (x,)) + math.log(
+    z1 = [scalar_sample(nm, 1, (x + a,)) for a in (0, 1, -1)]
+    expect = eps * scalar_sample(nm, 2, (x,)) + math.log(
         sum(math.exp(eps * z) for z in z1) / 3.0)
     assert final.value_at((x,)) == pytest.approx(expect, abs=1e-13)
 
@@ -424,7 +426,8 @@ def test_evolve_and_decompose_work_counts(monkeypatch, d, L, t):
                                          LatticeGeometry(d, L), 0.3, t + 1),
                          (0,) * d)
     assert counts["steps"] == t + 1
-    assert counts["keys"] == (t + 1) * L ** d
+    # every layer of the run, plus the one draw of C = eps * z
+    assert counts["keys"] == (t + 1) * L ** d + 1
     assert counts["layers"] == list(range(1, t + 2))
 
 

@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kpzlab.noise as noise_mod
-from kpzlab.noise import (_BLOCK, DEFAULT_SCALE, NoiseSpec, _triangular_icdf,
-                          _uniform_icdf, make_noise)
+from kpzlab.noise import (_BLOCK, DEFAULT_SCALE, FAMILIES, NoiseSpec,
+                          _triangular_icdf, make_noise)
 from kpzlab.rng import (derive_seed, hash_keys, hash_keys_vec, mix64,
-                        unit_open, unit_open_vec)
+                        unit_open_vec)
+from oracles import scalar_sample, uniform_icdf, unit_open, word_to_draw
 
 # ---------------------------------------------------------------------------
 # keyed hash core
@@ -45,14 +46,15 @@ def test_derive_seed_matches_hash_keys():
 
 
 def test_unit_open_range_and_midpoint():
-    assert 0.0 < unit_open(0) < 1.0
-    # top word rounds to 1.0 exactly (1 - 2^-54 is not representable);
-    # the inverse-CDF maps send u = 1 to the closed support bound
-    assert unit_open(2**64 - 1) <= 1.0
-    # symmetric placement: h and its bitwise complement average to 1/2
     h = 0x123456789ABCDEF0
     comp = h ^ 0xFFFFFFFFFFFFFFFF
-    assert abs((unit_open(h) + unit_open(comp)) / 2 - 0.5) < 2**-53
+    u = unit_open_vec(np.array([0, 2**64 - 1, h, comp], dtype=np.uint64))
+    assert 0.0 < u[0] < 1.0
+    # top word rounds to 1.0 exactly (1 - 2^-54 is not representable);
+    # the inverse-CDF maps send u = 1 to the closed support bound
+    assert u[1] == 1.0
+    # symmetric placement: h and its bitwise complement average to 1/2
+    assert abs((u[2] + u[3]) / 2 - 0.5) < 2**-53
 
 
 def test_hash_keys_vec_matches_scalar():
@@ -109,21 +111,48 @@ def test_hash_keys_vec_leaves_keys_untouched():
     assert lists == [[1, 2, 3], [-1, 0, 1]]
 
 
+def _words():
+    """The top word, edge words around 0, 2^63 and 2^64 - 2^11, and 64
+    random ones."""
+    rnd = np.random.default_rng(3).integers(0, 2**64, 64, dtype=np.uint64)
+    edges = np.array([2**64 - 1, 0, 1, 2**40, 2**63 - 1, 2**63,
+                      2**64 - 2**11 - 1, 2**64 - 2**11], dtype=np.uint64)
+    return np.concatenate([edges, rnd])
+
+
 def test_unit_open_vec_matches_scalar():
-    hs = np.array([0, 1, 2**40, 2**64 - 1], dtype=np.uint64)
+    hs = _words()
     vec = unit_open_vec(hs)
     for h, u in zip(hs, vec):
-        assert u == unit_open(int(h))
+        assert u.hex() == unit_open(int(h)).hex()
 
 
-@given(seed=st.integers(0, 2**63), t=st.integers(1, 10**6),
-       x=st.integers(-10**6, 10**6))
-@settings(max_examples=200, deadline=None)
-def test_sample_is_pure(seed, t, x):
-    a = make_noise(seed=seed).sample(t, x)
-    b = make_noise(seed=seed).sample(t, (x,))
+@pytest.mark.parametrize("family", FAMILIES)
+def test_words_map_to_draws_like_the_scalar_reference(family):
+    # the array map from hash words to draws, bit for bit, including the
+    # top words, whose u rounds to 1 and lands on the support bound
+    nm = make_noise(family, 1.3, seed=0)
+    hs = _words()
+    out = np.empty(hs.shape)
+    nm._fill(hs, out)
+    for h, z in zip(hs, out):
+        assert z.hex() == word_to_draw(int(h), family, 1.3).hex()
+    assert hs[0] == 2**64 - 1 and out[0] == 1.3
+
+
+@given(family=st.sampled_from(FAMILIES), seed=st.integers(0, 2**64 - 1),
+       t=st.integers(1, 10**6), x=st.integers(-10**6, 10**6),
+       shift=st.sampled_from([0.0, 0.375, -2.5]))
+@settings(max_examples=300, deadline=None)
+def test_sample_is_pure(family, seed, t, x, shift):
+    a = make_noise(family, seed=seed).sample(t, x)
+    b = make_noise(family, seed=seed).sample(t, (x,))
     assert a == b
     assert abs(a) <= DEFAULT_SCALE
+    # bit for bit the scalar reference, on the field and on a shifted view
+    assert a.hex() == scalar_sample(make_noise(family, seed=seed), t, x).hex()
+    view = make_noise(family, seed=seed).perturb_at(t, x, shift)
+    assert view.sample(t, x).hex() == scalar_sample(view, t, x).hex()
 
 
 # ---------------------------------------------------------------------------
@@ -166,34 +195,39 @@ def test_sigma_property():
 
 
 # ---------------------------------------------------------------------------
-# vectorized twins must be bit-identical to the scalar path
+# array draws against the scalar reference path of tests/oracles.py
 
 
 def test_sample_grid_bit_identical_to_scalar():
-    nm = make_noise(seed=11)
     xs = np.arange(-8, 9)
-    grid = nm.sample_grid(3, [xs])
-    for i, x in enumerate(xs):
-        assert grid[i] == nm.sample(3, (int(x),))
+    for family in FAMILIES:
+        nm = make_noise(family, seed=11)
+        grid = nm.sample_grid(3, [xs])
+        for i, x in enumerate(xs):
+            assert grid[i] == scalar_sample(nm, 3, (int(x),))
 
 
 def test_sample_grid_2d_bit_identical():
-    nm = make_noise("triangular", seed=4)
     m = np.meshgrid(np.arange(-3, 4), np.arange(-3, 4), indexing="ij")
-    grid = nm.sample_grid(2, m)
-    for i in range(7):
-        for j in range(7):
-            assert grid[i, j] == nm.sample(2, (int(m[0][i, j]), int(m[1][i, j])))
+    for family in FAMILIES:
+        nm = make_noise(family, seed=4)
+        grid = nm.sample_grid(2, m)
+        for i in range(7):
+            for j in range(7):
+                site = (int(m[0][i, j]), int(m[1][i, j]))
+                assert grid[i, j] == scalar_sample(nm, 2, site)
 
 
 def test_sample_spacetime_bit_identical():
-    nm = make_noise(seed=5)
     ts = np.array([[1, 2], [3, 4]])
     xs = np.array([[0, 1], [-1, 2]])
-    out = nm.sample_spacetime(ts, [xs])
-    for i in range(2):
-        for j in range(2):
-            assert out[i, j] == nm.sample(int(ts[i, j]), (int(xs[i, j]),))
+    for family in FAMILIES:
+        nm = make_noise(family, seed=5)
+        out = nm.sample_spacetime(ts, [xs])
+        for i in range(2):
+            for j in range(2):
+                assert out[i, j] == scalar_sample(nm, int(ts[i, j]),
+                                                  (int(xs[i, j]),))
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +239,7 @@ def _reference(nm, keys):
     u = unit_open_vec(hash_keys_vec(nm.spec.seed,
                                     np.broadcast_arrays(*keys)))
     if nm.spec.family == "uniform":
-        return _uniform_icdf(u, nm.spec.scale)
+        return uniform_icdf(u, nm.spec.scale)
     return _triangular_icdf(u, nm.spec.scale)
 
 
@@ -299,13 +333,13 @@ def test_edits_on_open_meshes_equal_full_meshes(family):
             assert _same_bits(got, nm.sample_grid(t, full))
             for site in ((1, -2), (0, 0), (-1, 4), (2, 2), (5, 7)):
                 idx = tuple(c - a.ravel()[0] for c, a in zip(site, axes))
-                assert got[idx] == nm.sample(t, site)
+                assert got[idx] == scalar_sample(nm, t, site)
         got = nm.sample_spacetime(times, space)
         assert _same_bits(got, nm.sample_spacetime(st_full[0], st_full[1:]))
         for i, j, k in ((1, 4, 1), (1, 3, 3), (0, 3, 3), (2, 2, 7), (0, 5, 5),
                         (1, 5, 5)):
             site = (int(st_full[1][i, j, k]), int(st_full[2][i, j, k]))
-            assert got[i, j, k] == nm.sample(i + 1, site)
+            assert got[i, j, k] == scalar_sample(nm, i + 1, site)
 
 
 # ---------------------------------------------------------------------------

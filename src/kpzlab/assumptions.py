@@ -16,8 +16,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .driving import DrivingFunction, HessianAtOrigin
-from .noise import _PHI_BLOCK
+from .driving import _PHI_BLOCK, DrivingFunction, HessianAtOrigin
 from .rng import derive_seed
 
 DEFAULT_TOL = 1e-9

@@ -8,7 +8,8 @@ writes no artifact.
 
 Every handler in COMMANDS takes a resolved config and a worker count, so
 the acceptance tests run config.CRITERIA through the same handlers. Each
-builds its runs through studies.ExperimentPlan: this module is only glue.
+builds its runs through studies.ExperimentPlan, and decompose its rows
+through studies.decomposition_row: this module is only glue.
 """
 from __future__ import annotations
 
@@ -28,7 +29,6 @@ from .config import ConfigError, dump_resolved, load_config
 from .config import resolve_side as resolve_side
 from .lattice import evolve, slice_columns
 from .output import rows_to_columns, sha256_text, write_csv, write_json
-from .rescale import coefficients, evolve_and_decompose, macro_terms
 from .studies import (ExperimentPlan, GaussianBump, drift_bound_study,
                       gradient_scaling_study, remainder_ratio_study,
                       stationarity_study, whitenoise_pairing_study)
@@ -60,13 +60,6 @@ def _cmd_simulate(cfg: Dict, workers: int):
     return columns, payload, {}
 
 
-def _decompose_worker(replica: int, plan: ExperimentPlan, epsilon: float,
-                      T: int):
-    """Replica `replica`'s decomposition at (T - 1, origin)."""
-    return evolve_and_decompose(plan.run(replica, epsilon, T),
-                                plan.center_site())
-
-
 def _worst_rel(rows: List[dict], key: str, ref: str) -> float:
     """Largest |row[key]| / |row[ref]| over the rows, at least 0."""
     return max([0.0] + [abs(r[key]) / max(abs(r[ref]), 1e-300) for r in rows])
@@ -77,42 +70,23 @@ def _cmd_decompose(cfg: Dict, workers: int):
     if p["t"] < 1:
         raise ConfigError("decompose needs plan.t >= 1")
     plan = ExperimentPlan.from_config(cfg)
-    run = plan.run(0, p["epsilon"], p["t"])
-    T, eps, d, sigma = run.T, run.epsilon, run.geometry.d, run.noise.sigma
-    hess = run.phi.hessian_origin()
-    scheme = plan.scheme()
-    degenerate = abs(hess.q - hess.r) < 1e-14
-    coef = None if degenerate else coefficients(scheme, eps, d, hess, sigma)
-    samples = studies.map_replicas(_decompose_worker, plan.replicas, workers,
-                                   plan, eps, T)
-    rows = []
-    for k, s in enumerate(samples):
-        row = {"replica": k, "epsilon": eps, "t": s.t}
-        for i, xi in enumerate(s.x, start=1):
-            row[f"x{i}"] = xi
-        row.update(A=s.A, B=s.B, C=s.C, D=s.D, increment=s.increment,
-                   lattice_residual=s.lattice_residual)
-        if coef is not None:
-            sm = macro_terms(s, scheme, eps, sigma, hess, d)
-            row.update({"nu": coef.nu, "lambda": coef.lam, "D_coef": coef.D,
-                        "xi": sm.xi, "time_derivative": sm.time_derivative,
-                        "laplacian_term": sm.laplacian_term,
-                        "grad_sq_term": sm.grad_sq_term,
-                        "noise_term": sm.noise_term,
-                        "remainder": sm.remainder,
-                        "macro_residual": sm.macro_residual})
-        rows.append(row)
+    T, eps = p["t"], p["epsilon"]
+    plan.side_for(T)  # the cone refusal comes before any replica runs
+    rows = studies.map_replicas(studies.decomposition_row, plan.replicas,
+                                workers, plan, eps, T)
+    degenerate = plan.phi().hessian_origin().degenerate
     worst_lattice = _worst_rel(rows, "lattice_residual", "increment")
     assertions = {"lattice_identity_1e-10": worst_lattice <= 1e-10}
     payload = {"t": T, "epsilon": eps, "replicas": plan.replicas,
                "worst_lattice_residual_rel": worst_lattice,
                "degenerate_hessian": degenerate}
-    if coef is not None:
+    if not degenerate:
         worst_macro = _worst_rel(rows, "macro_residual", "time_derivative")
         assertions["macro_identity_1e-10"] = worst_macro <= 1e-10
         payload["worst_macro_residual_rel"] = worst_macro
-        payload["coefficients"] = {"nu": coef.nu, "lambda": coef.lam,
-                                   "D": coef.D}
+        payload["coefficients"] = {"nu": rows[0]["nu"],
+                                   "lambda": rows[0]["lambda"],
+                                   "D": rows[0]["D_coef"]}
     return rows_to_columns(rows), payload, assertions
 
 

@@ -19,6 +19,11 @@ import numpy as np
 
 Offset = Tuple[int, ...]
 
+# stencil sites per phi evaluation block: a (2d+1, block) float64 stack and
+# the temporaries value_many makes of its size (~0.3 MB each at d = 2) stay
+# in a 2 MiB L2 cache, where a whole 321x321 stack (4.1 MB) does not
+_PHI_BLOCK = 1 << 13
+
 
 def stencil_offsets(d: int) -> List[Offset]:
     """Neighborhood offsets in stencil order: 0, +e1, -e1, ..., +ed, -ed."""
@@ -48,6 +53,11 @@ class HessianAtOrigin:
     @property
     def q_minus_r(self) -> float:
         return self.q - self.r
+
+    @property
+    def degenerate(self) -> bool:
+        """q == r: phi has no gradient coefficient, so no macro terms."""
+        return self.q_minus_r == 0
 
 
 def psi_example(x):

@@ -34,8 +34,8 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from .driving import DrivingFunction, stencil_offsets
-from .noise import _BLOCK, _PHI_BLOCK, NoiseModel, Site
+from .driving import _PHI_BLOCK, DrivingFunction
+from .noise import _BLOCK, NoiseModel, Site
 
 
 class ConeWrapWarning(UserWarning):
@@ -180,12 +180,10 @@ class HeightSlice:
         return float(self.values[self.geometry.index(x)])
 
     def stencil_at(self, x) -> np.ndarray:
-        """Heights over the closed neighborhood of x, stencil order."""
-        g = self.geometry
-        xs = g.wrap(x)
-        offs = stencil_offsets(g.d)
-        return np.array([self.values[g.index(tuple(c + o for c, o in zip(xs, off)))]
-                         for off in offs])
+        """Heights over the closed neighborhood of x, stencil order: x's
+        column of the one-row stencil stack of its row."""
+        i = self.geometry.index(x)
+        return self.stencil_stack(i[0], i[0] + 1)[(slice(None), 0) + i[1:]]
 
     def stencil_stack(self, r0: int = 0, r1: int | None = None) -> np.ndarray:
         """Heights over the closed neighborhood of rows r0..r1-1, stencil

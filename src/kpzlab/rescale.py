@@ -15,14 +15,14 @@ Scaled by gamma/alpha these become the discrete heat term, the squared
 gradient term, the noise term and the remainder of the macroscopic
 equation, with coefficients nu, lambda, D determined by the scheme.
 evolve_and_decompose(config, x) runs the evolution it is given and
-decomposes its last step; the remainder study and the decompose command
-both sample through it.
+decomposes its last step, and macro_terms gives a sample's macroscopic
+view; studies.decomposition_row, the one decomposition sampler, calls both.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Sequence, Tuple
 
 from .driving import DrivingFunction, HessianAtOrigin
 from .lattice import (EvolutionConfig, HeightSlice, _warn_if_wrapped,
@@ -103,7 +103,7 @@ def coefficients(scheme: ScalingScheme, epsilon: float, d: int,
     a = scheme.alpha(epsilon)
     b = scheme.beta(epsilon)
     g = scheme.gamma(epsilon)
-    if hessian.q_minus_r == 0:
+    if hessian.degenerate:
         raise ValueError("degenerate driving function: q == r, no gradient "
                          "coefficient exists")
     nu = b * b / ((2 * d + 1) * a)
@@ -124,24 +124,11 @@ class DecompositionSample:
     C: float
     D: float
     increment: float
-    # macroscopic views, filled by macro_terms
-    time_derivative: float = float("nan")
-    laplacian_term: float = float("nan")
-    grad_sq_term: float = float("nan")
-    noise_term: float = float("nan")
-    remainder: float = float("nan")
-    xi: float = float("nan")
 
     @property
     def lattice_residual(self) -> float:
         """increment - (A + B + C + D): zero up to rounding."""
         return self.increment - (self.A + self.B + self.C + self.D)
-
-    @property
-    def macro_residual(self) -> float:
-        """time_derivative - (four macro terms); nan until macro_terms."""
-        return self.time_derivative - (self.laplacian_term + self.grad_sq_term
-                                       + self.noise_term + self.remainder)
 
 
 def decompose(cur: HeightSlice, nxt: HeightSlice, phi: DrivingFunction,
@@ -186,27 +173,32 @@ def evolve_and_decompose(config: EvolutionConfig, x) -> DecompositionSample:
 
 
 def macro_terms(sample: DecompositionSample, scheme: ScalingScheme,
-                epsilon: float, sigma: float, hessian: HessianAtOrigin,
-                d: int) -> DecompositionSample:
-    """Fill the macroscopic fields of a decomposition sample.
+                sigma: float, hessian: HessianAtOrigin,
+                d: int) -> Dict[str, float]:
+    """The decompose CSV's macro columns of a sample, at its epsilon.
 
+    nu, lambda and D_coef are the coefficients (refused when degenerate),
     time_derivative = (gamma/alpha) * increment,
     laplacian_term  = nu * (2d+1) (gamma/beta^2) A,
     grad_sq_term    = (lambda/2) * gamma^2/((q-r) beta^2) B,
     noise_term      = sqrt(D) * xi with xi = C/(eps sigma sqrt(alpha) beta^{d/2}),
-    remainder       = (gamma/alpha) * D.
+    remainder       = (gamma/alpha) * D,
+    macro_residual  = time_derivative - (the four terms): zero up to rounding.
     """
+    epsilon = sample.epsilon
     a = scheme.alpha(epsilon)
     b = scheme.beta(epsilon)
     g = scheme.gamma(epsilon)
     co = coefficients(scheme, epsilon, d, hessian, sigma)
     xi = sample.C / (epsilon * sigma * math.sqrt(a) * b ** (d / 2.0))
-    return replace(
-        sample,
-        time_derivative=(g / a) * sample.increment,
-        laplacian_term=co.nu * (2 * d + 1) * g / (b * b) * sample.A,
-        grad_sq_term=(co.lam / 2.0) * g * g / (hessian.q_minus_r * b * b) * sample.B,
-        noise_term=math.sqrt(co.D) * xi,
-        remainder=(g / a) * sample.D,
-        xi=xi,
-    )
+    m = {"nu": co.nu, "lambda": co.lam, "D_coef": co.D, "xi": xi,
+         "time_derivative": (g / a) * sample.increment,
+         "laplacian_term": co.nu * (2 * d + 1) * g / (b * b) * sample.A,
+         "grad_sq_term": (co.lam / 2.0) * g * g
+                         / (hessian.q_minus_r * b * b) * sample.B,
+         "noise_term": math.sqrt(co.D) * xi,
+         "remainder": (g / a) * sample.D}
+    m["macro_residual"] = m["time_derivative"] - (
+        m["laplacian_term"] + m["grad_sq_term"] + m["noise_term"]
+        + m["remainder"])
+    return m

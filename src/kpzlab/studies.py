@@ -8,10 +8,12 @@ across the whole epsilon grid, so per-epsilon statistics are paired and
 trend/band assertions are stable at moderate replica counts.
 
 plan.run(replica, eps, horizon) is the one builder of an evolution, for
-every command, and map_replicas the one replica runner. A plan refuses bad
-values and unknown names when it is built, and each study checks its
-inputs, its largest torus side and its replica floor before map_replicas,
-so a refusal comes before any replica runs.
+every command, decomposition_row the one decomposition sampler (of the
+decompose command and the remainder study), and map_replicas the one
+replica runner. A plan refuses bad values and unknown names when it is
+built, and each study checks its inputs, its largest torus side and its
+replica floor before map_replicas, so a refusal comes before any replica
+runs.
 
 scipy is imported only inside the functions that use it (GaussianBump's
 erf integrals, the white-noise and stationarity statistics): importing
@@ -245,24 +247,36 @@ def _remainder_horizon(plan: ExperimentPlan, eps: float) -> int:
     return plan.t_for(eps) + 1
 
 
+def decomposition_row(replica: int, plan: ExperimentPlan, epsilon: float,
+                      horizon: int) -> dict:
+    """Replica `replica`'s decomposition at (horizon - 1, origin) as a
+    decompose CSV row: its lattice columns, then the macro_terms columns
+    unless phi's hessian is degenerate."""
+    run = plan.run(replica, epsilon, horizon)
+    s = evolve_and_decompose(run, plan.center_site())
+    row = {"replica": replica, "epsilon": epsilon, "t": s.t,
+           **{f"x{i}": c for i, c in enumerate(s.x, start=1)},
+           "A": s.A, "B": s.B, "C": s.C, "D": s.D, "increment": s.increment,
+           "lattice_residual": s.lattice_residual}
+    hess = run.phi.hessian_origin()
+    if not hess.degenerate:
+        row.update(macro_terms(s, plan.scheme(), run.noise.sigma, hess,
+                               plan.d))
+    return row
+
+
+# the remainder study's samples columns, as perfbench/reference.json pins them
+_SAMPLE_KEYS = ("replica", "epsilon", "t", "A", "B", "C", "D", "remainder",
+                "laplacian_term", "grad_sq_term", "noise_term",
+                "time_derivative")
+
+
 def _remainder_worker(replica: int, plan: ExperimentPlan) -> List[dict]:
-    scheme = plan.scheme()
-    x0 = plan.center_site()
     rows = []
     for eps in plan.epsilon_grid:
-        run = plan.run(replica, eps, _remainder_horizon(plan, eps))
-        samp = evolve_and_decompose(run, x0)
-        samp = macro_terms(samp, scheme, eps, run.noise.sigma,
-                           run.phi.hessian_origin(), plan.d)
-        rows.append({
-            "replica": replica, "epsilon": eps, "t": samp.t,
-            "A": samp.A, "B": samp.B, "C": samp.C, "D": samp.D,
-            "remainder": samp.remainder,
-            "laplacian_term": samp.laplacian_term,
-            "grad_sq_term": samp.grad_sq_term,
-            "noise_term": samp.noise_term,
-            "time_derivative": samp.time_derivative,
-        })
+        row = decomposition_row(replica, plan, eps,
+                                _remainder_horizon(plan, eps))
+        rows.append({key: row[key] for key in _SAMPLE_KEYS})
     return rows
 
 
@@ -276,6 +290,9 @@ def remainder_ratio_study(plan: ExperimentPlan, workers: int = 1) -> StudyResult
     """Medians of |remainder| over each macroscopic term must fall with eps."""
     _check_study_replicas(plan)
     plan.side_for(max(_remainder_horizon(plan, e) for e in plan.epsilon_grid))
+    if plan.phi().hessian_origin().degenerate:
+        raise ConfigError(f"remainder needs q != r, but model.phi="
+                          f"{plan.phi_name} has a degenerate hessian")
     raw = map_replicas(_remainder_worker, plan.replicas, workers, plan)
     rows = [r for chunk in raw for r in chunk]
 

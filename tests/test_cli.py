@@ -181,6 +181,8 @@ def _fail_on_any_run(monkeypatch):
       "plan.schedule=macro-fixed", "--set", "plan.replicas=30", "--set",
       "plan.epsilon_grid=0.5,0.4"],
      "scheme.preset=power-law, scheme.alpha_exp=-1.0"),
+    (["remainder", "--set", "model.phi=ew", "--set", "plan.replicas=30"],
+     "model.phi"),
 ])
 def test_side_misconfiguration_exits_2_before_any_run(tmp_path, capsys,
                                                       monkeypatch, argv, key,
@@ -195,7 +197,8 @@ def test_side_misconfiguration_exits_2_before_any_run(tmp_path, capsys,
     # side below 3, a macro_time that is not positive and, under
     # macro-fixed, a scheme whose alpha does not shrink; a study needs 30
     # replicas; a command takes no --set of a [plan] or [test_function]
-    # key it does not read (plan.macro_time is read under macro-fixed only)
+    # key it does not read (plan.macro_time is read under macro-fixed only);
+    # the remainder study needs a phi with q != r
     _fail_on_any_run(monkeypatch)
     rc = main(argv + ["--out", str(tmp_path), "--workers", workers])
     assert rc == 2
@@ -229,6 +232,8 @@ def test_side_misconfiguration_exits_2_before_any_run(tmp_path, capsys,
      "model.noise_scale has no effect on check-phi"),
     (["check-phi", "--set", "model.noise_family=triangular"],
      "model.noise_family has no effect on check-phi"),
+    (["decompose", "--set", "plan.t=0"], "plan.t"),
+    (["walk-check", "--set", "plan.t=0"], "plan.t"),
 ])
 def test_refusals_name_their_key(tmp_path, capsys, monkeypatch, argv, key):
     # a value no run takes, or a --set [model] key the run does not read

@@ -13,12 +13,12 @@ from scipy import stats
 
 import kpzlab.lattice as lattice_mod
 import kpzlab.noise as noise_mod
-from kpzlab.driving import (EdwardsWilkinsonDriving, PolymerDriving,
-                            make_driving)
+from kpzlab.driving import (_PHI_BLOCK, EdwardsWilkinsonDriving,
+                            PolymerDriving, make_driving)
 from kpzlab.lattice import (ConeWrapWarning, EvolutionConfig, HeightSlice,
                             LatticeGeometry, _site_axes, evolve,
                             min_cone_side, slice_columns, step, trajectory)
-from kpzlab.noise import _BLOCK, _PHI_BLOCK, NoiseModel, make_noise
+from kpzlab.noise import _BLOCK, NoiseModel, make_noise
 from kpzlab.rescale import evolve_and_decompose
 from oracles import (CallableDriving, polymer_path_sum, scalar_sample,
                      unblocked_evolve)
@@ -124,7 +124,8 @@ def _roll_stack(vals):
                                  (3, 23)])
 def test_stencil_stack_equals_roll_oracle(d, L):
     # the whole stack, every row block step uses, and one-row blocks on
-    # and next to both wrapped edges
+    # and next to both wrapped edges; stencil_at at every site, named by
+    # its canonical coordinates shifted by -1, 0 or 1 whole turns per axis
     g = LatticeGeometry(d, L)
     vals = np.random.default_rng(L + d).uniform(-1, 1, size=g.shape)
     sl = HeightSlice(g, 0, vals)
@@ -137,6 +138,11 @@ def test_stencil_stack_equals_roll_oracle(d, L):
         got = sl.stencil_stack(r0, r1)
         assert np.array_equal(got.view(np.uint64),
                               ref[:, r0:r1].view(np.uint64)), (r0, r1)
+    turns = np.random.default_rng(d).integers(-1, 2, size=(g.n_sites, d))
+    for idx, k in zip(itertools.product(range(L), repeat=d), turns):
+        x = tuple(int(i + g.lo + L * n) for i, n in zip(idx, k))
+        assert np.array_equal(sl.stencil_at(x).view(np.uint64),
+                              ref[(slice(None),) + idx].view(np.uint64)), x
 
 
 class _CountedPolymer(PolymerDriving):

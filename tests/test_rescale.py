@@ -172,11 +172,10 @@ def test_decompose_needs_consecutive_slices():
 
 
 def test_residual_properties():
-    # exact in binary; the macro residual is nan until macro_terms fills it
+    # exact in binary
     s = DecompositionSample(epsilon=0.1, t=0, x=(0,), A=1.0, B=2.0, C=3.0,
                             D=4.0, increment=10.5)
     assert s.lattice_residual == 0.5
-    assert math.isnan(s.macro_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +192,26 @@ def test_macro_terms_reconstruct_time_derivative():
         A, B, C, D = rng.uniform(-1, 1, size=4) * rng.choice([1e-3, 1.0, 10.0])
         s = DecompositionSample(epsilon=0.3, t=5, x=(0,), A=A, B=B, C=C, D=D,
                                 increment=A + B + C + D)
-        m = macro_terms(s, sch, 0.3, 1.0, hess, 1)
-        assert abs(m.macro_residual) <= max(1e-10 * abs(m.time_derivative),
-                                            1e-12)
+        m = macro_terms(s, sch, 1.0, hess, 1)
+        assert m["macro_residual"] == m["time_derivative"] - (
+            m["laplacian_term"] + m["grad_sq_term"] + m["noise_term"]
+            + m["remainder"])
+        assert abs(m["macro_residual"]) <= max(
+            1e-10 * abs(m["time_derivative"]), 1e-12)
+
+
+def test_macro_terms_are_the_decompose_columns():
+    # the dict is the decompose CSV's macro block, coefficients included
+    hess = PolymerDriving(2).hessian_origin()
+    sch = power_law(alpha_exp=2, beta_exp=1, gamma_exp=0.5)
+    s = DecompositionSample(epsilon=0.2, t=1, x=(0, 0), A=0.5, B=0.25,
+                            C=-0.3, D=0.01, increment=0.46)
+    m = macro_terms(s, sch, 0.5, hess, 2)
+    assert list(m) == ["nu", "lambda", "D_coef", "xi", "time_derivative",
+                       "laplacian_term", "grad_sq_term", "noise_term",
+                       "remainder", "macro_residual"]
+    co = coefficients(sch, 0.2, 2, hess, 0.5)
+    assert (m["nu"], m["lambda"], m["D_coef"]) == (co.nu, co.lam, co.D)
 
 
 def test_macro_terms_scale_each_piece():
@@ -205,12 +221,13 @@ def test_macro_terms_scale_each_piece():
     ratio = sch.gamma(eps) / sch.alpha(eps)
     s = DecompositionSample(epsilon=eps, t=1, x=(0,), A=0.5, B=0.25, C=-0.3,
                             D=0.01, increment=0.46)
-    m = macro_terms(s, sch, eps, 1.0, hess, 1)
-    assert m.laplacian_term == pytest.approx(ratio * s.A, rel=1e-12)
-    assert m.grad_sq_term == pytest.approx(ratio * s.B, rel=1e-12)
-    assert m.noise_term == pytest.approx(ratio * s.C, rel=1e-12)
-    assert m.remainder == pytest.approx(ratio * s.D, rel=1e-12)
-    assert m.time_derivative == pytest.approx(ratio * s.increment, rel=1e-12)
+    m = macro_terms(s, sch, 1.0, hess, 1)
+    assert m["laplacian_term"] == pytest.approx(ratio * s.A, rel=1e-12)
+    assert m["grad_sq_term"] == pytest.approx(ratio * s.B, rel=1e-12)
+    assert m["noise_term"] == pytest.approx(ratio * s.C, rel=1e-12)
+    assert m["remainder"] == pytest.approx(ratio * s.D, rel=1e-12)
+    assert m["time_derivative"] == pytest.approx(ratio * s.increment,
+                                                 rel=1e-12)
 
 
 def test_xi_value_scaling():
@@ -220,9 +237,9 @@ def test_xi_value_scaling():
     eps = 0.1
     s = DecompositionSample(epsilon=eps, t=3, x=(0,), A=0.0, B=0.0,
                             C=eps * 0.5, D=0.0, increment=eps * 0.5)
-    assert macro_terms(s, sch, eps, 1.0, hess, 1).xi == pytest.approx(
+    assert macro_terms(s, sch, 1.0, hess, 1)["xi"] == pytest.approx(
         500.0, rel=1e-12)
-    assert macro_terms(s, sch, eps, 0.5, hess, 1).xi == pytest.approx(
+    assert macro_terms(s, sch, 0.5, hess, 1)["xi"] == pytest.approx(
         1000.0, rel=1e-12)
 
 
@@ -265,12 +282,12 @@ def test_laplacian_term_equals_discrete_laplacian_in_cells(name, d):
         for m in range(1, 5):
             for v in itertools.product(range(g.lo, g.lo + g.L), repeat=d):
                 s = macro_terms(decompose(slices[m], slices[m + 1], phi, nm,
-                                          eps, v), sch, eps, nm.sigma, hess, d)
+                                          eps, v), sch, nm.sigma, hess, d)
                 oracle = nu * _discrete_laplacian(
                     F, (m - 0.5) * a, [(c - 0.5) * b for c in v], b, d)
                 scale = (nu * (2 * d + 1) * gam / b ** 2
                          * np.abs(slices[m].stencil_at(v)).max())
-                assert abs(s.laplacian_term - oracle) <= 1e-13 * scale
+                assert abs(s["laplacian_term"] - oracle) <= 1e-13 * scale
 
 
 def test_coefficients_dataclass_fields():

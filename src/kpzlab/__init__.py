@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .assumptions import AssumptionReport, CheckResult, check_assumptions
 from .driving import (DrivingFunction, EdwardsWilkinsonDriving,
                       GeneralizedKpzDriving, HessianAtOrigin, PolymerDriving,
-                      make_driving, psi_example, stencil_offsets)
+                      make_driving, stencil_offsets)
 from .lattice import (ConeWrapWarning, EvolutionConfig, HeightSlice,
                       LatticeGeometry, evolve, min_cone_side, slice_columns,
                       step, trajectory)
@@ -33,8 +33,7 @@ __all__ = [
     "__version__",
     "AssumptionReport", "CheckResult", "check_assumptions",
     "DrivingFunction", "EdwardsWilkinsonDriving", "GeneralizedKpzDriving",
-    "HessianAtOrigin", "PolymerDriving", "make_driving", "psi_example",
-    "stencil_offsets",
+    "HessianAtOrigin", "PolymerDriving", "make_driving", "stencil_offsets",
     "ConeWrapWarning", "EvolutionConfig", "HeightSlice", "LatticeGeometry",
     "evolve", "min_cone_side", "slice_columns", "step", "trajectory",
     "NoiseModel", "NoiseSpec", "make_noise", "replica_noise",

@@ -8,11 +8,17 @@ symmetric finite-difference Hessian), a nondegenerate origin Hessian,
 domination of the plain-mean update, and strict domination quantified by
 a radial profile on the zero-mean hyperplane together with a fitted
 quadratic-lower-bound witness (M, c).
+
+The stencil batch is drawn and evaluated one block of _PHI_BLOCK // n
+stencils at a time, so an audit holds one block (and the temporaries phi
+makes of it), whatever the sample count. Each block holds the same bits
+as the same columns of the batch drawn whole from the seeded generator.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -70,13 +76,46 @@ class AssumptionReport:
         }
 
 
-def _sample_stencils(rng: np.random.Generator, n: int,
-                     count: int) -> np.ndarray:
-    """Stencil batch (n, count) filling the inf-ball of DEFAULT_RADIUS."""
-    U = rng.uniform(-DEFAULT_RADIUS, DEFAULT_RADIUS, size=(n, count))
-    # sprinkle small-radius samples so the near-origin regime is covered
-    small = rng.uniform(-1e-3, 1e-3, size=(n, count // 10))
-    return np.concatenate([U, small], axis=1)
+_Block = Tuple[np.ndarray, np.ndarray]
+
+
+def _sample_stencils(rng: np.random.Generator, n: int, samples: int,
+                     block: int) -> Tuple[int, Iterator[_Block]]:
+    """The stencil count and the batch's blocks (U, shifts), in order.
+
+    The batch is what rng would draw as one (n, samples) array filling the
+    inf-ball of DEFAULT_RADIUS, then (n, samples // 10) near-origin
+    stencils appended as columns, then one shift per stencil. Each of those
+    2n + 1 streams (a wide row, a near-origin row, the shifts) is read in
+    order from its own copy of rng's bit generator, advanced to the
+    stream's first draw, so a block of at most `block` columns holds the
+    batch's bits. rng itself is advanced past every draw of the batch
+    before this returns.
+    """
+    small = samples // 10  # near-origin stencils, so that regime is covered
+    count = samples + small
+    starts = ([i * samples for i in range(n)]
+              + [n * samples + i * small for i in range(n)] + [n * count])
+    streams = []
+    for start in starts:
+        bits = copy.deepcopy(rng.bit_generator)
+        bits.advance(start)
+        streams.append(np.random.Generator(bits))
+    rng.bit_generator.advance(n * count + count)
+
+    def blocks():
+        for c0 in range(0, count, block):
+            c1 = min(c0 + block, count)
+            wide = max(0, min(c1, samples) - c0)
+            U = np.empty((n, c1 - c0))
+            for i in range(n):
+                U[i, :wide] = streams[i].uniform(
+                    -DEFAULT_RADIUS, DEFAULT_RADIUS, size=wide)
+                U[i, wide:] = streams[n + i].uniform(
+                    -1e-3, 1e-3, size=c1 - c0 - wide)
+            yield U, streams[-1].uniform(-2 * DEFAULT_RADIUS,
+                                         2 * DEFAULT_RADIUS, size=c1 - c0)
+    return count, blocks()
 
 
 def check_assumptions(phi: DrivingFunction,
@@ -85,25 +124,24 @@ def check_assumptions(phi: DrivingFunction,
     n = phi.n
     tol = DEFAULT_TOL
     rng = np.random.default_rng(derive_seed(seed, 0xA5) & 0x7FFFFFFFFFFFFFFF)
-    U = _sample_stencils(rng, n, samples)
-    count = U.shape[1]
-    shifts = rng.uniform(-2 * DEFAULT_RADIUS, 2 * DEFAULT_RADIUS, size=count)
+    # blocks of _PHI_BLOCK stencil values: the stack and every temporary
+    # phi makes of it stay under glibc's 128 KiB mmap threshold, so no
+    # block maps and unmaps fresh pages
+    block = max(1, _PHI_BLOCK // n)
+    count, stencil_blocks = _sample_stencils(rng, n, samples, block)
     perms = [rng.permutation(n) for _ in range(8)]
 
-    # the batch is evaluated in column blocks of at most _PHI_BLOCK stencils
-    # (phi, its gradient and their temporaries stay in L2); each check
-    # keeps one extreme per block and reduces them as one array, so NaN
-    # propagates and the results are those of the whole batch, bit for bit
-    blocks = range(0, count, _PHI_BLOCK)
-    shift_err = np.empty(len(blocks))
-    perm_err = np.empty((len(perms), len(blocks)))
-    grad_min = np.empty(len(blocks))
-    mean_gap = np.empty(len(blocks))
-    for b, c0 in enumerate(blocks):
-        cols = slice(c0, c0 + _PHI_BLOCK)
-        Ub = np.ascontiguousarray(U[:, cols])
+    # the batch is drawn and evaluated one block of stencils at a time;
+    # each check keeps one extreme per block and reduces them as one
+    # array, so NaN propagates and the results are those of the whole
+    # batch, bit for bit
+    nblocks = -(-count // block)
+    shift_err = np.empty(nblocks)
+    perm_err = np.empty((len(perms), nblocks))
+    grad_min = np.empty(nblocks)
+    mean_gap = np.empty(nblocks)
+    for b, (Ub, sh) in enumerate(stencil_blocks):
         vals = phi.value_many(Ub)
-        sh = shifts[cols]
         shift_err[b] = np.abs(phi.value_many(Ub + sh) - (vals + sh)).max()
         for i, perm in enumerate(perms):
             perm_err[i, b] = np.abs(phi.value_many(Ub[perm]) - vals).max()
@@ -144,8 +182,8 @@ def check_assumptions(phi: DrivingFunction,
     hess = phi.hessian_origin()
 
     # nondegeneracy: q, r and q-r all bounded away from zero
-    ndg = min(abs(hess.q), abs(hess.r), abs(hess.q_minus_r))
-    checks.append(CheckResult("nondegenerate_hessian", ndg > tol, float(ndg),
+    checks.append(CheckResult("nondegenerate_hessian", not hess.degenerate,
+                              float(hess.nondegeneracy),
                               f"q={hess.q!r} r={hess.r!r}"))
 
     # domination of the plain-mean update: phi(u) >= mean(u)

@@ -303,12 +303,14 @@ def slice_columns(slice_: HeightSlice, epsilon: float,
     """Columns for the CSV export, one row per site in row-major order.
 
     The metadata are scalars; x1..xd are the site coordinates and value
-    the heights.
+    the heights, each an array of the lattice's shape that write_csv reads
+    in row-major order. The coordinates are broadcast views of the site
+    axes, so no per-site coordinate array is made.
     """
     g = slice_.geometry
     cols: Dict[str, object] = {"d": g.d, "L": g.L, "t": slice_.t,
                                "epsilon": epsilon, "seed": seed}
     for axis, a in enumerate(_site_axes(g.d, g.L), start=1):
-        cols[f"x{axis}"] = np.broadcast_to(a, g.shape).ravel()
-    cols["value"] = slice_.values.ravel()
+        cols[f"x{axis}"] = np.broadcast_to(a, g.shape)
+    cols["value"] = slice_.values
     return cols

@@ -80,6 +80,11 @@ def _is_column(col) -> bool:
                                               and col.ndim > 0)
 
 
+def _rows(col, r0: int, r1: int):
+    """Rows [r0, r1) of a column; an array is read in row-major order."""
+    return col.flat[r0:r1] if isinstance(col, np.ndarray) else col[r0:r1]
+
+
 def _cells(col) -> Iterator[str]:
     """A column's cells as CSV text, made as they are read."""
     if isinstance(col, np.ndarray):
@@ -95,12 +100,15 @@ def write_csv(path: str, columns: Mapping[str, object]) -> None:
     """RFC-4180-style CSV from columns (name -> array, sequence or scalar).
 
     Every array or sequence column holds one cell per row, and all have
-    the same length; a scalar column repeats its value on every row (a
-    table of scalars only is one row). Floating arrays are written with
-    repr and integer arrays with str; any other cell goes through
-    fmt_value, and text is quoted as csv.QUOTE_MINIMAL would quote it.
+    the same length; an n-D array holds one cell per element, in row-major
+    order, and its length is its size. A scalar column repeats its value on
+    every row (a table of scalars only is one row). Floating arrays are
+    written with repr and integer arrays with str; any other cell goes
+    through fmt_value, and text is quoted as csv.QUOTE_MINIMAL would quote
+    it.
     """
-    lengths = {len(c) for c in columns.values() if _is_column(c)}
+    lengths = {c.size if isinstance(c, np.ndarray) else len(c)
+               for c in columns.values() if _is_column(c)}
     if len(lengths) > 1:
         raise ValueError(f"CSV columns differ in length: {sorted(lengths)}")
     n = lengths.pop() if lengths else min(len(columns), 1)
@@ -110,7 +118,7 @@ def write_csv(path: str, columns: Mapping[str, object]) -> None:
 
     def lines(r0: int, r1: int) -> Iterator[str]:
         return map(",".join, zip(*(
-            _cells(c[r0:r1]) if not isinstance(c, str)
+            _cells(_rows(c, r0, r1)) if not isinstance(c, str)
             else itertools.repeat(c, r1 - r0) for c in cols)))
 
     def write(fh, text: Iterable[str]) -> None:

@@ -104,8 +104,8 @@ def coefficients(scheme: ScalingScheme, epsilon: float, d: int,
     b = scheme.beta(epsilon)
     g = scheme.gamma(epsilon)
     if hessian.degenerate:
-        raise ValueError("degenerate driving function: q == r, no gradient "
-                         "coefficient exists")
+        raise ValueError("degenerate driving function: q, r or q - r is "
+                         "zero, no gradient coefficient exists")
     nu = b * b / ((2 * d + 1) * a)
     lam = 2.0 * hessian.q_minus_r * b * b / (a * g)
     Dco = sigma * sigma * epsilon * epsilon * b ** d * g * g / a

@@ -290,9 +290,11 @@ def remainder_ratio_study(plan: ExperimentPlan, workers: int = 1) -> StudyResult
     """Medians of |remainder| over each macroscopic term must fall with eps."""
     _check_study_replicas(plan)
     plan.side_for(max(_remainder_horizon(plan, e) for e in plan.epsilon_grid))
-    if plan.phi().hessian_origin().degenerate:
-        raise ConfigError(f"remainder needs q != r, but model.phi="
-                          f"{plan.phi_name} has a degenerate hessian")
+    hess = plan.phi().hessian_origin()
+    if hess.degenerate:
+        raise ConfigError(f"remainder needs a nondegenerate hessian, but "
+                          f"model.phi={plan.phi_name} has q={hess.q!r}, "
+                          f"r={hess.r!r}")
     raw = map_replicas(_remainder_worker, plan.replicas, workers, plan)
     rows = [r for chunk in raw for r in chunk]
 

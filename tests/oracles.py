@@ -67,6 +67,44 @@ def scalar_sample(noise: NoiseModel, t: int, x) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the built-in driving functions and the audit's stencil batch, whole
+
+
+def psi_example(x):
+    """Kink penalty of the gkpz driving: x^2 inside |x|<=1, then 2|x|-1.
+
+    C1 everywhere, C2 near 0 with psi''(0)=2, slope bounded by 2.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    out = np.where(np.abs(x) <= 1.0, x * x, 2.0 * np.abs(x) - 1.0)
+    return out if out.ndim else float(out)
+
+
+def polymer_value_many(U: np.ndarray) -> np.ndarray:
+    """Polymer phi of the stencil columns as one max-shifted expression."""
+    U = np.asarray(U, dtype=np.float64)
+    m = U.max(axis=0)
+    return m + np.log(np.exp(U - m).sum(axis=0) / U.shape[0])
+
+
+def gkpz_value_many(U: np.ndarray, coupling: float) -> np.ndarray:
+    """gkpz phi of the stencil columns: mean plus coupled psi_example sum."""
+    U = np.asarray(U, dtype=np.float64)
+    ubar = U.mean(axis=0)
+    return ubar + coupling * psi_example(U - ubar).sum(axis=0)
+
+
+def audit_stencil_batch(rng: np.random.Generator, n: int, samples: int):
+    """The audit's stencils (n, samples + samples // 10) and their shifts,
+    drawn whole: samples wide stencils in the inf-ball of radius 5, then
+    samples // 10 near-origin ones, then one shift in [-10, 10] each."""
+    U = rng.uniform(-5.0, 5.0, size=(n, samples))
+    small = rng.uniform(-1e-3, 1e-3, size=(n, samples // 10))
+    U = np.concatenate([U, small], axis=1)
+    return U, rng.uniform(-10.0, 10.0, size=U.shape[1])
+
+
+# ---------------------------------------------------------------------------
 # a driving function given as a plain callable
 
 

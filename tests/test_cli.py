@@ -183,6 +183,9 @@ def _fail_on_any_run(monkeypatch):
      "scheme.preset=power-law, scheme.alpha_exp=-1.0"),
     (["remainder", "--set", "model.phi=ew", "--set", "plan.replicas=30"],
      "model.phi"),
+    (["remainder", "--set", "model.phi=gkpz", "--set",
+      "model.coupling=1e-12", "--set", "plan.replicas=30", "--set",
+      "plan.epsilon_grid=0.2,0.1"], "model.phi=gkpz"),
 ])
 def test_side_misconfiguration_exits_2_before_any_run(tmp_path, capsys,
                                                       monkeypatch, argv, key,
@@ -198,7 +201,8 @@ def test_side_misconfiguration_exits_2_before_any_run(tmp_path, capsys,
     # macro-fixed, a scheme whose alpha does not shrink; a study needs 30
     # replicas; a command takes no --set of a [plan] or [test_function]
     # key it does not read (plan.macro_time is read under macro-fixed only);
-    # the remainder study needs a phi with q != r
+    # the remainder study needs a phi whose hessian check-phi calls
+    # nondegenerate (ew, or gkpz at a coupling of 1e-12, is not)
     _fail_on_any_run(monkeypatch)
     rc = main(argv + ["--out", str(tmp_path), "--workers", workers])
     assert rc == 2
@@ -327,6 +331,37 @@ def test_simulate_artifacts_and_manifest(tmp_path):
     assert {"x1", "value", "epsilon", "seed"} <= set(rows[0])
 
 
+_TINY_STUDY = ["--set", "plan.replicas=30", "--set", "plan.epsilon_grid=0.5 0.4"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--set", "plan.t=2"],
+    ["check-phi"],
+    ["walk-check", "--set", "plan.t=2"],
+    ["decompose", "--set", "plan.t=2", "--set", "plan.replicas=2"],
+    ["remainder"] + _TINY_STUDY,
+    ["gradient"] + _TINY_STUDY,
+    ["drift", "--set", "plan.times=1 2"] + _TINY_STUDY,
+    ["whitenoise"] + _TINY_STUDY,
+    ["stationarity", "--set", "plan.checkpoints=1 2", "--set",
+     "plan.geometry=torus", "--set", "plan.l=8"] + _TINY_STUDY,
+], ids=lambda argv: argv[0])
+def test_manifest_times_library_import_as_its_own_phase(tmp_path, argv):
+    # whitenoise and stationarity import scipy.stats before their run
+    # phase starts, so phases.run times the run alone; the phases add up
+    # to the manifest's wall time
+    assert main(argv + ["--out", str(tmp_path)]) in (0, 1)
+    man = read_doc(tmp_path / f"{argv[0]}-0.json")["manifest"]
+    phases = man["phases"]
+    expect = {"run", "export"}
+    if argv[0] in ("whitenoise", "stationarity"):
+        expect.add("import")
+    assert set(phases) == expect
+    assert min(p["wall_s"] for p in phases.values()) >= 0.0
+    assert man["wall_time_s"] == pytest.approx(
+        sum(p["wall_s"] for p in phases.values()), abs=1e-9)
+
+
 # Run in a fresh interpreter: other test modules import scipy into this one.
 _IMPORT_GUARD = """
 import sys
@@ -432,13 +467,21 @@ def test_decompose_flat_first_step(tmp_path, capsys):
     assert doc["report"]["coefficients"]["nu"] == pytest.approx(1 / 3)
 
 
-def test_decompose_degenerate_update_skips_macro(tmp_path):
-    rc = run_decompose(tmp_path, "--set", "model.phi=ew")
+@pytest.mark.parametrize("sets", [
+    ["model.phi=ew"],
+    # q, r and q - r of order 1e-12: the hessian check-phi fails
+    ["model.phi=gkpz", "model.coupling=1e-12"],
+])
+def test_decompose_degenerate_update_skips_macro(tmp_path, sets):
+    rc = run_decompose(tmp_path, *[a for s in sets for a in ("--set", s)])
     assert rc == 0
     doc = read_doc(tmp_path / "decompose-0.json")
     assert doc["report"]["degenerate_hessian"] is True
     assert set(doc["assertions"]) == {"lattice_identity_1e-10"}
     assert "coefficients" not in doc["report"]
+    header = read_rows(tmp_path / "decompose-0.csv")[0]
+    assert "lattice_residual" in header
+    assert not {"time_derivative", "macro_residual", "nu"} & set(header)
 
 
 def test_decompose_command_matches_remainder_study(tmp_path):

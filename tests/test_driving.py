@@ -5,6 +5,7 @@ hand-computed values; the axiom auditor must accept the shipped update
 rules and reject the degenerate and the non-smooth ones.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,11 +14,12 @@ from hypothesis import strategies as st
 
 import kpzlab.assumptions as assumptions_mod
 from kpzlab.assumptions import check_assumptions
-from kpzlab.driving import (DrivingFunction, EdwardsWilkinsonDriving,
-                            GeneralizedKpzDriving, PolymerDriving,
-                            make_driving, psi_example, psi_example_prime,
-                            stencil_offsets)
-from oracles import CallableDriving, fd_gradient_many
+from kpzlab.driving import (_PHI_BLOCK, DrivingFunction,
+                            EdwardsWilkinsonDriving, GeneralizedKpzDriving,
+                            HessianAtOrigin, PolymerDriving, make_driving,
+                            psi_example_prime, stencil_offsets)
+from oracles import (CallableDriving, audit_stencil_batch, fd_gradient_many,
+                     gkpz_value_many, polymer_value_many, psi_example)
 
 ALL_BUILTINS = [make_driving(n, d) for n in ("polymer", "gkpz", "ew")
                 for d in (1, 2)]
@@ -61,6 +63,37 @@ def test_gkpz_value_formula():
     ubar = u.mean()
     expect = ubar + 0.05 * sum(psi_example(x - ubar) for x in u)
     assert phi.value(u) == pytest.approx(expect, abs=1e-15)
+
+
+def _kernel_inputs(d):
+    """Stencil arrays of one phi block and of a whole lattice's stack:
+    random, shifted far from the origin, and with NaN and inf heights."""
+    n = 2 * d + 1
+    rng = np.random.default_rng(11 + d)
+    L = {1: 301, 2: 41, 3: 13}[d]
+    for shape in [(n, _PHI_BLOCK // n), (n,) + (L,) * d]:
+        U = rng.uniform(-5.0, 5.0, size=shape)
+        yield U
+        yield U + 1e6
+        yield rng.normal(0.0, 0.3, size=shape)  # mostly inside |x| <= 1
+        bad = U.copy()
+        bad.flat[::97] = np.nan
+        bad.flat[5::101] = np.inf
+        bad.flat[7::103] = -np.inf
+        yield bad
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kernels_equal_one_expression(d):
+    # the in-place kernels give the bits of the one-expression references,
+    # NaN and inf included (their RuntimeWarnings are the references' too)
+    polymer, gkpz = PolymerDriving(d), GeneralizedKpzDriving(d)
+    with np.errstate(all="ignore"):
+        for U in _kernel_inputs(d):
+            assert (polymer.value_many(U).tobytes()
+                    == polymer_value_many(U).tobytes())
+            assert (gkpz.value_many(U).tobytes()
+                    == gkpz_value_many(U, gkpz.coupling).tobytes())
 
 
 def test_gkpz_default_coupling():
@@ -316,6 +349,59 @@ def test_audit_blocks_keep_nan(monkeypatch):
                                                 seed=3).as_dict()))
     assert reports[0] == reports[1]
     assert reports[0]["checks"][0]["worst"] == "nan"
+
+
+@pytest.mark.parametrize("samples", [100_000, 2_003, 9])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("default_block", [True, False])
+def test_audit_stencil_blocks_equal_the_batch(samples, d, default_block):
+    # the blocks hold the bits of the batch drawn whole, and the generator
+    # is left where the whole draw leaves it, so perms and the domination
+    # profile read the same values
+    n = 2 * d + 1
+    block = _PHI_BLOCK // n if default_block else 1_100
+    seeded = lambda: np.random.default_rng(12345)  # noqa: E731
+    ref_rng = seeded()
+    U, shifts = audit_stencil_batch(ref_rng, n, samples)
+    rng = seeded()
+    count, blocks = assumptions_mod._sample_stencils(rng, n, samples, block)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    blocks = list(blocks)
+    assert count == U.shape[1]
+    assert all(Ub.shape[1] <= block for Ub, _ in blocks)
+    assert np.concatenate([Ub for Ub, _ in blocks], axis=1).tobytes() \
+        == U.tobytes()
+    assert np.concatenate([sh for _, sh in blocks]).tobytes() \
+        == shifts.tobytes()
+    assert rng.permutation(n).tolist() == ref_rng.permutation(n).tolist()
+
+
+def test_audit_holds_one_block():
+    # the default polymer d=2 audit draws 110,000 stencils (8.4 MiB as one
+    # batch plus its concatenated copy); it holds one block at a time
+    phi = PolymerDriving(2)
+    tracemalloc.start()
+    try:
+        check_assumptions(phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("q,r,degenerate", [
+    (0.2, -0.04, False),   # polymer d=1
+    (0.0, 0.0, True),      # ew
+    (2e-12, -5e-13, True),  # gkpz at coupling 1e-12
+    (0.3, 0.3 - 1e-10, True),
+    (0.3, -1e-10, True),
+    (float("nan"), 0.1, True),
+])
+def test_one_degeneracy_rule(q, r, degenerate):
+    # one tolerance: the audit's nondegenerate_hessian check and the
+    # macro terms read HessianAtOrigin.degenerate
+    hess = HessianAtOrigin(q, r)
+    assert hess.degenerate is degenerate
 
 
 def test_callable_wrapper_fd_fallbacks():

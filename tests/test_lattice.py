@@ -537,7 +537,8 @@ def test_path_sum_budget_guard():
 
 
 def test_csv_rows_cover_all_sites():
-    # slice_columns: metadata scalars, then one row per site, row-major
+    # slice_columns: metadata scalars, then one row per site, row-major;
+    # the array columns have the lattice's shape and are read raveled
     for d, L in [(1, 5), (2, 4), (3, 3)]:
         g = LatticeGeometry(d, L)
         sl = HeightSlice(g, 2, np.arange(float(g.n_sites)).reshape(g.shape))
@@ -548,9 +549,11 @@ def test_csv_rows_cover_all_sites():
         assert (cols["d"], cols["L"], cols["t"], cols["epsilon"],
                 cols["seed"]) == (d, L, 2, 0.1, 3)
         sites = list(itertools.product(range(g.lo, g.lo + L), repeat=d))
-        coords = np.stack([cols[f"x{i}"] for i in range(1, d + 1)], axis=1)
+        coords = np.stack([np.ravel(cols[f"x{i}"])
+                           for i in range(1, d + 1)], axis=1)
         assert coords.tolist() == [list(s) for s in sites]
-        assert cols["value"].tolist() == [sl.value_at(s) for s in sites]
+        assert np.ravel(cols["value"]).tolist() == [sl.value_at(s)
+                                                    for s in sites]
 
 
 def test_make_driving_dimension_consistency():

@@ -126,6 +126,22 @@ def test_chunk_edges_match_the_row_writer(tmp_path, n, table):
     _same_as_oracle(tmp_path, cols, rows)
 
 
+@pytest.mark.parametrize("n", [_CHUNK_ROWS // 3, _CHUNK_ROWS + 1])
+def test_nd_array_columns_read_row_major(tmp_path, n):
+    # a lattice's columns: broadcast coordinate views and a 2-D height
+    # array, read row-major across chunk edges, with its size as length
+    cols = {"t": 5, "x1": np.broadcast_to(np.arange(3)[:, None], (3, n)),
+            "x2": np.broadcast_to(np.arange(n), (3, n)),
+            "value": np.arange(3.0 * n).reshape(3, n) / 7}
+    write_csv(tmp_path / "nd.csv", cols)
+    write_csv(tmp_path / "flat.csv", {k: np.ravel(v) if k != "t" else v
+                                      for k, v in cols.items()})
+    assert (tmp_path / "nd.csv").read_bytes() == \
+        (tmp_path / "flat.csv").read_bytes()
+    with pytest.raises(ValueError, match="differ in length"):
+        write_csv(tmp_path / "bad.csv", {"a": np.zeros((2, 3)), "b": [0, 1]})
+
+
 def _write_csv_peak(path, n):
     """tracemalloc peak of write_csv on an n-row simulate-like table."""
     cols = {"d": 1, "t": 400, "epsilon": 0.1, "x1": np.arange(n) - n // 2,

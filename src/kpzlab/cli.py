@@ -2,9 +2,10 @@
 
 Each command writes <command>-<seed>.csv and .json into the output
 directory (atomic rename), prints one line per assertion, and exits 0 only
-if every assertion passed. Config errors and cone-policy refusals exit 2.
-A run fault (an ArithmeticError such as non-finite heights) exits 3 and
-writes no artifact.
+if every assertion passed. A refusal (a config.ConfigError, raised before
+any replica runs) exits 2. A run fault (an ArithmeticError such as
+non-finite heights, or any other ValueError raised inside a run) exits 3.
+Neither writes an artifact.
 
 Every handler in COMMANDS takes a resolved config and a worker count, so
 the acceptance tests run config.CRITERIA through the same handlers. Each
@@ -61,15 +62,19 @@ def _cmd_simulate(cfg: Dict, workers: int):
     return columns, payload, {}
 
 
+def _worst(values) -> float:
+    """The largest of the values, at least 0, and NaN if any is NaN, so
+    that no assertion on it passes."""
+    return float(np.max([0.0, *values]))
+
+
 def _worst_rel(rows: List[dict], key: str, ref: str) -> float:
-    """Largest |row[key]| / |row[ref]| over the rows, at least 0."""
-    return max([0.0] + [abs(r[key]) / max(abs(r[ref]), 1e-300) for r in rows])
+    """Largest |row[key]| / |row[ref]| over the rows, as _worst."""
+    return _worst(abs(r[key]) / max(abs(r[ref]), 1e-300) for r in rows)
 
 
 def _cmd_decompose(cfg: Dict, workers: int):
     p = cfg["plan"]
-    if p["t"] < 1:
-        raise ConfigError("decompose needs plan.t >= 1")
     plan = ExperimentPlan.from_config(cfg)
     T, eps = p["t"], p["epsilon"]
     plan.side_for(T)  # the cone refusal comes before any replica runs
@@ -102,8 +107,6 @@ def _cmd_check_phi(cfg: Dict, workers: int):
 
 def _cmd_walk_check(cfg: Dict, workers: int):
     p = cfg["plan"]
-    if p["t"] < 1:
-        raise ConfigError("walk-check needs plan.t >= 1")
     plan = ExperimentPlan.from_config(cfg)
     run = plan.run(0, p["epsilon"], p["t"])
     T, eps, d = run.T, run.epsilon, run.geometry.d
@@ -112,8 +115,8 @@ def _cmd_walk_check(cfg: Dict, workers: int):
     rows = [{"s": s, **{f"y{i}": yi for i, yi in enumerate(y, start=1)},
              "walk_derivative": dw, "fd_derivative": df,
              "abs_diff": abs(dw - df)} for s, y, dw, df in pairs]
-    worst = max([0.0] + [r["abs_diff"] for r in rows])
-    worst_mass = max([0.0] + mass_errors)
+    worst = _worst(r["abs_diff"] for r in rows)
+    worst_mass = _worst(mass_errors)
     assertions = {"derivative_agreement": worst <= tol,
                   "mass_is_epsilon": worst_mass <= 1e-6 * eps}
     payload = {"t": T, "epsilon": eps, "d": d, "tolerance": tol,
@@ -225,10 +228,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         columns, payload, assertions = COMMANDS[args.command][1](cfg,
                                                                  workers)
-    except ValueError as e:
+    except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ArithmeticError as e:
+    except (ArithmeticError, ValueError) as e:
         print(f"error: run fault: {e}", file=sys.stderr)
         return 3
 

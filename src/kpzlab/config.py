@@ -18,27 +18,14 @@ class ConfigError(ValueError):
     pass
 
 
-class ConeRefusal(ConfigError):
-    def __init__(self, needed: int, got: int, horizon: int):
-        super().__init__(
-            f"cone-exact policy violated: horizon {horizon} needs side "
-            f"L >= {needed}, got L = {got}; rerun with plan.l >= {needed} "
-            f"or geometry = torus")
-        self.needed, self.got, self.horizon = needed, got, horizon
-
-    def __reduce__(self):
-        # rebuilt from its fields, not from args = (message,), so a refusal
-        # raised in a worker process crosses back to the parent intact
-        return (type(self), (self.needed, self.got, self.horizon))
-
-
 def resolve_side(policy: str, side: int, horizon: int) -> int:
     """Torus side for a run that must stay exact up to `horizon` steps.
 
-    The one side rule of every command and study. cone-exact: side 0
+    The one side rule of every command and study; each refusal is a
+    ConfigError naming plan.geometry or plan.l. cone-exact: side 0
     auto-sizes to 2*horizon+1 (at least 3), a given side is used when it
-    is at least that and refused (ConeRefusal) when smaller. torus: the
-    given side, which must be at least 3; wrap is accepted.
+    is at least that and refused when smaller. torus: the given side,
+    which must be at least 3; wrap is accepted.
     """
     if policy not in ("cone-exact", "torus"):
         raise ConfigError(f"plan.geometry must be cone-exact or torus, "
@@ -48,7 +35,10 @@ def resolve_side(policy: str, side: int, horizon: int) -> int:
         if side == 0:
             return needed
         if side < needed:
-            raise ConeRefusal(needed, side, horizon)
+            raise ConfigError(
+                f"cone-exact policy violated: horizon {horizon} needs side "
+                f"L >= {needed}, got L = {side}; rerun with plan.l >= "
+                f"{needed} or geometry = torus")
         return side
     if side < 3:
         raise ConfigError(f"torus geometry needs plan.l >= 3, got {side}")
@@ -264,7 +254,7 @@ def load_config(path: Optional[str], command: str,
             raise ConfigError(f"--set {dotted} has no effect on {command}"
                               f"{under}, which does not read it")
     _refuse_unread_scheme(resolved, command, reads)
-    _refuse_bad_read_values(resolved, reads)
+    _refuse_bad_read_values(resolved, command, reads)
     return resolved
 
 
@@ -311,30 +301,23 @@ def scheme_params(cfg: Dict[str, Dict]) -> Dict:
     return {arg: s[key] for key, arg in reads.items()}
 
 
-def _refuse_bad_read_values(cfg: Dict[str, Dict],
+def _refuse_bad_read_values(cfg: Dict[str, Dict], command: str,
                             reads: Tuple[str, ...]) -> None:
     """Refuse, naming the key, a value the command reads that no run takes.
 
-    These are the single-run keys, which no ExperimentPlan field holds,
-    and [test_function]; ExperimentPlan checks the keys it holds.
+    These are the single-run keys, which no ExperimentPlan field holds;
+    ExperimentPlan checks the keys it holds, and studies.GaussianBump the
+    [test_function] section. decompose and walk-check read the step into
+    time plan.t, so they need t >= 1.
     """
-    p, f, d = cfg["plan"], cfg["test_function"], cfg["model"]["d"]
+    p = cfg["plan"]
     if "plan.epsilon" in reads and not 0 < p["epsilon"] <= 1:
         raise ConfigError(f"plan.epsilon must lie in (0, 1], "
                           f"got {p['epsilon']}")
-    if "plan.t" in reads and p["t"] < 0:
-        raise ConfigError(f"plan.t must be >= 0, got {p['t']}")
-    if "test_function" not in reads:
-        return
-    for key in ("center_x", "width_x"):
-        if len(f[key]) != d:
-            raise ConfigError(f"test_function.{key} needs model.d = {d} "
-                              f"entries, got {len(f[key])}")
-    for key, widths in (("width_t", (f["width_t"],)),
-                        ("width_x", f["width_x"])):
-        if not all(w > 0 for w in widths):
-            raise ConfigError(f"test_function.{key} must be positive, "
-                              f"got {f[key]}")
+    t_min = 1 if command in ("decompose", "walk-check") else 0
+    if "plan.t" in reads and p["t"] < t_min:
+        raise ConfigError(f"{command} needs plan.t >= {t_min}, "
+                          f"got {p['t']}")
 
 
 def _refuse_unread_scheme(cfg: Dict[str, Dict], command: str,

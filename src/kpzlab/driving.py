@@ -179,7 +179,7 @@ class GeneralizedKpzDriving(DrivingFunction):
     def __init__(self, d: int, coupling: float | None = None):
         super().__init__(d)
         self.coupling = float(coupling) if coupling is not None else 1.0 / (16.0 * d)
-        if self.coupling <= 0:
+        if not self.coupling > 0:
             raise ValueError("coupling must be positive")
 
     def value_many(self, U: np.ndarray) -> np.ndarray:

@@ -39,12 +39,10 @@ class ScalingScheme:
     gamma: Callable[[float], float]
 
     def validate_on_grid(self, grid: Sequence[float]) -> None:
-        """alpha and beta must be positive and shrink along a decreasing grid."""
-        eps = list(grid)
-        if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
-            raise ValueError("epsilon grid must be strictly decreasing")
-        a = [self.alpha(e) for e in eps]
-        b = [self.beta(e) for e in eps]
+        """alpha and beta must be positive and shrink along the grid, which
+        the caller has checked is strictly decreasing."""
+        a = [self.alpha(e) for e in grid]
+        b = [self.beta(e) for e in grid]
         if any(v <= 0 for v in a + b):
             raise ValueError("alpha and beta must be positive")
         if any(a2 >= a1 for a1, a2 in zip(a, a[1:])) or \
@@ -61,8 +59,8 @@ def intermediate_disorder_1d() -> ScalingScheme:
 
 def exponential_2d(C: float = 1.0) -> ScalingScheme:
     """alpha = exp(-C/eps^2), beta = sqrt(alpha), gamma = 1/eps (d=2 regime)."""
-    if C <= 0:
-        raise ValueError("C must be positive")
+    if not (C > 0 and math.isfinite(C)):
+        raise ValueError("C must be positive and finite")
     return ScalingScheme(alpha=lambda e: math.exp(-C / e ** 2),
                          beta=lambda e: math.exp(-C / (2 * e ** 2)),
                          gamma=lambda e: 1.0 / e)
@@ -72,6 +70,10 @@ def power_law(alpha_exp: float, beta_exp: float, gamma_exp: float = 0.0,
               alpha_coef: float = 1.0, beta_coef: float = 1.0,
               gamma_coef: float = 1.0) -> ScalingScheme:
     """Custom scheme alpha = a*eps^p, beta = b*eps^q, gamma = c*eps^s."""
+    if not all(map(math.isfinite, (alpha_exp, beta_exp, gamma_exp,
+                                   alpha_coef, beta_coef, gamma_coef))):
+        raise ValueError("power-law exponents and coefficients must be "
+                         "finite")
     return ScalingScheme(alpha=lambda e: alpha_coef * e ** alpha_exp,
                          beta=lambda e: beta_coef * e ** beta_exp,
                          gamma=lambda e: gamma_coef * e ** gamma_exp)

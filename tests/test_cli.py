@@ -7,6 +7,7 @@ import csv
 import importlib.metadata
 import itertools
 import json
+import math
 import os
 import pickle
 import subprocess
@@ -19,7 +20,7 @@ import kpzlab
 from kpzlab import cli, config, lattice, studies
 from kpzlab.assumptions import check_assumptions
 from kpzlab.cli import main, resolve_side
-from kpzlab.config import ConeRefusal, ConfigError, load_config
+from kpzlab.config import ConfigError, load_config
 from kpzlab.driving import make_driving
 from kpzlab.lattice import (ConeWrapWarning, EvolutionConfig, LatticeGeometry,
                             evolve)
@@ -54,20 +55,17 @@ def test_resolve_side_cone_exact():
     assert resolve_side("cone-exact", 0, 5) == 11
     assert resolve_side("cone-exact", 15, 5) == 15
     assert resolve_side("cone-exact", 0, 0) == 3
-    with pytest.raises(ConeRefusal) as exc:
+    with pytest.raises(ConfigError, match="L >= 11, got L = 9"):
         resolve_side("cone-exact", 9, 5)
-    assert exc.value.needed == 11
-    assert "L >= 11" in str(exc.value)
 
 
 def test_cone_refusal_survives_pickling():
     # a refusal raised in a worker process reaches the parent intact
-    exc = ConeRefusal(11, 9, 5)
-    back = pickle.loads(pickle.dumps(exc))
-    assert type(back) is ConeRefusal
-    assert str(back) == str(exc)
-    assert (back.needed, back.got, back.horizon) == (11, 9, 5)
-    assert isinstance(back, ConfigError)
+    with pytest.raises(ConfigError) as exc:
+        resolve_side("cone-exact", 9, 5)
+    back = pickle.loads(pickle.dumps(exc.value))
+    assert type(back) is ConfigError
+    assert str(back) == str(exc.value)
 
 
 def test_resolve_side_torus():
@@ -238,6 +236,17 @@ def test_side_misconfiguration_exits_2_before_any_run(tmp_path, capsys,
      "model.noise_family has no effect on check-phi"),
     (["decompose", "--set", "plan.t=0"], "plan.t"),
     (["walk-check", "--set", "plan.t=0"], "plan.t"),
+    (["remainder", "--set", "scheme.alpha_exp=nan", "--set",
+      "plan.replicas=30", "--set", "plan.epsilon_grid=0.2,0.1"],
+     "scheme.alpha_exp=nan"),
+    (["decompose", "--set", "scheme.preset=2d-exponential", "--set",
+      "model.d=2", "--set", "scheme.c=nan", "--set", "plan.t=3"],
+     "scheme.c=nan"),
+    (["decompose", "--set", "scheme.preset=2d-exponential", "--set",
+      "model.d=2", "--set", "scheme.c=inf", "--set", "plan.t=3"],
+     "scheme.c=inf"),
+    (["check-phi", "--set", "model.phi=gkpz", "--set",
+      "model.coupling=nan"], "model.coupling=nan"),
 ])
 def test_refusals_name_their_key(tmp_path, capsys, monkeypatch, argv, key):
     # a value no run takes, or a --set [model] key the run does not read
@@ -434,6 +443,18 @@ def test_run_fault_exits_3_without_artifacts(tmp_path, capsys, recwarn):
     assert not list(tmp_path.iterdir())
 
 
+def test_value_error_inside_a_run_is_a_run_fault(tmp_path, capsys,
+                                                 monkeypatch):
+    # only a ConfigError is a refusal: any other ValueError raised while
+    # replicas run is a fault of the run, exit 3 with no artifact
+    def fault(*args, **kwargs):
+        raise ValueError("broken sampler")
+    monkeypatch.setattr(studies, "decomposition_row", fault)
+    assert run_decompose(tmp_path) == 3
+    assert capsys.readouterr().err == "error: run fault: broken sampler\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_cone_refusal_exit_2(tmp_path, capsys):
     rc = main(["simulate", "--out", str(tmp_path),
                "--set", "plan.t=50", "--set", "plan.l=21"])
@@ -465,6 +486,33 @@ def test_decompose_flat_first_step(tmp_path, capsys):
     doc = read_doc(tmp_path / "decompose-0.json")
     assert doc["report"]["worst_lattice_residual_rel"] == 0.0
     assert doc["report"]["coefficients"]["nu"] == pytest.approx(1 / 3)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_decompose_nan_macro_residual_fails(tmp_path, capsys):
+    # at eps = 0.0375 the 2d-exponential alpha = exp(-711) is subnormal and
+    # every macro_residual is NaN: the identity assertion fails on it
+    rc = main(["decompose", "--out", str(tmp_path), "--set",
+               "scheme.preset=2d-exponential", "--set", "model.d=2",
+               "--set", "plan.epsilon=0.0375", "--set", "plan.t=3",
+               "--set", "plan.replicas=2"])
+    assert rc == 1
+    assert "assertion macro_identity_1e-10: FAIL" in capsys.readouterr().out
+    rows = read_rows(tmp_path / "decompose-0.csv")
+    assert all(r["macro_residual"] == "nan" for r in rows)
+    report = read_doc(tmp_path / "decompose-0.json")["report"]
+    assert math.isnan(report["worst_macro_residual_rel"])
+
+
+def test_worst_rel_propagates_nan():
+    rows = [{"r": 1.0, "ref": 4.0}, {"r": -3.0, "ref": -2.0},
+            {"r": 0.0, "ref": 0.0}]
+    assert cli._worst_rel(rows, "r", "ref") == 1.5
+    assert cli._worst_rel([], "r", "ref") == 0.0
+    assert cli._worst_rel([{"r": -1e-9, "ref": 0.0}], "r", "ref") == \
+        pytest.approx(1e291)
+    for bad in ({"r": math.nan, "ref": 1.0}, {"r": 1.0, "ref": math.nan}):
+        assert math.isnan(cli._worst_rel(rows + [bad], "r", "ref"))
 
 
 @pytest.mark.parametrize("sets", [
@@ -587,6 +635,18 @@ def test_walk_check_passes_at_default_horizon(tmp_path, capsys):
     assert doc["report"]["t"] == 4  # command overlay keeps the run small
     assert doc["report"]["sites_checked"] == 16  # 7 + 5 + 3 + 1 cone sites
     assert doc["report"]["worst_abs_diff"] <= doc["report"]["tolerance"]
+
+
+def test_walk_check_fails_on_a_nan_past_the_first_site(tmp_path, capsys,
+                                                      monkeypatch):
+    def pairs(run, x0):
+        return ([(4, (0,), 1.0, 1.0), (3, (1,), math.nan, 1.0)],
+                [0.0, math.nan])
+    monkeypatch.setattr(cli, "derivative_pairs", pairs)
+    assert main(["walk-check", "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "assertion derivative_agreement: FAIL" in out
+    assert "assertion mass_is_epsilon: FAIL" in out
 
 
 def test_walk_check_on_small_torus_warns_wrap(tmp_path):

@@ -316,9 +316,9 @@ def _hexed(obj):
 @pytest.mark.parametrize("block", [assumptions_mod._PHI_BLOCK, 1_100])
 @pytest.mark.parametrize("phi", ALL_BUILTINS, ids=lambda p: f"{p.name}-{p.d}")
 def test_audit_blocks_equal_one_batch(monkeypatch, phi, block):
-    # 22,000 stencils: two full default blocks and a ragged third, or
-    # exactly twenty blocks of 1,100; the whole batch in one block is the
-    # reference
+    # 22,000 stencils in blocks of _PHI_BLOCK // n: 2,730 (d = 1) or 1,638
+    # (d = 2) at the default, 366 or 220 at 1,100; only d = 2 at 1,100
+    # ends on a full block. The whole batch in one block is the reference
     samples = 20_000
     runs = []
     for size in (block, 10 ** 9):

@@ -35,8 +35,14 @@ def test_scheme_presets():
     assert b.alpha(0.5) == pytest.approx(math.exp(-8.0))
     assert b.beta(0.5) == pytest.approx(math.exp(-4.0))
     assert b.gamma(0.5) == 2.0
-    with pytest.raises(ValueError):
-        exponential_2d(C=0.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="C must be positive and finite"):
+            exponential_2d(C=bad)
+    for key in ("alpha_exp", "beta_exp", "gamma_exp", "alpha_coef",
+                "beta_coef", "gamma_coef"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                power_law(**{"alpha_exp": 2.0, "beta_exp": 1.0, key: bad})
     with pytest.raises(ValueError):
         make_scheme("parabolic")
 
@@ -53,7 +59,8 @@ def test_make_scheme_kwargs():
 def test_validate_on_grid():
     sch = intermediate_disorder_1d()
     sch.validate_on_grid((0.3, 0.2, 0.1))
-    with pytest.raises(ValueError):
+    # alpha grows along a rising grid (a plan refuses such a grid first)
+    with pytest.raises(ValueError, match="decrease"):
         sch.validate_on_grid((0.1, 0.2))
     # constant alpha never shrinks
     flat = power_law(alpha_exp=0, beta_exp=1)

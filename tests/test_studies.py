@@ -11,11 +11,11 @@ import pytest
 from scipy import integrate
 
 from kpzlab import studies
-from kpzlab.config import ConeRefusal, ConfigError, load_config
+from kpzlab.config import ConfigError, load_config
 from kpzlab.rng import derive_seed
-from kpzlab.studies import (ExperimentPlan, GaussianBump, WindowTooNarrow,
-                            _pairing_cells, _quantile_series,
-                            count_trend_inversions, drift_bound_study,
+from kpzlab.studies import (ExperimentPlan, GaussianBump, _pairing_cells,
+                            _quantile_series, count_trend_inversions,
+                            drift_bound_study,
                             gradient_scaling_study, map_replicas,
                             remainder_ratio_study, stationarity_study,
                             whitenoise_pairing_study)
@@ -55,6 +55,27 @@ def test_plan_rejects_bad_grids():
         gradient_scaling_study(plan)
 
 
+@pytest.mark.parametrize("kw,key", [
+    (dict(d=0), "model.d=0"),
+    (dict(d=-2, phi_name="gkpz"), "model.d=-2"),
+    (dict(phi_name="gkpz", coupling=math.nan), "model.coupling=nan"),
+    (dict(phi_name="gkpz", coupling=-0.5), "model.coupling=-0.5"),
+    (dict(noise_scale=0.0), "model.noise_scale=0.0"),
+    (dict(noise_scale=math.nan), "model.noise_scale=nan"),
+    (dict(phi_name="ballistic"), "model.phi=ballistic"),
+    (dict(noise_family="gauss"), "model.noise_family=gauss"),
+    (dict(scheme_preset="parabolic", scheme_params={}),
+     "scheme.preset=parabolic"),
+    (dict(scheme_params={**ExperimentPlan().scheme_params,
+                         "beta_coef": math.inf}), "scheme.beta_coef=inf"),
+])
+def test_plan_refusals_name_their_key(kw, key):
+    # each builder decides its own values; the plan names the keys it reads
+    with pytest.raises(ConfigError) as exc:
+        ExperimentPlan(**kw)
+    assert key in str(exc.value)
+
+
 def test_plan_defaults_are_the_config_defaults():
     assert ExperimentPlan() == \
         ExperimentPlan.from_config(load_config(None, "remainder"))
@@ -83,9 +104,8 @@ def test_plan_geometry_rules():
     r = small_plan(L=15)
     assert r.side_for(5) == 15
     assert r.side_for(7) == 15
-    with pytest.raises(ConeRefusal) as exc:
+    with pytest.raises(ConfigError, match="L >= 17, got L = 15"):
         r.side_for(8)
-    assert exc.value.needed == 17
     # torus needs a side of at least 3; plan.l = 0 means nothing there
     for side in (0, 2):
         with pytest.raises(ConfigError, match="plan.l >= 3"):
@@ -122,6 +142,9 @@ def test_count_trend_inversions():
     assert count_trend_inversions([1.0, 2.0, 3.0]) == 2
     assert count_trend_inversions([2.0, 2.0, 1.0]) == 1
     assert count_trend_inversions([1.0]) == 0
+    # a NaN anywhere makes the count NaN, which no bound on it admits
+    for values in ([3.0, math.nan, 1.0], [3.0, 2.0, math.nan], [math.nan]):
+        assert math.isnan(count_trend_inversions(values))
 
 
 def _logged_gradient_worker(replica, plan, log_dir):
@@ -293,7 +316,7 @@ def test_pairing_cells_zero_amplitude():
 
 
 def test_pairing_cells_coverage_guard():
-    with pytest.raises(WindowTooNarrow):
+    with pytest.raises(ConfigError, match="cell window holds"):
         _pairing_cells(GaussianBump(), 0.25, 0.5, coverage=1.01)
 
 

@@ -23,9 +23,9 @@ start-up.
 from __future__ import annotations
 
 import math
-from concurrent import futures
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .config import (POWER_LAW_KEYS, SCHEMA, SCHEME_READS, ConfigError,
 from .config import scheme_params as config_scheme_params
 from .driving import DrivingFunction, make_driving
 from .lattice import EvolutionConfig, LatticeGeometry, evolve, trajectory
-from .noise import NoiseModel, replica_noise
+from .noise import _BLOCK, NoiseModel, replica_noise
 from .rescale import (ScalingScheme, evolve_and_decompose, macro_terms,
                       make_scheme)
 from .rng import derive_seed
@@ -230,6 +230,9 @@ def map_replicas(worker: Callable, replicas: int, workers: int,
     n = min(workers, replicas)
     if n <= 1:
         return _replica_range(worker, 0, replicas, shared)
+    # imported here: concurrent.futures and the logging it pulls in cost
+    # every start-up about 13 ms, and most runs use one worker
+    from concurrent import futures
     bounds = [replicas * i // n for i in range(n + 1)]
     with futures.ProcessPoolExecutor(max_workers=n) as pool:
         ranges = pool.map(_replica_range, [worker] * n, bounds, bounds[1:],
@@ -502,7 +505,8 @@ class GaussianBump:
 
 def _pairing_cells(fn: GaussianBump, alpha: float, beta: float,
                    coverage: float = 0.9999):
-    """Cell index ranges and exact cell averages for the pairing sum."""
+    """Cell index ranges and the per-axis factors of the exact cell
+    averages of the pairing sum."""
     half = fn.support_halfwidth()
     t_hi = fn.center_t + fn.width_t * half
     m_max = max(1, int(math.ceil(t_hi / alpha)))
@@ -533,22 +537,109 @@ def _pairing_cells(fn: GaussianBump, alpha: float, beta: float,
             f"cell window holds {covered/total:.6f} of the squared norm, "
             f"below the required {coverage}")
 
-    # separable cell averages: product of per-axis averages, amplitude once
-    cell_avg = fn.amplitude * (t_int / alpha)
-    for ints in x_ints:
-        cell_avg = np.multiply.outer(cell_avg, ints / beta)
-    return m, v_ranges, cell_avg
+    # separable cell averages: the product of these per-axis averages,
+    # amplitude once, multiplied left to right (_weight_blocks)
+    return m, v_ranges, [fn.amplitude * (t_int / alpha),
+                         *(ints / beta for ints in x_ints)]
+
+
+def _cell_blocks(shape: Tuple[int, ...]):
+    """Per-axis slices that cut the C-order grid of this shape into
+    contiguous runs of at most _BLOCK cells, in order.
+
+    Whole rows of the leading axis are taken together; where one row holds
+    more than _BLOCK cells, each of its rows along the next axis is cut
+    the same way, down to single cells if need be.
+    """
+    axis, inner = 0, math.prod(shape[1:])
+    while inner > _BLOCK:
+        axis += 1
+        inner //= shape[axis]
+    step = max(1, _BLOCK // inner)
+    rest = (slice(None),) * (len(shape) - axis - 1)
+    for prefix in np.ndindex(*shape[:axis]):
+        lead = tuple(slice(p, p + 1) for p in prefix)
+        for i in range(0, shape[axis], step):
+            yield lead + (slice(i, i + step),) + rest
+
+
+def _weight_blocks(axes: Sequence[np.ndarray],
+                   factors: Sequence[np.ndarray]):
+    """(open key mesh, cell weights) of each block of the cell grid, in C
+    order, the grid's axes indexed by the arrays of axes.
+
+    Each weight is the product of its axes' factors, multiplied left to
+    right as nested np.multiply.outer calls would, so it has their bits;
+    the weights of every block are built in one reused buffer.
+    """
+    shape = tuple(f.size for f in factors)
+    buf = np.empty(min(_BLOCK, math.prod(shape)))
+    for cut in _cell_blocks(shape):
+        fs = np.ix_(*(f[c] for f, c in zip(factors, cut)))
+        w = buf[:math.prod(f.size for f in fs)].reshape(
+            [f.size for f in fs])
+        np.copyto(w, fs[0])
+        for f in fs[1:]:
+            w *= f
+        yield np.ix_(*(a[c] for a, c in zip(axes, cut))), w
+
+
+# numpy's float64 add.reduce sums a contiguous run of up to this many values
+# in one unrolled loop and splits a longer run at n//2 - (n//2) % 8, summing
+# each half the same way (pairwise_sum in numpy's umath loops)
+_PAIRWISE_LEAF = 128
+
+
+def streamed_sum(blocks: Iterable[np.ndarray], n: int) -> float:
+    """float(a.sum()) of the n values a that blocks yields in order, bit for
+    bit, holding one block at a time.
+
+    The sum follows numpy's pairwise tree over the whole run: a tree node
+    that lies within one block is summed by np.add.reduce, one that
+    straddles blocks is split as numpy splits it, and only a straddling
+    node of at most _PAIRWISE_LEAF values is copied.
+    """
+    it = iter(blocks)
+    cur, pos = np.empty(0), 0
+
+    def node(k: int):
+        nonlocal cur, pos
+        while pos == cur.size:
+            cur, pos = next(it).reshape(-1), 0
+        if k <= cur.size - pos:
+            pos += k
+            return np.add.reduce(cur[pos - k:pos])
+        if k > _PAIRWISE_LEAF:
+            half = k // 2 - (k // 2) % 8
+            return node(half) + node(k - half)
+        parts = []
+        while k:
+            while pos == cur.size:
+                cur, pos = next(it).reshape(-1), 0
+            take = min(k, cur.size - pos)
+            parts.append(cur[pos:pos + take].copy())
+            pos += take
+            k -= take
+        return np.add.reduce(np.concatenate(parts))
+
+    # add.reduce starts from its identity, 0.0 (which turns -0.0 into 0.0)
+    return float(0.0 + node(n)) if n else 0.0
 
 
 def _pairing_worker(replica: int, plan: ExperimentPlan,
                     grids: list) -> List[float]:
-    """Pairings of one replica on every eps grid."""
+    """Pairings of one replica on every eps grid, one block of cells at a
+    time."""
     model = plan.noise_for(replica)
     out = []
-    for mesh, cell_avg, coef in grids:
-        z = model.sample_spacetime(mesh[0], mesh[1:])
-        z *= cell_avg
-        out.append(coef * float(z.sum()))
+    for axes, factors, coef in grids:
+        def products():
+            for keys, w in _weight_blocks(axes, factors):
+                z = model.sample_spacetime(keys[0], keys[1:])
+                z *= w
+                yield z
+        cells = math.prod(f.size for f in factors)
+        out.append(coef * streamed_sum(products(), cells))
     return out
 
 
@@ -557,9 +648,11 @@ def whitenoise_pairing_study(plan: ExperimentPlan,
                              workers: int = 1) -> StudyResult:
     """Pair the rescaled noise with a bump; the sums must look N(0, ||f||^2).
 
-    The exact cell grids are built once per eps, in this process, and
-    reach each map_replicas range once. Each replica is paired against
-    every grid, hashing each time row of the open cell mesh once.
+    The exact per-axis cell averages are built once per eps, in this
+    process, and reach each map_replicas range once. Each replica is paired
+    against every grid one block of cells at a time, hashing each time row
+    of the block's open cell mesh once, so memory does not grow with the
+    cell count.
     """
     _check_study_replicas(plan)
     from scipy import stats
@@ -579,18 +672,20 @@ def whitenoise_pairing_study(plan: ExperimentPlan,
     for eps in plan.epsilon_grid:
         alpha = scheme.alpha(eps)
         beta = scheme.beta(eps)
-        m, v_ranges, cell_avg = _pairing_cells(fn, alpha, beta)
-        mesh = np.meshgrid(m + 1, *v_ranges, indexing="ij", sparse=True)
+        m, v_ranges, factors = _pairing_cells(fn, alpha, beta)
+        axes = [m + 1, *v_ranges]  # noise layer m + 1 over cell m
         coef = math.sqrt(alpha) * beta ** (plan.d / 2.0) / sigma
-        grids.append((mesh, cell_avg, coef))
-        lattice_vars.append(float(alpha * beta ** plan.d *
-                                  (cell_avg ** 2).sum()))
+        grids.append((axes, factors, coef))
+        cells = math.prod(f.size for f in factors)
+        squares = (w ** 2 for _, w in _weight_blocks(axes, factors))
+        lattice_vars.append(alpha * beta ** plan.d *
+                            streamed_sum(squares, cells))
     all_pairings = np.column_stack(map_replicas(
         _pairing_worker, plan.replicas, workers, plan, grids))
     table = []
     assertions: Dict[str, bool] = {}
     smallest = min(plan.epsilon_grid)
-    for eps, (_, cell_avg, _), lattice_var, pairings in zip(
+    for eps, (_, factors, _), lattice_var, pairings in zip(
             plan.epsilon_grid, grids, lattice_vars, all_pairings):
         mean = float(pairings.mean())
         var = float(pairings.var(ddof=1))
@@ -603,7 +698,7 @@ def whitenoise_pairing_study(plan: ExperimentPlan,
                "target_variance": target, "lattice_variance": lattice_var,
                "skewness": skew, "excess_kurtosis": exkurt,
                "normality_pvalue": float(ks.pvalue),
-               "cells": int(cell_avg.size)}
+               "cells": math.prod(f.size for f in factors)}
         table.append(row)
         if eps == smallest:
             assertions["mean_unbiased"] = abs(mean) <= 3 * se_mean

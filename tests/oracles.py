@@ -4,7 +4,8 @@ None is used by the package itself; each recomputes a quantity by a
 route that shares no code path with the one under test. The scalar draw
 path here is the reference for the package's array draws, and
 CallableDriving is the driving function of a plain callable, with
-finite-difference derivatives.
+finite-difference derivatives. The whole-grid pairing is the reference
+for the white-noise study's streamed, blocked one.
 """
 import csv
 import itertools
@@ -20,6 +21,7 @@ from kpzlab.lattice import (EvolutionConfig, HeightSlice, LatticeGeometry,
 from kpzlab.noise import NoiseModel
 from kpzlab.output import fmt_value
 from kpzlab.rng import hash_keys
+from kpzlab.studies import _pairing_cells
 from kpzlab.walk import _l1_ball
 
 
@@ -251,3 +253,35 @@ def csv_writer_rows(path, rows: Sequence[dict]) -> None:
         w.writerow(fieldnames)
         for r in rows:
             w.writerow([fmt_value(r.get(k, "")) for k in fieldnames])
+
+
+# ---------------------------------------------------------------------------
+# the white-noise pairing on its whole cell grid
+
+
+def full_cell_averages(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """The grid of cell averages: nested np.multiply.outer of the per-axis
+    factors of studies._pairing_cells."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = np.multiply.outer(out, f)
+    return out
+
+
+def full_grid_pairings(plan, fn, epsilon: float) -> Tuple[np.ndarray, float]:
+    """Each replica's pairing at epsilon and the lattice variance, on the
+    whole cell grid.
+
+    One full meshgrid of keys, one draw array per replica, and
+    coef * (z * cell_avg).sum(): no cell blocks, no streamed sum.
+    """
+    scheme = plan.scheme()
+    alpha, beta = scheme.alpha(epsilon), scheme.beta(epsilon)
+    m, v_ranges, factors = _pairing_cells(fn, alpha, beta)
+    cell_avg = full_cell_averages(factors)
+    mesh = np.meshgrid(m + 1, *v_ranges, indexing="ij")
+    coef = math.sqrt(alpha) * beta ** (plan.d / 2.0) / plan.noise_for(0).sigma
+    pairings = np.array([
+        coef * float((plan.noise_for(k).sample_spacetime(mesh[0], mesh[1:])
+                      * cell_avg).sum()) for k in range(plan.replicas)])
+    return pairings, float(alpha * beta ** plan.d * (cell_avg ** 2).sum())

@@ -386,6 +386,11 @@ for argv in (["simulate", "--set", "plan.t=3"], ["check-phi"],
              ["drift", "--set", "plan.times=1 2"] + tiny):
     assert main(argv + ["--out", out]) == 0, argv
 assert "scipy" not in sys.modules
+# a process pool, and the logging it pulls in, only for workers > 1
+assert "concurrent.futures" not in sys.modules
+assert "logging" not in sys.modules
+assert main(["gradient", "--workers", "2", "--out", out] + tiny) == 0
+assert "concurrent.futures" in sys.modules
 assert main(["whitenoise", "--out", out] + tiny) in (0, 1)
 assert "scipy.stats" in sys.modules
 # the manifest read the scipy version once, for all eight commands
@@ -397,7 +402,8 @@ assert kpzlab.cli._scipy_version.cache_info().misses == 1
 def test_only_scipy_commands_import_scipy(tmp_path):
     # importing scipy.stats takes ~1 s, which no command pays unless it
     # uses scipy; the whitenoise run shows the guard can fail. Importing
-    # importlib.metadata (~15 ms) waits for the first manifest.
+    # importlib.metadata (~15 ms) waits for the first manifest, and
+    # concurrent.futures (~13 ms with logging) for a run with workers > 1.
     src = str(Path(kpzlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD,

@@ -5,6 +5,7 @@ each study is exercised at toy scale against closed forms and structural
 invariants, with seeds frozen so every number is reproducible.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from kpzlab.studies import (ExperimentPlan, GaussianBump, _pairing_cells,
                             remainder_ratio_study, stationarity_study,
                             whitenoise_pairing_study)
 from kpzlab.studies import _gradient_worker
-from oracles import scalar_sample
+from oracles import full_cell_averages, full_grid_pairings, scalar_sample
 
 
 def small_plan(**kw):
@@ -302,7 +303,8 @@ def test_bump_validation():
 def test_pairing_cells_weights_sum_like_integral():
     fn = GaussianBump()
     alpha, beta = 0.0625, 0.25
-    m, v_ranges, cell_avg = _pairing_cells(fn, alpha, beta)
+    m, v_ranges, factors = _pairing_cells(fn, alpha, beta)
+    cell_avg = full_cell_averages(factors)
     assert m[0] == 1 and cell_avg.shape == (len(m), len(v_ranges[0]))
     total = cell_avg.sum() * alpha * beta
     exact = (math.sqrt(math.pi) / 2) * math.sqrt(math.pi)  # t-half * x-full
@@ -311,8 +313,8 @@ def test_pairing_cells_weights_sum_like_integral():
 
 def test_pairing_cells_zero_amplitude():
     fn = GaussianBump(amplitude=0.0)
-    m, v_ranges, cell_avg = _pairing_cells(fn, 0.25, 0.5)
-    assert np.all(cell_avg == 0.0)
+    m, v_ranges, factors = _pairing_cells(fn, 0.25, 0.5)
+    assert np.all(full_cell_averages(factors) == 0.0)
 
 
 def test_pairing_cells_coverage_guard():
@@ -337,24 +339,88 @@ def test_whitenoise_study_small_run():
                                    "skewness_small", "excess_kurtosis_small"}
 
 
-def test_whitenoise_row_equals_full_mesh_pairings():
-    # the study hashes an open cell mesh; the full meshgrid is the reference
-    plan = ExperimentPlan(epsilon_grid=(0.5, 0.4), replicas=30, seed=4,
-                          scheme_preset="intermediate-disorder-1d",
-                          scheme_params={})
+@pytest.mark.parametrize("d, preset, grid", [
+    # eps 0.25 pairs 228,820 cells: 8 blocks, so sums cross block edges
+    (1, "intermediate-disorder-1d", (0.5, 0.4, 0.25)),
+    # 10,648, 25,872 and 76,464 cells (3 blocks) over a 3-axis grid
+    (2, "power-law", (0.5, 0.4, 0.3))])
+def test_whitenoise_row_equals_full_mesh_pairings(d, preset, grid):
+    # the study streams blocks of an open cell mesh; the whole grid, one
+    # full meshgrid and (z * cell_avg).sum(), is the reference
+    params = {} if preset != "power-law" else ExperimentPlan().scheme_params
+    plan = ExperimentPlan(epsilon_grid=grid, replicas=30, seed=4, d=d,
+                          scheme_preset=preset, scheme_params=params)
     res = whitenoise_pairing_study(plan)
-    scheme = plan.scheme()
-    fn = GaussianBump()
+    fn = GaussianBump(d=d, center_x=(0.0,) * d, width_x=(1.0,) * d)
     for row in res.tables["pairings"]:
-        alpha, beta = scheme.alpha(row["epsilon"]), scheme.beta(row["epsilon"])
-        m, v_ranges, cell_avg = _pairing_cells(fn, alpha, beta)
-        mesh = np.meshgrid(m + 1, *v_ranges, indexing="ij")
-        coef = math.sqrt(alpha) * beta ** 0.5 / plan.noise_for(0).sigma
-        pairings = np.array([
-            coef * float((plan.noise_for(k).sample_spacetime(mesh[0], mesh[1:])
-                          * cell_avg).sum()) for k in range(plan.replicas)])
+        pairings, lattice_var = full_grid_pairings(plan, fn, row["epsilon"])
         assert row["mean"] == float(pairings.mean())
         assert row["variance"] == float(pairings.var(ddof=1))
+        assert row["lattice_variance"] == lattice_var
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (3, 40000), (2, 300, 300),
+                                   (1, 1, 70001), (40, 30, 29)])
+def test_cell_blocks_cut_the_grid_into_contiguous_runs(shape):
+    grid = np.arange(math.prod(shape)).reshape(shape)
+    runs = [grid[cut].reshape(-1) for cut in studies._cell_blocks(shape)]
+    assert max(r.size for r in runs) <= studies._BLOCK
+    assert np.array_equal(np.concatenate(runs), grid.reshape(-1))
+
+
+def _chunks(a, sizes):
+    i = 0
+    for s in sizes:
+        yield a[i:i + s]
+        i += s
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 8191, 8192, 8193,
+                               32767, 32768, 32769, 867_504, 3_000_017])
+def test_streamed_sum_equals_ndarray_sum(n):
+    rng = np.random.default_rng(n)
+    # magnitudes over 16 decades: every summation order rounds differently
+    a = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+    row = 37 if n < 100_000 else 1733
+    ragged = rng.integers(1, 2 * studies._BLOCK, n // 2 + 1)
+    chunkings = {"one row": [row] * (n // row + 1),
+                 "ragged": ragged[:np.searchsorted(ragged.cumsum(), n) + 1],
+                 "above one block": [3 * studies._BLOCK] * (n // 98304 + 1)}
+    if n < 40_000:
+        chunkings["single values"] = [1] * n
+    expected = float(a.sum())
+    for name, sizes in chunkings.items():
+        got = studies.streamed_sum(_chunks(a, sizes), n)
+        assert got == expected, (
+            f"n={n}, {name} chunks: streamed sum {got!r} != ndarray.sum "
+            f"{expected!r}; numpy {np.__version__}'s float64 summation tree "
+            f"is not the pairwise tree the stream follows")
+
+
+def test_streamed_sum_follows_numpy_tree_not_chunk_order():
+    # a sum of chunk sums differs: the test above can tell orders apart
+    a = np.random.default_rng(0).standard_normal(8193) * 1e8
+    chunk_sums = sum(float(c.sum()) for c in _chunks(a, [37] * 222))
+    assert chunk_sums != float(a.sum())
+
+
+def test_pairing_worker_holds_one_block_of_cells():
+    # eps 0.2 pairs 867,504 cells; a whole-grid draw array alone is 6.9 MB
+    plan = ExperimentPlan(epsilon_grid=(0.2,), replicas=30, seed=0,
+                          scheme_preset="intermediate-disorder-1d",
+                          scheme_params={})
+    scheme = plan.scheme()
+    m, v_ranges, factors = _pairing_cells(GaussianBump(), scheme.alpha(0.2),
+                                          scheme.beta(0.2))
+    grids = [([m + 1, *v_ranges], factors, 1.0)]
+    studies._pairing_worker(0, plan, grids)  # warm caches and imports
+    tracemalloc.start()
+    try:
+        studies._pairing_worker(1, plan, grids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6, f"{peak / 1e6:.2f} MB peak for one worker call"
 
 
 def test_whitenoise_study_same_bits_for_any_worker_count():

@@ -77,7 +77,9 @@ def _cmd_decompose(cfg: Dict, workers: int):
     p = cfg["plan"]
     plan = ExperimentPlan.from_config(cfg)
     T, eps = p["t"], p["epsilon"]
-    plan.side_for(T)  # the cone refusal comes before any replica runs
+    # the cone and scheme refusals come before any replica runs
+    plan.side_for(T)
+    plan.scheme_at((eps,))
     rows = studies.map_replicas(studies.decomposition_row, plan.replicas,
                                 workers, plan, eps, T)
     degenerate = plan.phi().hessian_origin().degenerate

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -104,19 +104,22 @@ class NoiseModel:
         """
         return self.sample_spacetime(np.asarray(t), coords)
 
-    def sample_spacetime(self, times, coords: Sequence[np.ndarray]) -> np.ndarray:
+    def sample_spacetime(self, times, coords: Sequence[np.ndarray],
+                         out: Optional[np.ndarray] = None) -> np.ndarray:
         """Vectorized draws where the layer index varies across the grid.
 
         times and coords may form a full or an open mesh; with times of
         shape (M, 1, ...) each time row is hashed once and broadcast over
         space. Returns the draws over the broadcast shape, computed in row
-        blocks; no cell's value depends on the blocking or the mesh form.
+        blocks, written into out when given (a float64 array of that
+        shape, which a caller drawing many blocks reuses); no cell's value
+        depends on the blocking or the mesh form.
         """
         times = np.asarray(times)
         if times.size and times.min() < 1:
             raise ValueError("noise layers start at t=1")
         coords = [np.asarray(c) for c in coords]
-        out = self._draws([times, *coords])
+        out = self._draws([times, *coords], out)
         # shifts, in place: one boolean mask per shifted site; shift counts
         # are tiny by contract, the keys may be any broadcastable mesh
         for (tt, xs), dv in self.shifts.items():
@@ -126,8 +129,10 @@ class NoiseModel:
             out[np.broadcast_to(m, out.shape)] += dv
         return out
 
-    def _draws(self, key_arrays) -> np.ndarray:
-        """Keyed draws over the broadcast shape of key_arrays.
+    def _draws(self, key_arrays,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Keyed draws over the broadcast shape of key_arrays, into out if
+        given.
 
         Grids of up to _BLOCK elements are hashed in one call. Larger ones
         are cut along their leading axis of extent > 1 into blocks of about
@@ -136,7 +141,11 @@ class NoiseModel:
         hashed, mapped to floats and written into one preallocated output.
         """
         shape = np.broadcast(*key_arrays).shape
-        out = np.empty(shape)
+        if out is None:
+            out = np.empty(shape)
+        elif out.shape != shape or out.dtype != np.float64:
+            raise ValueError(f"out must be float64 of shape {shape}, got "
+                             f"{out.dtype} of shape {out.shape}")
         if out.size <= _BLOCK:
             self._fill(hash_keys_vec(self.spec.seed, key_arrays), out)
             return out

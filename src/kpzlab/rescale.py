@@ -21,6 +21,7 @@ view; studies.decomposition_row, the one decomposition sampler, calls both.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, Sequence, Tuple
 
@@ -48,6 +49,35 @@ class ScalingScheme:
         if any(a2 >= a1 for a1, a2 in zip(a, a[1:])) or \
            any(b2 >= b1 for b1, b2 in zip(b, b[1:])):
             raise ValueError("alpha and beta must decrease along the grid")
+
+
+    def check_at(self, epsilon: float, d: int) -> None:
+        """Refuse (ValueError) a scheme that no run can use at epsilon:
+        alpha, beta or gamma that overflows or is not a finite, positive,
+        normal float, or a factor of macro_terms that is not finite."""
+        try:
+            values = {"alpha": self.alpha(epsilon),
+                      "beta": self.beta(epsilon),
+                      "gamma": self.gamma(epsilon)}
+            bad = [f"{k} = {v!r}" for k, v in values.items()
+                   if not (math.isfinite(v) and v >= sys.float_info.min)]
+            if not bad:
+                a, b, g = values.values()
+                factors = {
+                    "gamma/alpha": g / a, "beta^2/alpha": b * b / a,
+                    "gamma/beta^2": g / (b * b),
+                    "gamma^2/beta^2": g * g / (b * b),
+                    "beta^d gamma^2/alpha": b ** d * g * g / a,
+                    "1/(sqrt(alpha) beta^(d/2))":
+                        1.0 / (math.sqrt(a) * b ** (d / 2.0))}
+                bad = [f"{k} = {v!r}" for k, v in factors.items()
+                       if not math.isfinite(v)]
+        except (OverflowError, ZeroDivisionError) as e:
+            bad = [f"an overflow ({e.args[-1]})"]
+        if bad:
+            raise ValueError(f"the scheme gives {', '.join(bad)} at "
+                             f"eps = {epsilon!r} (d = {d}), which no run "
+                             f"can use,")
 
 
 def intermediate_disorder_1d() -> ScalingScheme:

@@ -136,10 +136,21 @@ class ExperimentPlan:
             f", scheme.{key}={self.scheme_params[arg]!r}" for key, arg
             in SCHEME_READS.get(self.scheme_preset, {}).items())
 
-    def scheme_on_grid(self) -> ScalingScheme:
-        """The scheme, refused unless its alpha and beta are positive and
-        decrease along plan.epsilon_grid."""
+    def scheme_at(self, epsilons: Sequence[float]) -> ScalingScheme:
+        """The scheme, refused unless it is usable (check_at) at each of
+        the epsilons a command reads."""
         scheme = self.scheme()
+        for eps in epsilons:
+            try:
+                scheme.check_at(eps, self.d)
+            except ValueError as e:
+                raise ConfigError(f"{e} under {self._scheme_keys()}") from e
+        return scheme
+
+    def scheme_on_grid(self) -> ScalingScheme:
+        """The scheme, refused unless it is usable at each eps of
+        plan.epsilon_grid and its alpha and beta decrease along it."""
+        scheme = self.scheme_at(self.epsilon_grid)
         try:
             scheme.validate_on_grid(self.epsilon_grid)
         except ValueError as e:
@@ -298,6 +309,7 @@ _RATIO_DENOMS = ("laplacian_term", "grad_sq_term", "noise_term",
 def remainder_ratio_study(plan: ExperimentPlan, workers: int = 1) -> StudyResult:
     """Medians of |remainder| over each macroscopic term must fall with eps."""
     _check_study_replicas(plan)
+    plan.scheme_at(plan.epsilon_grid)
     plan.side_for(max(_remainder_horizon(plan, e) for e in plan.epsilon_grid))
     hess = plan.phi().hessian_origin()
     if hess.degenerate:
@@ -569,19 +581,21 @@ def _weight_blocks(axes: Sequence[np.ndarray],
     order, the grid's axes indexed by the arrays of axes.
 
     Each weight is the product of its axes' factors, multiplied left to
-    right as nested np.multiply.outer calls would, so it has their bits;
-    the weights of every block are built in one reused buffer.
+    right by nested np.multiply.outer as the whole grid would be, so it has
+    the same bits; only the last product spans the block, and it is
+    written into one buffer that every block reuses.
     """
     shape = tuple(f.size for f in factors)
     buf = np.empty(min(_BLOCK, math.prod(shape)))
     for cut in _cell_blocks(shape):
-        fs = np.ix_(*(f[c] for f, c in zip(factors, cut)))
-        w = buf[:math.prod(f.size for f in fs)].reshape(
-            [f.size for f in fs])
-        np.copyto(w, fs[0])
-        for f in fs[1:]:
-            w *= f
-        yield np.ix_(*(a[c] for a, c in zip(axes, cut))), w
+        keys = [a[c].reshape((1,) * i + (-1,) + (1,) * (len(shape) - i - 1))
+                for i, (a, c) in enumerate(zip(axes, cut))]
+        fs = [f[c] for f, c in zip(factors, cut)]
+        w = fs[0]
+        for f in fs[1:-1]:
+            w = np.multiply.outer(w, f)
+        out = buf[:w.size * fs[-1].size].reshape(w.shape + fs[-1].shape)
+        yield keys, np.multiply.outer(w, fs[-1], out=out)
 
 
 # numpy's float64 add.reduce sums a contiguous run of up to this many values
@@ -633,12 +647,17 @@ def _pairing_worker(replica: int, plan: ExperimentPlan,
     model = plan.noise_for(replica)
     out = []
     for axes, factors, coef in grids:
+        cells = math.prod(f.size for f in factors)
+        # one draw buffer for every block: a fresh block-sized array per
+        # block costs a page fault per 4 KiB once freed memory is trimmed
+        buf = np.empty(min(_BLOCK, cells))
+
         def products():
             for keys, w in _weight_blocks(axes, factors):
-                z = model.sample_spacetime(keys[0], keys[1:])
+                z = model.sample_spacetime(
+                    keys[0], keys[1:], out=buf[:w.size].reshape(w.shape))
                 z *= w
                 yield z
-        cells = math.prod(f.size for f in factors)
         out.append(coef * streamed_sum(products(), cells))
     return out
 

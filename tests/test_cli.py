@@ -494,20 +494,29 @@ def test_decompose_flat_first_step(tmp_path, capsys):
     assert doc["report"]["coefficients"]["nu"] == pytest.approx(1 / 3)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_decompose_nan_macro_residual_fails(tmp_path, capsys):
-    # at eps = 0.0375 the 2d-exponential alpha = exp(-711) is subnormal and
-    # every macro_residual is NaN: the identity assertion fails on it
-    rc = main(["decompose", "--out", str(tmp_path), "--set",
-               "scheme.preset=2d-exponential", "--set", "model.d=2",
-               "--set", "plan.epsilon=0.0375", "--set", "plan.t=3",
-               "--set", "plan.replicas=2"])
-    assert rc == 1
-    assert "assertion macro_identity_1e-10: FAIL" in capsys.readouterr().out
-    rows = read_rows(tmp_path / "decompose-0.csv")
-    assert all(r["macro_residual"] == "nan" for r in rows)
-    report = read_doc(tmp_path / "decompose-0.json")["report"]
-    assert math.isnan(report["worst_macro_residual_rel"])
+@pytest.mark.parametrize("argv, named", [
+    # 0.1 ** -400 overflows a float: a power-law alpha no run can use
+    (["remainder", "--set", "scheme.alpha_exp=-400", "--set",
+      "plan.replicas=30", "--set", "plan.epsilon_grid=0.2,0.1"],
+     ["an overflow", "eps = 0.1", "scheme.preset=power-law",
+      "scheme.alpha_exp=-400.0"]),
+    # at eps = 0.0375 the 2d-exponential alpha = exp(-711) is subnormal, and
+    # gamma/alpha overflows to inf in every macro column
+    (["decompose", "--set", "scheme.preset=2d-exponential", "--set",
+      "model.d=2", "--set", "plan.epsilon=0.0375", "--set", "plan.t=3",
+      "--set", "plan.replicas=2"],
+     ["alpha = 1.47", "eps = 0.0375", "scheme.preset=2d-exponential",
+      "scheme.c=1.0"]),
+], ids=["overflowing-alpha", "subnormal-alpha"])
+def test_scheme_no_run_can_use_is_refused(tmp_path, capsys, monkeypatch,
+                                          argv, named):
+    # refused with exit 2 before any replica runs, naming the scheme keys
+    # and the eps, and leaving no artifact
+    _fail_on_any_run(monkeypatch)
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert all(n in err for n in named), err
+    assert not list(tmp_path.iterdir())
 
 
 def test_worst_rel_propagates_nan():

@@ -289,6 +289,18 @@ def test_sample_spacetime_open_mesh_equals_full_mesh(family, inner):
         ref = _reference(nm, full)
         assert _same_bits(nm.sample_spacetime(times, space), ref)
         assert _same_bits(nm.sample_spacetime(full[0], full[1:]), ref)
+        # a caller's buffer, stale values and all, is filled the same way
+        out = np.full(ref.shape, np.nan)
+        assert nm.sample_spacetime(times, space, out=out) is out
+        assert _same_bits(out, ref)
+
+
+def test_sample_spacetime_refuses_an_out_of_another_shape_or_dtype():
+    nm = make_noise("uniform", 1.0, seed=1)
+    times, space = np.arange(1, 4).reshape(-1, 1), [np.arange(5)[None]]
+    for out in (np.empty((3, 4)), np.empty((3, 5), dtype=np.float32)):
+        with pytest.raises(ValueError, match="out must be float64"):
+            nm.sample_spacetime(times, space, out=out)
 
 
 @pytest.mark.parametrize("family", ["uniform", "triangular"])

@@ -7,6 +7,7 @@ rescaled field at every cell interior, up to rounding.
 """
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -300,3 +301,17 @@ def test_laplacian_term_equals_discrete_laplacian_in_cells(name, d):
 def test_coefficients_dataclass_fields():
     co = Coefficients(nu=0.1, lam=0.2, D=0.3)
     assert (co.nu, co.lam, co.D) == (0.1, 0.2, 0.3)
+
+
+@pytest.mark.parametrize("kw, eps, named", [
+    (dict(alpha_exp=-400, beta_exp=1), 0.1, "an overflow"),
+    (dict(alpha_exp=2, beta_exp=1, gamma_coef=-1.0), 0.5, "gamma = -1.0"),
+    (dict(alpha_exp=2, beta_exp=1, beta_coef=1e-310), 0.5, "beta = 5e-311"),
+    # every value normal, but gamma^2 overflows in the D coefficient
+    (dict(alpha_exp=2, beta_exp=1, gamma_coef=1e200), 0.5,
+     "beta^d gamma^2/alpha = inf"),
+])
+def test_check_at_refuses_values_no_run_can_use(kw, eps, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        power_law(**kw).check_at(eps, 2)
+    power_law(alpha_exp=2, beta_exp=1).check_at(eps, 2)

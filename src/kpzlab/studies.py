@@ -577,8 +577,9 @@ def _cell_blocks(shape: Tuple[int, ...]):
 
 def _weight_blocks(axes: Sequence[np.ndarray],
                    factors: Sequence[np.ndarray]):
-    """(open key mesh, cell weights) of each block of the cell grid, in C
-    order, the grid's axes indexed by the arrays of axes.
+    """(keys, weights) of each block of the cell grid, in C order: the
+    block's entries of axes (noise layers, then site coordinates) as an
+    open mesh, and its cell weights.
 
     Each weight is the product of its axes' factors, multiplied left to
     right by nested np.multiply.outer as the whole grid would be, so it has
@@ -616,11 +617,17 @@ def streamed_sum(blocks: Iterable[np.ndarray], n: int) -> float:
     it = iter(blocks)
     cur, pos = np.empty(0), 0
 
-    def node(k: int):
+    def ahead() -> int:
+        """Values left in the current block, moving to the next nonempty
+        block when none are."""
         nonlocal cur, pos
         while pos == cur.size:
             cur, pos = next(it).reshape(-1), 0
-        if k <= cur.size - pos:
+        return cur.size - pos
+
+    def node(k: int):
+        nonlocal pos
+        if k <= ahead():
             pos += k
             return np.add.reduce(cur[pos - k:pos])
         if k > _PAIRWISE_LEAF:
@@ -628,9 +635,7 @@ def streamed_sum(blocks: Iterable[np.ndarray], n: int) -> float:
             return node(half) + node(k - half)
         parts = []
         while k:
-            while pos == cur.size:
-                cur, pos = next(it).reshape(-1), 0
-            take = min(k, cur.size - pos)
+            take = min(k, ahead())
             parts.append(cur[pos:pos + take].copy())
             pos += take
             k -= take

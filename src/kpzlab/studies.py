@@ -605,6 +605,41 @@ def _weight_blocks(axes: Sequence[np.ndarray],
 _PAIRWISE_LEAF = 128
 
 
+class _BlockReader:
+    """The values an iterator of arrays yields, read in order, holding the
+    current block only."""
+
+    def __init__(self, blocks: Iterable[np.ndarray]):
+        self._blocks = iter(blocks)
+        self._cur, self._pos = np.empty(0), 0
+
+    def ahead(self) -> int:
+        """Values left in the current block, moving to the next nonempty
+        block when none are."""
+        while self._pos == self._cur.size:
+            self._cur, self._pos = next(self._blocks).reshape(-1), 0
+        return self._cur.size - self._pos
+
+    def take(self, k: int) -> np.ndarray:
+        """A view of the next k values; k must not exceed ahead()."""
+        self._pos += k
+        return self._cur[self._pos - k:self._pos]
+
+
+def _tree_sum(reader: _BlockReader, k: int):
+    """numpy's pairwise sum of the next k values of reader."""
+    if k <= reader.ahead():
+        return np.add.reduce(reader.take(k))
+    if k > _PAIRWISE_LEAF:
+        half = k // 2 - (k // 2) % 8
+        return _tree_sum(reader, half) + _tree_sum(reader, k - half)
+    parts = []
+    while k:
+        parts.append(reader.take(min(k, reader.ahead())).copy())
+        k -= parts[-1].size
+    return np.add.reduce(np.concatenate(parts))
+
+
 def streamed_sum(blocks: Iterable[np.ndarray], n: int) -> float:
     """float(a.sum()) of the n values a that blocks yields in order, bit for
     bit, holding one block at a time.
@@ -612,37 +647,12 @@ def streamed_sum(blocks: Iterable[np.ndarray], n: int) -> float:
     The sum follows numpy's pairwise tree over the whole run: a tree node
     that lies within one block is summed by np.add.reduce, one that
     straddles blocks is split as numpy splits it, and only a straddling
-    node of at most _PAIRWISE_LEAF values is copied.
+    node of at most _PAIRWISE_LEAF values is copied. Nothing outlives the
+    call: no reference cycle keeps a block alive until the next garbage
+    collection.
     """
-    it = iter(blocks)
-    cur, pos = np.empty(0), 0
-
-    def ahead() -> int:
-        """Values left in the current block, moving to the next nonempty
-        block when none are."""
-        nonlocal cur, pos
-        while pos == cur.size:
-            cur, pos = next(it).reshape(-1), 0
-        return cur.size - pos
-
-    def node(k: int):
-        nonlocal pos
-        if k <= ahead():
-            pos += k
-            return np.add.reduce(cur[pos - k:pos])
-        if k > _PAIRWISE_LEAF:
-            half = k // 2 - (k // 2) % 8
-            return node(half) + node(k - half)
-        parts = []
-        while k:
-            take = min(k, ahead())
-            parts.append(cur[pos:pos + take].copy())
-            pos += take
-            k -= take
-        return np.add.reduce(np.concatenate(parts))
-
     # add.reduce starts from its identity, 0.0 (which turns -0.0 into 0.0)
-    return float(0.0 + node(n)) if n else 0.0
+    return float(0.0 + _tree_sum(_BlockReader(blocks), n)) if n else 0.0
 
 
 def _pairing_worker(replica: int, plan: ExperimentPlan,

@@ -4,6 +4,7 @@ Full-scale statistical verification lives in the acceptance suite; here
 each study is exercised at toy scale against closed forms and structural
 invariants, with seeds frozen so every number is reproducible.
 """
+import gc
 import math
 import tracemalloc
 
@@ -414,13 +415,16 @@ def test_pairing_worker_holds_one_block_of_cells():
                                           scheme.beta(0.2))
     grids = [([m + 1, *v_ranges], factors, 1.0)]
     studies._pairing_worker(0, plan, grids)  # warm caches and imports
+    gc.disable()  # a reference cycle would hold blocks until a collection
     tracemalloc.start()
     try:
         studies._pairing_worker(1, plan, grids)
-        peak = tracemalloc.get_traced_memory()[1]
+        left, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+        gc.enable()
     assert peak < 2.5e6, f"{peak / 1e6:.2f} MB peak for one worker call"
+    assert left < 1e5, f"{left / 1e6:.2f} MB still held after the call"
 
 
 def test_whitenoise_study_same_bits_for_any_worker_count():

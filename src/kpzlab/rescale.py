@@ -40,16 +40,14 @@ class ScalingScheme:
     gamma: Callable[[float], float]
 
     def validate_on_grid(self, grid: Sequence[float]) -> None:
-        """alpha and beta must be positive and shrink along the grid, which
-        the caller has checked is strictly decreasing."""
+        """alpha and beta must shrink along the grid, which the caller has
+        checked is strictly decreasing, at each eps of which check_at has
+        found them positive."""
         a = [self.alpha(e) for e in grid]
         b = [self.beta(e) for e in grid]
-        if any(v <= 0 for v in a + b):
-            raise ValueError("alpha and beta must be positive")
         if any(a2 >= a1 for a1, a2 in zip(a, a[1:])) or \
            any(b2 >= b1 for b1, b2 in zip(b, b[1:])):
             raise ValueError("alpha and beta must decrease along the grid")
-
 
     def check_at(self, epsilon: float, d: int) -> None:
         """Refuse (ValueError) a scheme that no run can use at epsilon:
@@ -72,12 +70,13 @@ class ScalingScheme:
                         1.0 / (math.sqrt(a) * b ** (d / 2.0))}
                 bad = [f"{k} = {v!r}" for k, v in factors.items()
                        if not math.isfinite(v)]
-        except (OverflowError, ZeroDivisionError) as e:
+        except OverflowError as e:
             bad = [f"an overflow ({e.args[-1]})"]
+        except ZeroDivisionError:
+            bad = ["a macro factor that divides by an underflowed zero"]
         if bad:
             raise ValueError(f"the scheme gives {', '.join(bad)} at "
-                             f"eps = {epsilon!r} (d = {d}), which no run "
-                             f"can use,")
+                             f"eps = {epsilon!r} (d = {d})")
 
 
 def intermediate_disorder_1d() -> ScalingScheme:

@@ -144,7 +144,8 @@ class ExperimentPlan:
             try:
                 scheme.check_at(eps, self.d)
             except ValueError as e:
-                raise ConfigError(f"{e} under {self._scheme_keys()}") from e
+                raise ConfigError(f"{e}, which no run can use, under "
+                                  f"{self._scheme_keys()}") from e
         return scheme
 
     def scheme_on_grid(self) -> ScalingScheme:

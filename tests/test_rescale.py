@@ -310,6 +310,9 @@ def test_coefficients_dataclass_fields():
     # every value normal, but gamma^2 overflows in the D coefficient
     (dict(alpha_exp=2, beta_exp=1, gamma_coef=1e200), 0.5,
      "beta^d gamma^2/alpha = inf"),
+    # beta is normal, but beta^2 underflows to zero
+    (dict(alpha_exp=2, beta_exp=1, beta_coef=1e-170), 0.5,
+     "divides by an underflowed zero"),
 ])
 def test_check_at_refuses_values_no_run_can_use(kw, eps, named):
     with pytest.raises(ValueError, match=re.escape(named)):

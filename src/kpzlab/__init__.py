@@ -15,8 +15,8 @@ from .driving import (DrivingFunction, EdwardsWilkinsonDriving,
                       GeneralizedKpzDriving, HessianAtOrigin, PolymerDriving,
                       make_driving, stencil_offsets)
 from .lattice import (ConeWrapWarning, EvolutionConfig, HeightSlice,
-                      LatticeGeometry, evolve, min_cone_side, slice_columns,
-                      step, trajectory)
+                      LatticeGeometry, capture, evolve, min_cone_side,
+                      slice_columns, step)
 from .noise import NoiseModel, NoiseSpec, make_noise, replica_noise
 from .rescale import (Coefficients, DecompositionSample, ScalingScheme,
                       coefficients, decompose, evolve_and_decompose,
@@ -35,7 +35,7 @@ __all__ = [
     "DrivingFunction", "EdwardsWilkinsonDriving", "GeneralizedKpzDriving",
     "HessianAtOrigin", "PolymerDriving", "make_driving", "stencil_offsets",
     "ConeWrapWarning", "EvolutionConfig", "HeightSlice", "LatticeGeometry",
-    "evolve", "min_cone_side", "slice_columns", "step", "trajectory",
+    "capture", "evolve", "min_cone_side", "slice_columns", "step",
     "NoiseModel", "NoiseSpec", "make_noise", "replica_noise",
     "Coefficients", "DecompositionSample", "ScalingScheme", "coefficients",
     "decompose", "evolve_and_decompose", "macro_terms", "make_scheme",

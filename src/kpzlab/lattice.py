@@ -9,13 +9,13 @@ moves one site per step, so with L >= 2T+1 the torus run reproduces the
 infinite-lattice values at the central site through time T (cone
 exactness).
 
-Every evolution runs through trajectory(), which yields the slices at
-t = 0..T; evolve() keeps only the last one. Because the noise is a pure
-function of (seed, t, x), trajectory() hashes the layers ahead of time in
-blocks of about _BLOCK draws (many layers of a small lattice per call, one
-layer of a large one) and hands each layer's row to step(), which only
-does the arithmetic. Each block's last slice is checked for nonfinite
-heights.
+Every evolution is read through capture(config, times), which steps from
+flat to T and yields the slices at the requested times only; evolve() asks
+for T alone. Because the noise is a pure function of (seed, t, x),
+capture() hashes the layers ahead of time in blocks of about _BLOCK draws
+(many layers of a small lattice per call, one layer of a large one) and
+hands each layer's row to step(), which only does the arithmetic. Each
+block's last slice is checked for nonfinite heights.
 
 step() evaluates phi in row blocks (axis 0) of at most _PHI_BLOCK sites,
 or one row when a row is larger: each block builds only its own rows of
@@ -30,7 +30,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -94,7 +94,7 @@ class LatticeGeometry:
 def _site_axes(d: int, L: int) -> Tuple[np.ndarray, ...]:
     """Open (sparse) coordinate mesh: axis i has shape L along dimension i.
 
-    trajectory() draws on it, with a (k, 1, ..., 1) time key prepended,
+    capture() draws on it, with a (k, 1, ..., 1) time key prepended,
     so each axis key is hashed on L values, not L^d.
     Read-only, because the cache hands the same arrays to every caller.
     """
@@ -221,7 +221,7 @@ def step(slice_: HeightSlice, phi: DrivingFunction, epsilon: float,
          z: np.ndarray) -> HeightSlice:
     """One growth update: phi over each stencil plus epsilon times z.
 
-    z is the noise layer t+1 over the window, as trajectory() draws it.
+    z is the noise layer t+1, drawn by capture(), the only caller of step().
     The new slice is filled in row blocks of at most _PHI_BLOCK sites (or
     one row when a row is larger), so each block's stencil stack and phi
     temporaries stay in L2; the result is bit for bit that of one phi call
@@ -235,24 +235,31 @@ def step(slice_: HeightSlice, phi: DrivingFunction, epsilon: float,
     return HeightSlice(g, slice_.t + 1, new)
 
 
-def trajectory(config: EvolutionConfig) -> Iterator[HeightSlice]:
-    """Yield the slices at t = 0..T, grown from the flat zero surface.
+def capture(config: EvolutionConfig,
+            times: Iterable[int]) -> Iterator[HeightSlice]:
+    """Grow from the flat zero surface to T in T step() calls and yield the
+    slice at each distinct time in times, ascending.
 
-    The noise is drawn k = max(1, _BLOCK // L^d) layers at a time in one
-    sample_spacetime call, and never past T. A block is stepped with numpy's
-    overflow warnings off and raises FloatingPointError, before yielding any
-    slice, when its last slice holds a nonfinite height. Never warns about
-    torus wrap; evolve() does.
+    A time outside 0..T raises ValueError before any step. The noise is
+    drawn k = max(1, _BLOCK // L^d) layers at a time in one sample_spacetime
+    call, and never past T. A block is stepped with numpy's overflow
+    warnings off and raises FloatingPointError, before yielding any slice,
+    when its last slice holds a nonfinite height. Never warns about torus
+    wrap; its readers do.
     """
+    keep = frozenset(times)
+    if bad := keep.difference(range(config.T + 1)):
+        raise ValueError(f"capture times {sorted(bad)} outside 0..{config.T}")
     g = config.geometry
     axes = _site_axes(g.d, g.L)
     k = max(1, _BLOCK // g.n_sites)
     cur = HeightSlice.flat(g, t=0)
-    yield cur
+    if 0 in keep:
+        yield cur
     for t0 in range(1, config.T + 1, k):
         t_last = min(t0 + k, config.T + 1) - 1
-        times = np.arange(t0, t_last + 1, dtype=np.int64)
-        z = config.noise.sample_spacetime(times.reshape((-1,) + (1,) * g.d),
+        layers = np.arange(t0, t_last + 1, dtype=np.int64)
+        z = config.noise.sample_spacetime(layers.reshape((-1,) + (1,) * g.d),
                                           axes)
         block = []
         with np.errstate(over="ignore", invalid="ignore"):
@@ -260,7 +267,7 @@ def trajectory(config: EvolutionConfig) -> Iterator[HeightSlice]:
                 cur = step(cur, config.phi, config.epsilon, z_t)
                 block.append(cur)
         _check_finite(cur)
-        yield from block
+        yield from (s for s in block if s.t in keep)
 
 
 def _check_finite(slice_: HeightSlice) -> None:
@@ -289,9 +296,8 @@ def evolve(config: EvolutionConfig) -> HeightSlice:
     wraps the torus.
     """
     _warn_if_wrapped(config.T, config.geometry)
-    for cur in trajectory(config):
-        pass
-    return cur
+    last, = capture(config, (config.T,))
+    return last
 
 
 # ---------------------------------------------------------------------------

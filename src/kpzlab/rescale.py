@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Sequence, Tuple
 
 from .driving import DrivingFunction, HessianAtOrigin
-from .lattice import (EvolutionConfig, HeightSlice, _warn_if_wrapped,
-                      trajectory)
+from .lattice import EvolutionConfig, HeightSlice, _warn_if_wrapped, capture
 from .noise import NoiseModel
 
 
@@ -191,15 +190,15 @@ def decompose(cur: HeightSlice, nxt: HeightSlice, phi: DrivingFunction,
 def evolve_and_decompose(config: EvolutionConfig, x) -> DecompositionSample:
     """Run config from flat and decompose its last step, at (config.T - 1, x).
 
-    Warns, as evolve() to T - 1 would, when the cone of time T - 1 wraps
-    the torus.
+    Warns when the torus side is below 2T - 1, the side evolve() to T - 1
+    asks for. That rule is exact: f(T, x) reads layer-s noise only within
+    L1 distance T - s of x, so layer-1 noise only within T - 1, and a side
+    of 2T - 1 holds that cone without wrap.
     """
     if config.T < 1:
         raise ValueError("evolve_and_decompose needs T >= 1")
     _warn_if_wrapped(config.T - 1, config.geometry)
-    prev = cur = None
-    for nxt in trajectory(config):
-        prev, cur = cur, nxt
+    prev, cur = capture(config, (config.T - 1, config.T))
     return decompose(prev, cur, config.phi, config.noise, config.epsilon, x)
 
 

@@ -33,7 +33,7 @@ from .config import (POWER_LAW_KEYS, SCHEMA, SCHEME_READS, ConfigError,
                      resolve_side)
 from .config import scheme_params as config_scheme_params
 from .driving import DrivingFunction, make_driving
-from .lattice import EvolutionConfig, LatticeGeometry, evolve, trajectory
+from .lattice import EvolutionConfig, LatticeGeometry, capture, evolve
 from .noise import _BLOCK, NoiseModel, replica_noise
 from .rescale import (ScalingScheme, evolve_and_decompose, macro_terms,
                       make_scheme)
@@ -407,7 +407,7 @@ def _drift_worker(replica: int, plan: ExperimentPlan,
     for eps in plan.epsilon_grid:
         run = plan.run(replica, eps, horizon)
         prev = None
-        for cur in trajectory(run):
+        for cur in capture(run, want | {t + 1 for t in want}):
             if prev is not None and prev.t in want:
                 st = prev.stencil_at(x0)
                 rows.append({"replica": replica, "epsilon": eps, "t": prev.t,
@@ -752,13 +752,9 @@ def whitenoise_pairing_study(plan: ExperimentPlan,
 def _stationarity_worker(replica: int, plan: ExperimentPlan,
                          checkpoints: Tuple[int, ...]) -> Dict[int, np.ndarray]:
     run = plan.run(replica, plan.epsilon_grid[0], max(checkpoints))
-    cps = set(checkpoints)
-    out: Dict[int, np.ndarray] = {}
-    for cur in trajectory(run):
-        if cur.t in cps:
-            # f(x + e_1) - f(x): row 1 of the stencil stack holds x + e_1
-            out[cur.t] = (cur.stencil_stack()[1] - cur.values).ravel()
-    return out
+    # f(x + e_1) - f(x): row 1 of the stencil stack holds x + e_1
+    return {cur.t: (cur.stencil_stack()[1] - cur.values).ravel()
+            for cur in capture(run, checkpoints)}
 
 
 def stationarity_study(plan: ExperimentPlan, checkpoints: Sequence[int],
@@ -769,10 +765,12 @@ def stationarity_study(plan: ExperimentPlan, checkpoints: Sequence[int],
     quantiles of |grad|, two-sample KS distances between consecutive
     checkpoints, and asserts the p99 shows no late growth trend. Long
     horizons exceed any affordable dependence cone, so the plan must
-    explicitly accept torus geometry; the first grid epsilon drives the
-    dynamics.
+    explicitly accept torus geometry, and its grid must hold one epsilon.
     """
     _check_study_replicas(plan)
+    if len(plan.epsilon_grid) != 1:
+        raise ConfigError("stationarity runs one epsilon; plan.epsilon_grid "
+                          f"must hold one, got {list(plan.epsilon_grid)}")
     from scipy import stats
     if plan.geometry_policy != "torus":
         raise ConfigError("stationarity runs on a fixed torus; set the "

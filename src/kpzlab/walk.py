@@ -18,8 +18,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .driving import DrivingFunction, stencil_offsets
-from .lattice import (EvolutionConfig, HeightSlice, LatticeGeometry, evolve,
-                      trajectory)
+from .lattice import (EvolutionConfig, HeightSlice, LatticeGeometry, capture,
+                      evolve)
 
 WEIGHT_TOL = 1e-12
 
@@ -66,9 +66,9 @@ def backward_walk_distribution(slices: Sequence[HeightSlice],
                                x) -> WalkDistribution:
     """Propagate the walk's law from (t, x) down to time 0.
 
-    slices[s] is the slice at time s, as trajectory() yields them; slices
-    0 ... t-1 must be present. Masses are conserved exactly up to float
-    addition; support grows one site per backward step.
+    slices[s] is the slice at time s, as capture(config, range(t)) yields
+    them; slices 0 ... t-1 must be present. Masses are conserved exactly
+    up to float addition; support grows one site per backward step.
     """
     need = max(t, 1)
     if [s.t for s in slices[:need]] != list(range(need)):
@@ -124,8 +124,8 @@ def derivative_pairs(config: EvolutionConfig, x):
     ([(s, y, walk, fd)] over the cone, s = 1..T and |y - x|_1 <= T - s,
     and [|eps * total_mass(s) - eps|] for s = 1..T)."""
     eps, T, g = config.epsilon, config.T, config.geometry
-    dist = backward_walk_distribution(list(trajectory(config)), config.phi,
-                                      T, x)
+    dist = backward_walk_distribution(list(capture(config, range(T + 1))),
+                                      config.phi, T, x)
     pairs = [(s, y, derivative_via_walk(dist, s, y, eps),
               derivative_fd(config, x, s, y))
              for s in range(1, T + 1) for y in _l1_ball(tuple(x), T - s, g.d)]

@@ -21,8 +21,8 @@ import pytest
 
 from kpzlab import cli, config
 from kpzlab.driving import make_driving
-from kpzlab.lattice import (EvolutionConfig, LatticeGeometry, min_cone_side,
-                            trajectory)
+from kpzlab.lattice import (EvolutionConfig, LatticeGeometry, capture,
+                            min_cone_side)
 from kpzlab.noise import make_noise
 from kpzlab.rescale import (coefficients, decompose, intermediate_disorder_1d,
                             macro_terms)
@@ -44,7 +44,8 @@ def test_criterion_01_path_sum_matches_direct_recursion():
     worst = 0.0
     for seed in range(50):
         noise = make_noise(seed=seed)
-        slices = list(trajectory(EvolutionConfig(phi, noise, g, eps, T=6)))
+        slices = list(capture(EvolutionConfig(phi, noise, g, eps, T=6),
+                              range(7)))
         for t in range(1, 7):
             direct = slices[t].value_at((0,))
             oracle = polymer_path_sum(noise, eps, t, (0,), 1)
@@ -135,7 +136,8 @@ def test_criterion_05_increment_decomposition_identities():
     samples = []  # (lattice sample, its macro_terms) pairs
     for rep in range(20):
         noise = make_noise(seed=rep)
-        slices = list(trajectory(EvolutionConfig(phi, noise, g, eps, T=10)))
+        slices = list(capture(EvolutionConfig(phi, noise, g, eps, T=10),
+                              range(11)))
         for t in range(10):
             for site in itertools.product(range(g.lo, g.lo + g.L)):
                 s = decompose(slices[t], slices[t + 1], phi, noise, eps, site)

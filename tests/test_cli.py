@@ -149,6 +149,8 @@ def _fail_on_any_run(monkeypatch):
     (["drift", "--set", "model.noise_family=gauss"],
      "unknown noise family 'gauss'"),
     (["stationarity", "--set", "plan.l=2"], "plan.l >= 3, got 2"),
+    (["stationarity", "--set", "plan.epsilon_grid=0.2,0.1"],
+     "plan.epsilon_grid must hold one, got [0.2, 0.1]"),
     (["gradient", "--set", "plan.geometry=torus", "--set", "plan.l=2"],
      "plan.l >= 3, got 2"),
     (["remainder", "--set", "plan.schedule=macro-fixed", "--set",
@@ -200,7 +202,8 @@ def test_side_misconfiguration_exits_2_before_any_run(tmp_path, capsys,
     # replicas; a command takes no --set of a [plan] or [test_function]
     # key it does not read (plan.macro_time is read under macro-fixed only);
     # the remainder study needs a phi whose hessian check-phi calls
-    # nondegenerate (ew, or gkpz at a coupling of 1e-12, is not)
+    # nondegenerate (ew, or gkpz at a coupling of 1e-12, is not);
+    # stationarity runs one epsilon, so it refuses a longer grid
     _fail_on_any_run(monkeypatch)
     rc = main(argv + ["--out", str(tmp_path), "--workers", workers])
     assert rc == 2
@@ -353,7 +356,8 @@ _TINY_STUDY = ["--set", "plan.replicas=30", "--set", "plan.epsilon_grid=0.5 0.4"
     ["drift", "--set", "plan.times=1 2"] + _TINY_STUDY,
     ["whitenoise"] + _TINY_STUDY,
     ["stationarity", "--set", "plan.checkpoints=1 2", "--set",
-     "plan.geometry=torus", "--set", "plan.l=8"] + _TINY_STUDY,
+     "plan.geometry=torus", "--set", "plan.l=8", "--set", "plan.replicas=30",
+     "--set", "plan.epsilon_grid=0.5"],
 ], ids=lambda argv: argv[0])
 def test_manifest_times_library_import_as_its_own_phase(tmp_path, argv):
     # whitenoise and stationarity import scipy.stats before their run

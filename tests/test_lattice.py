@@ -16,8 +16,8 @@ import kpzlab.noise as noise_mod
 from kpzlab.driving import (_PHI_BLOCK, EdwardsWilkinsonDriving,
                             PolymerDriving, make_driving)
 from kpzlab.lattice import (ConeWrapWarning, EvolutionConfig, HeightSlice,
-                            LatticeGeometry, _site_axes, evolve,
-                            min_cone_side, slice_columns, step, trajectory)
+                            LatticeGeometry, _site_axes, capture, evolve,
+                            min_cone_side, slice_columns, step)
 from kpzlab.noise import _BLOCK, NoiseModel, make_noise
 from kpzlab.rescale import evolve_and_decompose
 from oracles import (CallableDriving, polymer_path_sum, scalar_sample,
@@ -337,12 +337,30 @@ def test_wrap_warning_when_cone_outruns_torus():
     cfg = EvolutionConfig(PolymerDriving(1), make_noise(), g, 0.5, T=3)
     with pytest.warns(ConeWrapWarning):
         evolve(cfg)
-    # the generator itself never warns (the torus runs rely on it)
-    assert len(list(trajectory(cfg))) == 4
+    # capture itself never warns (the torus runs rely on it)
+    assert [s.t for s in capture(cfg, range(4))] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("d,T", [(1, 5), (1, 8), (2, 4)])
+def test_decompose_wrap_warning_threshold(d, T):
+    # f(T, x) reads layer-1 noise within L1 distance T - 1 of x, so the
+    # decomposed step is exact from side 2T - 1 on, and warns below it;
+    # pytest turns a ConeWrapWarning on the silent sides into an error
+    def run(L):
+        return EvolutionConfig(PolymerDriving(d), make_noise(seed=13),
+                               LatticeGeometry(d, L), 0.3, T)
+    x = (0,) * d
+    exact = evolve_and_decompose(run(min_cone_side(T)), x)
+    edge = evolve_and_decompose(run(2 * T - 1), x)
+    for part in ("A", "B", "C", "D", "increment"):
+        assert np.float64(getattr(edge, part)).view(np.uint64) == \
+            np.float64(getattr(exact, part)).view(np.uint64)
+    with pytest.warns(ConeWrapWarning, match=f"L={2 * T - 3} "):
+        evolve_and_decompose(run(2 * T - 3), x)
 
 
 # ---------------------------------------------------------------------------
-# time-blocked noise: trajectory against a plain loop of step
+# time-blocked noise: capture against a plain loop of step
 
 
 def _stepped(config):
@@ -371,16 +389,22 @@ def test_evolve_equals_stepwise_draws(family, d, L):
     origin, ones = (0,) * d, (1,) * d
     views = [base, base.perturb_at(2, origin, 0.5).perturb_at(3, ones, -1.0)]
     phi = PolymerDriving(d)
+    k = max(1, _BLOCK // L ** d)
     for nm in views:
         ref = _stepped(EvolutionConfig(phi, nm, LatticeGeometry(d, L), 0.4,
                                        T=max(_horizons(d, L))))
         for T in _horizons(d, L):
             cfg = EvolutionConfig(phi, nm, LatticeGeometry(d, L), 0.4, T)
-            got = list(trajectory(cfg))
-            assert [s.t for s in got] == list(range(T + 1))
-            for a, b in zip(got, ref):
-                assert np.array_equal(a.values.view(np.uint64),
-                                      b.values.view(np.uint64))
+            # every time, the ends, the last step, the two sides of each
+            # noise block boundary, and unsorted times with duplicates
+            straddle = [t for t in (k, k + 1, 2 * k, 2 * k + 1) if t <= T]
+            for times in (range(T + 1), [0], [T], [T - 1, T], straddle,
+                          [T, 1, T, 0, 1]):
+                got = list(capture(cfg, times))
+                assert [s.t for s in got] == sorted(set(times))
+                for a in got:
+                    assert np.array_equal(a.values.view(np.uint64),
+                                          ref[a.t].values.view(np.uint64))
             final = evolve(cfg)
             assert final.t == T
             assert np.array_equal(final.values.view(np.uint64),
@@ -416,13 +440,24 @@ def _count_work(monkeypatch):
                                    (2, 191, 2), (3, 7, 3)])
 def test_evolution_work_counts(monkeypatch, d, L, T):
     # the benchmark's traced self-test relies on exactly one step call and
-    # one keyed draw per site per step, whatever the blocking
+    # one keyed draw per site per step, whatever the blocking and whatever
+    # times a capture keeps
     counts = _count_work(monkeypatch)
-    g = LatticeGeometry(d, L)
-    evolve(EvolutionConfig(PolymerDriving(d), make_noise(seed=2), g, 0.3, T))
-    assert counts["steps"] == T
-    assert counts["keys"] == T * L ** d
-    assert counts["layers"] == list(range(1, T + 1))
+    cfg = EvolutionConfig(PolymerDriving(d), make_noise(seed=2),
+                          LatticeGeometry(d, L), 0.3, T)
+    for read in (evolve, lambda c: list(capture(c, [0])),
+                 lambda c: list(capture(c, [T // 2])),
+                 lambda c: list(capture(c, range(T + 1)))):
+        counts.update(steps=0, keys=0, layers=[])
+        read(cfg)
+        assert counts["steps"] == T
+        assert counts["keys"] == T * L ** d
+        assert counts["layers"] == list(range(1, T + 1))
+    # a time outside 0..T is refused before any step
+    counts.update(steps=0, keys=0)
+    with pytest.raises(ValueError, match=rf"\[-1, {T + 1}\] outside 0\.\.{T}"):
+        list(capture(cfg, [-1, 0, T + 1]))
+    assert counts["steps"] == counts["keys"] == 0
 
 
 @pytest.mark.parametrize("d,L,t", [(1, 9, 0), (1, 9, 3), (2, 191, 1)])
@@ -513,8 +548,9 @@ def test_path_sum_matches_recursion_small():
     nm = make_noise(seed=30)
     eps, T = 0.4, 4
     # window wide enough that the cones of |x| <= 2 never wrap keys
-    slices = list(trajectory(EvolutionConfig(
-        PolymerDriving(1), nm, LatticeGeometry(1, 2 * T + 1 + 4), eps, T)))
+    slices = list(capture(EvolutionConfig(
+        PolymerDriving(1), nm, LatticeGeometry(1, 2 * T + 1 + 4), eps, T),
+        range(T + 1)))
     for t in (1, 2, 3, 4):
         for x in (-1, 0, 2):
             assert slices[t].value_at((x,)) == pytest.approx(

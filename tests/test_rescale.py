@@ -15,7 +15,7 @@ import pytest
 from kpzlab.driving import (EdwardsWilkinsonDriving, PolymerDriving,
                             make_driving, stencil_offsets)
 from kpzlab.lattice import (EvolutionConfig, HeightSlice, LatticeGeometry,
-                            min_cone_side, step, trajectory)
+                            capture, min_cone_side, step)
 from kpzlab.noise import make_noise
 from kpzlab.rescale import (Coefficients, DecompositionSample, coefficients,
                             decompose, exponential_2d,
@@ -172,7 +172,7 @@ def test_decompose_needs_consecutive_slices():
     g = LatticeGeometry(1, 5)
     phi = PolymerDriving(1)
     nm = make_noise()
-    s0, s1, s2 = trajectory(EvolutionConfig(phi, nm, g, 0.3, T=2))
+    s0, s1, s2 = capture(EvolutionConfig(phi, nm, g, 0.3, T=2), (0, 1, 2))
     assert decompose(s1, s2, phi, nm, 0.3, (0,)).t == 1
     for cur, nxt in ((s0, s2), (s1, s1), (s2, s1)):
         with pytest.raises(ValueError, match="consecutive"):
@@ -283,7 +283,8 @@ def test_laplacian_term_equals_discrete_laplacian_in_cells(name, d):
     g = LatticeGeometry(d, min_cone_side(5))
     nm = make_noise(seed=11)
     for eps in (0.5, 0.3, 0.1):
-        slices = list(trajectory(EvolutionConfig(phi, nm, g, eps, T=5)))
+        slices = list(capture(EvolutionConfig(phi, nm, g, eps, T=5),
+                              range(6)))
         a, b, gam = sch.alpha(eps), sch.beta(eps), sch.gamma(eps)
         F = _rescaled(slices, a, b, gam)
         nu = coefficients(sch, eps, d, hess, nm.sigma).nu

@@ -9,7 +9,7 @@ import pytest
 
 from kpzlab.driving import EdwardsWilkinsonDriving, PolymerDriving
 from kpzlab.lattice import (ConeWrapWarning, EvolutionConfig, HeightSlice,
-                            LatticeGeometry, trajectory)
+                            LatticeGeometry, capture)
 from kpzlab.noise import make_noise
 from kpzlab.walk import (backward_walk_distribution, derivative_fd,
                          derivative_pairs, derivative_via_walk)
@@ -18,7 +18,8 @@ from oracles import CallableDriving, scalar_sample, zero_layer_shift
 
 def _grown(phi, nm, L, eps, T, d=1):
     g = LatticeGeometry(d, L)
-    return g, list(trajectory(EvolutionConfig(phi, nm, g, eps, T)))
+    run = EvolutionConfig(phi, nm, g, eps, T)
+    return g, list(capture(run, range(T + 1)))
 
 
 def _lazy_uniform_masses(T, L, x_index):
@@ -113,7 +114,8 @@ def test_linear_dynamics_fd_is_exact_at_any_step():
     g = LatticeGeometry(1, 11)
     eps = 0.7
     run = EvolutionConfig(phi, nm, g, eps, T=4)
-    dist = backward_walk_distribution(list(trajectory(run)), phi, 4, (0,))
+    dist = backward_walk_distribution(list(capture(run, range(4))), phi, 4,
+                                      (0,))
     for (s, y) in [(1, 0), (1, 2), (2, -1), (4, 0)]:
         walk = derivative_via_walk(dist, s, (y,), eps)
         fd = derivative_fd(run, (0,), s, (y,), h=0.3)
@@ -138,7 +140,8 @@ def test_fd_shifts_the_wrapped_site_on_a_small_torus():
     g = LatticeGeometry(1, 5)
     eps, T = 0.1, 4
     run = EvolutionConfig(phi, nm, g, eps, T)
-    dist = backward_walk_distribution(list(trajectory(run)), phi, T, (0,))
+    dist = backward_walk_distribution(list(capture(run, range(T))), phi, T,
+                                      (0,))
     walk = derivative_via_walk(dist, 1, (3,), eps)
     assert walk > 1e-3
     with pytest.warns(ConeWrapWarning):
@@ -155,7 +158,8 @@ def test_fd_richardson_rate():
     g = LatticeGeometry(1, 9)
     eps = 0.5
     run = EvolutionConfig(phi, nm, g, eps, T=3)
-    dist = backward_walk_distribution(list(trajectory(run)), phi, 3, (0,))
+    dist = backward_walk_distribution(list(capture(run, range(3))), phi, 3,
+                                      (0,))
     exact = derivative_via_walk(dist, 1, (1,), eps)
     e1 = abs(derivative_fd(run, (0,), 1, (1,), h=1e-2) - exact)
     e2 = abs(derivative_fd(run, (0,), 1, (1,), h=5e-3) - exact)

@@ -14,7 +14,9 @@ seeds, times from 1 to 2^31 and sites with negative coordinates in
 d = 1..3.
 
 A change that moves bits on purpose reruns this script and names each
-moved digest and why. Run from the root of a source checkout:
+moved digest and why; before it overwrites quick-seed0.json the script
+prints each artifact whose digest moved, with the first 12 hex digits of
+the old and new digests. Run from the root of a source checkout:
 
     PYTHONPATH=src python scripts/regenerate_golden.py
 """
@@ -107,14 +109,26 @@ def _vectors_json(header: dict, rows: list) -> str:
             + f',\n "vectors": [\n  {body}\n ]\n}}\n')
 
 
+def moved_digests(old: dict, new: dict) -> list:
+    """(name, old, new) of each artifact whose digest differs, the digests
+    cut to 12 hex digits and "-" for an artifact one side lacks."""
+    return [(k, old.get(k, "-")[:12], new.get(k, "-")[:12])
+            for k in sorted(old.keys() | new.keys())
+            if old.get(k) != new.get(k)]
+
+
 def main() -> int:
     GOLDEN.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         digests = quick_digests(pathlib.Path(tmp))
+    quick = GOLDEN / "quick-seed0.json"
+    old = json.loads(quick.read_text())["artifacts"] if quick.exists() else {}
+    for name, was, now in moved_digests(old, digests):
+        print(f"moved: {name} {was} -> {now}")
     doc = {"command": "scripts/run_verification_suite.py "
                       + " ".join(QUICK_ARGS),
            "versions": versions(), "artifacts": digests}
-    (GOLDEN / "quick-seed0.json").write_text(json.dumps(doc, indent=1) + "\n")
+    quick.write_text(json.dumps(doc, indent=1) + "\n")
     vectors = noise_vectors()
     (GOLDEN / "noise-contract.json").write_text(_vectors_json(
         {"scale": DEFAULT_SCALE,

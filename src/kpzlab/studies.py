@@ -13,7 +13,8 @@ decompose command and the remainder study), and map_replicas the one
 replica runner. A plan refuses bad values and unknown names when it is
 built, and each study checks its inputs, its largest torus side and its
 replica floor before map_replicas, so a refusal comes before any replica
-runs.
+runs. The white-noise pairing is a contraction of each replica's draws
+with the bump's per-axis cell factors, one axis at a time.
 
 scipy is imported only inside the functions that use it (GaussianBump's
 erf integrals, the white-noise and stationarity statistics): importing
@@ -24,8 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -551,18 +551,20 @@ def _pairing_cells(fn: GaussianBump, alpha: float, beta: float,
             f"below the required {coverage}")
 
     # separable cell averages: the product of these per-axis averages,
-    # amplitude once, multiplied left to right (_weight_blocks)
+    # amplitude once; the pairing contracts them axis by axis (_contract)
     return m, v_ranges, [fn.amplitude * (t_int / alpha),
                          *(ints / beta for ints in x_ints)]
 
 
 def _cell_blocks(shape: Tuple[int, ...]):
-    """Per-axis slices that cut the C-order grid of this shape into
-    contiguous runs of at most _BLOCK cells, in order.
+    """The cut axis, and per-axis slices that cut the C-order grid of this
+    shape into contiguous runs of at most _BLOCK cells, in order.
 
     Whole rows of the leading axis are taken together; where one row holds
     more than _BLOCK cells, each of its rows along the next axis is cut
-    the same way, down to single cells if need be.
+    the same way, down to single cells if need be. That axis is the cut
+    axis: every block spans whole axes after it and one index of each axis
+    before it.
     """
     axis, inner = 0, math.prod(shape[1:])
     while inner > _BLOCK:
@@ -570,111 +572,54 @@ def _cell_blocks(shape: Tuple[int, ...]):
         inner //= shape[axis]
     step = max(1, _BLOCK // inner)
     rest = (slice(None),) * (len(shape) - axis - 1)
-    for prefix in np.ndindex(*shape[:axis]):
-        lead = tuple(slice(p, p + 1) for p in prefix)
-        for i in range(0, shape[axis], step):
-            yield lead + (slice(i, i + step),) + rest
+    return axis, (tuple(slice(p, p + 1) for p in prefix)
+                  + (slice(i, i + step),) + rest
+                  for prefix in np.ndindex(*shape[:axis])
+                  for i in range(0, shape[axis], step))
 
 
-def _weight_blocks(axes: Sequence[np.ndarray],
-                   factors: Sequence[np.ndarray]):
-    """(keys, weights) of each block of the cell grid, in C order: the
-    block's entries of axes (noise layers, then site coordinates) as an
-    open mesh, and its cell weights.
+def _contract(a: np.ndarray, factors: Sequence[np.ndarray]):
+    """a contracted with one factor per trailing axis, last axis first:
+    each factor multiplies a in place along its last axis, which
+    np.add.reduce then sums away.
 
-    Each weight is the product of its axes' factors, multiplied left to
-    right by nested np.multiply.outer as the whole grid would be, so it has
-    the same bits; only the last product spans the block, and it is
-    written into one buffer that every block reuses.
+    Every sum runs along one whole axis, so a block of whole trailing axes
+    gives the bits the whole grid gives. Only elementwise ufuncs and
+    np.add.reduce: BLAS kernels vary by CPU.
     """
-    shape = tuple(f.size for f in factors)
-    buf = np.empty(min(_BLOCK, math.prod(shape)))
-    for cut in _cell_blocks(shape):
-        keys = [a[c].reshape((1,) * i + (-1,) + (1,) * (len(shape) - i - 1))
-                for i, (a, c) in enumerate(zip(axes, cut))]
-        fs = [f[c] for f, c in zip(factors, cut)]
-        w = fs[0]
-        for f in fs[1:-1]:
-            w = np.multiply.outer(w, f)
-        out = buf[:w.size * fs[-1].size].reshape(w.shape + fs[-1].shape)
-        yield keys, np.multiply.outer(w, fs[-1], out=out)
-
-
-# numpy's float64 add.reduce sums a contiguous run of up to this many values
-# in one unrolled loop and splits a longer run at n//2 - (n//2) % 8, summing
-# each half the same way (pairwise_sum in numpy's umath loops)
-_PAIRWISE_LEAF = 128
-
-
-class _BlockReader:
-    """The values an iterator of arrays yields, read in order, holding the
-    current block only."""
-
-    def __init__(self, blocks: Iterable[np.ndarray]):
-        self._blocks = iter(blocks)
-        self._cur, self._pos = np.empty(0), 0
-
-    def ahead(self) -> int:
-        """Values left in the current block, moving to the next nonempty
-        block when none are."""
-        while self._pos == self._cur.size:
-            self._cur, self._pos = next(self._blocks).reshape(-1), 0
-        return self._cur.size - self._pos
-
-    def take(self, k: int) -> np.ndarray:
-        """A view of the next k values; k must not exceed ahead()."""
-        self._pos += k
-        return self._cur[self._pos - k:self._pos]
-
-
-def _tree_sum(reader: _BlockReader, k: int):
-    """numpy's pairwise sum of the next k values of reader."""
-    if k <= reader.ahead():
-        return np.add.reduce(reader.take(k))
-    if k > _PAIRWISE_LEAF:
-        half = k // 2 - (k // 2) % 8
-        return _tree_sum(reader, half) + _tree_sum(reader, k - half)
-    parts = []
-    while k:
-        parts.append(reader.take(min(k, reader.ahead())).copy())
-        k -= parts[-1].size
-    return np.add.reduce(np.concatenate(parts))
-
-
-def streamed_sum(blocks: Iterable[np.ndarray], n: int) -> float:
-    """float(a.sum()) of the n values a that blocks yields in order, bit for
-    bit, holding one block at a time.
-
-    The sum follows numpy's pairwise tree over the whole run: a tree node
-    that lies within one block is summed by np.add.reduce, one that
-    straddles blocks is split as numpy splits it, and only a straddling
-    node of at most _PAIRWISE_LEAF values is copied. Nothing outlives the
-    call: no reference cycle keeps a block alive until the next garbage
-    collection.
-    """
-    # add.reduce starts from its identity, 0.0 (which turns -0.0 into 0.0)
-    return float(0.0 + _tree_sum(_BlockReader(blocks), n)) if n else 0.0
+    for f in reversed(factors):
+        a *= f
+        a = np.add.reduce(a, axis=-1)
+    return a
 
 
 def _pairing_worker(replica: int, plan: ExperimentPlan,
                     grids: list) -> List[float]:
     """Pairings of one replica on every eps grid, one block of cells at a
-    time."""
+    time.
+
+    Each block's draws are contracted over the axes after the cut axis
+    into an array of shape[:axis + 1] (one value per time layer when
+    blocks are whole layers), which the factors up to the cut axis then
+    contract.
+    """
     model = plan.noise_for(replica)
     out = []
     for axes, factors, coef in grids:
-        cells = math.prod(f.size for f in factors)
+        shape = tuple(f.size for f in factors)
+        axis, cuts = _cell_blocks(shape)
         # one draw buffer for every block: a fresh block-sized array per
         # block costs a page fault per 4 KiB once freed memory is trimmed
-        buf = np.empty(min(_BLOCK, cells))
-
-        def products():
-            for keys, w in _weight_blocks(axes, factors):
-                z = model.sample_spacetime(
-                    keys[0], keys[1:], out=buf[:w.size].reshape(w.shape))
-                z *= w
-                yield z
-        out.append(coef * streamed_sum(products(), cells))
+        buf = np.empty(min(_BLOCK, math.prod(shape)))
+        partial = np.empty(shape[:axis + 1])
+        for cut in cuts:
+            keys = [a[c].reshape((1,) * i + (-1,) + (1,) * (len(shape) - i - 1))
+                    for i, (a, c) in enumerate(zip(axes, cut))]
+            block = tuple(k.size for k in keys)
+            z = model.sample_spacetime(
+                keys[0], keys[1:], out=buf[:math.prod(block)].reshape(block))
+            partial[cut[:axis + 1]] = _contract(z, factors[axis + 1:])
+        out.append(coef * float(_contract(partial, factors[:axis + 1])))
     return out
 
 
@@ -684,10 +629,13 @@ def whitenoise_pairing_study(plan: ExperimentPlan,
     """Pair the rescaled noise with a bump; the sums must look N(0, ||f||^2).
 
     The exact per-axis cell averages are built once per eps, in this
-    process, and reach each map_replicas range once. Each replica is paired
-    against every grid one block of cells at a time, hashing each time row
-    of the block's open cell mesh once, so memory does not grow with the
-    cell count.
+    process, and reach each map_replicas range once. Each replica draws
+    every grid one block of cells at a time, hashing each time row of the
+    block's open cell mesh once, and contracts the draws with the per-axis
+    factors one axis at a time (_contract), so memory does not grow with
+    the cell count and the pairings have the same bits for any blocking
+    and worker count. The lattice variance is alpha * beta^d times the
+    product of the factors' sums of squares.
     """
     _check_study_replicas(plan)
     from scipy import stats
@@ -711,10 +659,8 @@ def whitenoise_pairing_study(plan: ExperimentPlan,
         axes = [m + 1, *v_ranges]  # noise layer m + 1 over cell m
         coef = math.sqrt(alpha) * beta ** (plan.d / 2.0) / sigma
         grids.append((axes, factors, coef))
-        cells = math.prod(f.size for f in factors)
-        squares = (w ** 2 for _, w in _weight_blocks(axes, factors))
-        lattice_vars.append(alpha * beta ** plan.d *
-                            streamed_sum(squares, cells))
+        lattice_vars.append(alpha * beta ** plan.d * math.prod(
+            float(np.add.reduce(f * f)) for f in factors))
     all_pairings = np.column_stack(map_replicas(
         _pairing_worker, plan.replicas, workers, plan, grids))
     table = []
@@ -777,6 +723,10 @@ def stationarity_study(plan: ExperimentPlan, checkpoints: Sequence[int],
                           "plan's geometry_policy to 'torus' to acknowledge "
                           "wrap")
     checkpoints = _capture_times("plan.checkpoints", checkpoints)
+    positive = [cp for cp in checkpoints if cp > 0]
+    if len(positive) < 3:
+        raise ConfigError("plan.checkpoints needs at least three positive "
+                          f"times for the p99 trend, got {list(checkpoints)}")
     raw = map_replicas(_stationarity_worker, plan.replicas, workers, plan,
                        checkpoints)
     pooled = {cp: np.concatenate([r[cp] for r in raw]) for cp in checkpoints}
@@ -798,12 +748,9 @@ def stationarity_study(plan: ExperimentPlan, checkpoints: Sequence[int],
                         "ks_statistic": float(res.statistic),
                         "pvalue": float(res.pvalue)})
 
-    assertions: Dict[str, bool] = {}
-    positive_cps = [cp for cp in checkpoints if cp > 0]
-    if len(positive_cps) >= 3:
-        tail = [p99s[c] for c in positive_cps[-3:]]
-        # late-time flatness: the last three p99 values sit in a narrow band
-        assertions["p99_no_growth_trend"] = max(tail) <= 1.2 * min(tail)
+    # late-time flatness: the last three p99 values sit in a narrow band
+    tail = [p99s[c] for c in positive[-3:]]
+    assertions = {"p99_no_growth_trend": max(tail) <= 1.2 * min(tail)}
     if 0 in p99s:
         assertions["flat_start_zero_gradient"] = p99s[0] == 0.0
 

@@ -4,8 +4,9 @@ None is used by the package itself; each recomputes a quantity by a
 route that shares no code path with the one under test. The scalar draw
 path here is the reference for the package's array draws, and
 CallableDriving is the driving function of a plain callable, with
-finite-difference derivatives. The whole-grid pairing is the reference
-for the white-noise study's streamed, blocked one.
+finite-difference derivatives. The whole-grid pairing, as a plain sum
+and as an axis-by-axis contraction, is the reference for the white-noise
+study's blocked contraction.
 """
 import csv
 import itertools
@@ -268,20 +269,48 @@ def full_cell_averages(factors: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def full_grid_pairings(plan, fn, epsilon: float) -> Tuple[np.ndarray, float]:
-    """Each replica's pairing at epsilon and the lattice variance, on the
-    whole cell grid.
-
-    One full meshgrid of keys, one draw array per replica, and
-    coef * (z * cell_avg).sum(): no cell blocks, no streamed sum.
-    """
+def _full_pairing_grid(plan, fn, epsilon: float):
+    """alpha * beta^d, the pairing's coef, the per-axis factors and one full
+    meshgrid of noise keys at epsilon."""
     scheme = plan.scheme()
     alpha, beta = scheme.alpha(epsilon), scheme.beta(epsilon)
     m, v_ranges, factors = _pairing_cells(fn, alpha, beta)
-    cell_avg = full_cell_averages(factors)
     mesh = np.meshgrid(m + 1, *v_ranges, indexing="ij")
     coef = math.sqrt(alpha) * beta ** (plan.d / 2.0) / plan.noise_for(0).sigma
-    pairings = np.array([
-        coef * float((plan.noise_for(k).sample_spacetime(mesh[0], mesh[1:])
-                      * cell_avg).sum()) for k in range(plan.replicas)])
-    return pairings, float(alpha * beta ** plan.d * (cell_avg ** 2).sum())
+    return alpha * beta ** plan.d, coef, factors, mesh
+
+
+def full_grid_pairings(plan, fn, epsilon: float
+                       ) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Each replica's pairing at epsilon, the same sum of |z * cell_avg|,
+    and the lattice variance, as plain sums over the whole cell grid.
+
+    One full meshgrid of keys, one draw array per replica, and
+    coef * (z * cell_avg).sum(): no cell blocks, no contraction.
+    """
+    cell_volume, coef, factors, mesh = _full_pairing_grid(plan, fn, epsilon)
+    cell_avg = full_cell_averages(factors)
+    sums, abs_sums = [], []
+    for k in range(plan.replicas):
+        p = plan.noise_for(k).sample_spacetime(mesh[0], mesh[1:]) * cell_avg
+        sums.append(coef * float(p.sum()))
+        abs_sums.append(coef * float(np.abs(p).sum()))
+    return (np.array(sums), np.array(abs_sums),
+            float(cell_volume * (cell_avg ** 2).sum()))
+
+
+def full_grid_contraction(plan, fn, epsilon: float) -> np.ndarray:
+    """Each replica's pairing at epsilon, contracted on the whole cell grid.
+
+    One full meshgrid of keys and one draw array per replica; the factor
+    of the last axis multiplies the array along that axis, which
+    np.add.reduce sums away, and so on inward to the time axis.
+    """
+    _, coef, factors, mesh = _full_pairing_grid(plan, fn, epsilon)
+    out = []
+    for k in range(plan.replicas):
+        a = plan.noise_for(k).sample_spacetime(mesh[0], mesh[1:])
+        for f in factors[::-1]:
+            a = np.add.reduce(a * f, axis=-1)
+        out.append(coef * float(a))
+    return np.array(out)

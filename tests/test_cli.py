@@ -108,6 +108,10 @@ def _fail_on_any_run(monkeypatch):
     (["stationarity", "--set", "plan.checkpoints=-2 1 2", "--set",
       "plan.l=16"], "plan.checkpoints"),
     (["stationarity", "--set", "plan.checkpoints="], "plan.checkpoints"),
+    (["stationarity", "--set", "plan.checkpoints=1 4", "--set", "plan.l=16"],
+     "plan.checkpoints needs at least three positive times"),
+    (["stationarity", "--set", "plan.checkpoints=0 1 2", "--set",
+      "plan.l=16"], "plan.checkpoints needs at least three positive times"),
     (["decompose", "--set", "plan.l=5", "--set", "plan.t=10"], "plan.l"),
     (["remainder", "--set", "scheme.preset=intermediate-disorder-1d",
       "--set", "model.d=2"], "model.d"),
@@ -203,7 +207,8 @@ def test_side_misconfiguration_exits_2_before_any_run(tmp_path, capsys,
     # key it does not read (plan.macro_time is read under macro-fixed only);
     # the remainder study needs a phi whose hessian check-phi calls
     # nondegenerate (ew, or gkpz at a coupling of 1e-12, is not);
-    # stationarity runs one epsilon, so it refuses a longer grid
+    # stationarity runs one epsilon, so it refuses a longer grid, and its
+    # p99 trend needs three positive checkpoints
     _fail_on_any_run(monkeypatch)
     rc = main(argv + ["--out", str(tmp_path), "--workers", workers])
     assert rc == 2
@@ -355,7 +360,7 @@ _TINY_STUDY = ["--set", "plan.replicas=30", "--set", "plan.epsilon_grid=0.5 0.4"
     ["gradient"] + _TINY_STUDY,
     ["drift", "--set", "plan.times=1 2"] + _TINY_STUDY,
     ["whitenoise"] + _TINY_STUDY,
-    ["stationarity", "--set", "plan.checkpoints=1 2", "--set",
+    ["stationarity", "--set", "plan.checkpoints=1 2 4", "--set",
      "plan.geometry=torus", "--set", "plan.l=8", "--set", "plan.replicas=30",
      "--set", "plan.epsilon_grid=0.5"],
 ], ids=lambda argv: argv[0])

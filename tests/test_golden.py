@@ -46,6 +46,14 @@ def test_quick_suite_artifacts_equal_the_golden_digests(regen, tmp_path,
     assert differ == [], f"artifacts that differ from the golden run: {differ}"
 
 
+def test_regenerate_names_each_moved_digest(regen):
+    old = {"a.csv": "0" * 64, "b.json": "1" * 64, "gone.csv": "2" * 64}
+    new = {"a.csv": "0" * 64, "b.json": "3" * 64, "new.csv": "4" * 64}
+    assert regen.moved_digests(old, new) == [
+        ("b.json", "1" * 12, "3" * 12), ("gone.csv", "2" * 12, "-"),
+        ("new.csv", "-", "4" * 12)]
+
+
 def test_noise_draws_equal_the_contract_vectors(regen):
     doc = json.loads((GOLDEN / "noise-contract.json").read_text())
     scale = doc["scale"]

@@ -22,7 +22,8 @@ from kpzlab.studies import (ExperimentPlan, GaussianBump, _pairing_cells,
                             remainder_ratio_study, stationarity_study,
                             whitenoise_pairing_study)
 from kpzlab.studies import _gradient_worker
-from oracles import full_cell_averages, full_grid_pairings, scalar_sample
+from oracles import (full_cell_averages, full_grid_contraction,
+                     full_grid_pairings, scalar_sample)
 
 
 def small_plan(**kw):
@@ -340,69 +341,78 @@ def test_whitenoise_study_small_run():
                                    "skewness_small", "excess_kurtosis_small"}
 
 
-@pytest.mark.parametrize("d, preset, grid", [
-    # eps 0.25 pairs 228,820 cells: 8 blocks, so sums cross block edges
-    (1, "intermediate-disorder-1d", (0.5, 0.4, 0.25)),
+@pytest.mark.parametrize("d, preset, grid, width_t", [
+    # eps 0.25 pairs 228,820 cells: 8 blocks of whole time layers
+    (1, "intermediate-disorder-1d", (0.5, 0.4, 0.25), 1.0),
     # 10,648, 25,872 and 76,464 cells (3 blocks) over a 3-axis grid
-    (2, "power-law", (0.5, 0.4, 0.3))])
-def test_whitenoise_row_equals_full_mesh_pairings(d, preset, grid):
-    # the study streams blocks of an open cell mesh; the whole grid, one
-    # full meshgrid and (z * cell_avg).sum(), is the reference
+    (2, "power-law", (0.5, 0.4, 0.3), 1.0),
+    # 3 x 36^3 cells: each 46,656-cell time layer is cut in two blocks
+    (3, "power-law", (0.3,), 0.05)])
+def test_whitenoise_row_equals_full_mesh_pairings(d, preset, grid, width_t):
+    # the study contracts blocks of an open cell mesh; the same contraction
+    # on one full meshgrid has its bits, and the plain sum
+    # (z * cell_avg).sum() agrees to rounding
     params = {} if preset != "power-law" else ExperimentPlan().scheme_params
     plan = ExperimentPlan(epsilon_grid=grid, replicas=30, seed=4, d=d,
                           scheme_preset=preset, scheme_params=params)
-    res = whitenoise_pairing_study(plan)
-    fn = GaussianBump(d=d, center_x=(0.0,) * d, width_x=(1.0,) * d)
+    fn = GaussianBump(d=d, width_t=width_t, center_x=(0.0,) * d,
+                      width_x=(1.0,) * d)
+    res = whitenoise_pairing_study(plan, fn)
     for row in res.tables["pairings"]:
-        pairings, lattice_var = full_grid_pairings(plan, fn, row["epsilon"])
-        assert row["mean"] == float(pairings.mean())
-        assert row["variance"] == float(pairings.var(ddof=1))
-        assert row["lattice_variance"] == lattice_var
+        contracted = full_grid_contraction(plan, fn, row["epsilon"])
+        assert row["mean"] == float(contracted.mean())
+        assert row["variance"] == float(contracted.var(ddof=1))
+        plain, plain_abs, lattice_var = full_grid_pairings(plan, fn,
+                                                           row["epsilon"])
+        assert np.all(np.abs(contracted - plain) <= 1e-14 * plain_abs)
+        assert row["lattice_variance"] == pytest.approx(lattice_var,
+                                                        rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("d, width_t, width_x, block, cut_axis", [
+    # 22 x 22 x 22 cells: blocks of single cells, runs within a row, whole
+    # rows, whole time layers and the whole grid
+    *((2, 1.0, 1.0, b, a) for b, a in [(1, 2), (7, 2), (21, 2), (22, 1),
+                                       (23, 1), (483, 1), (484, 0),
+                                       (485, 0), (8192, 0)]),
+    # 2 x 12 x 12 x 12 cells: a cut at each of the four axes
+    *((3, 0.05, 0.5, b, a) for b, a in [(5, 3), (12, 2), (100, 2), (144, 1),
+                                        (1728, 0), (8192, 0)])])
+def test_pairing_worker_same_bits_for_any_block_size(monkeypatch, d, width_t,
+                                                     width_x, block,
+                                                     cut_axis):
+    # every sum runs along one whole axis, so the cut changes no bit
+    plan = ExperimentPlan(epsilon_grid=(0.5,), replicas=2, seed=2, d=d,
+                          scheme_preset="power-law",
+                          scheme_params=ExperimentPlan().scheme_params)
+    fn = GaussianBump(d=d, width_t=width_t, center_x=(0.0,) * d,
+                      width_x=(width_x,) * d)
+    scheme = plan.scheme()
+    alpha, beta = scheme.alpha(0.5), scheme.beta(0.5)
+    m, v_ranges, factors = _pairing_cells(fn, alpha, beta)
+    coef = math.sqrt(alpha) * beta ** (d / 2.0) / plan.noise_for(0).sigma
+    grids = [([m + 1, *v_ranges], factors, coef)]
+    monkeypatch.setattr(studies, "_BLOCK", block)
+    shape = tuple(f.size for f in factors)
+    assert studies._cell_blocks(shape)[0] == cut_axis
+    got = [studies._pairing_worker(k, plan, grids)[0]
+           for k in range(plan.replicas)]
+    assert np.array_equal(got, full_grid_contraction(plan, fn, 0.5))
 
 
 @pytest.mark.parametrize("shape", [(7, 5), (3, 40000), (2, 300, 300),
                                    (1, 1, 70001), (40, 30, 29)])
 def test_cell_blocks_cut_the_grid_into_contiguous_runs(shape):
     grid = np.arange(math.prod(shape)).reshape(shape)
-    runs = [grid[cut].reshape(-1) for cut in studies._cell_blocks(shape)]
+    axis, cuts = studies._cell_blocks(shape)
+    cuts = list(cuts)
+    runs = [grid[cut].reshape(-1) for cut in cuts]
     assert max(r.size for r in runs) <= studies._BLOCK
+    # one index of each axis before the cut axis, whole axes after it
+    for cut in cuts:
+        assert all(c.stop - c.start == 1 for c in cut[:axis])
+        assert all(c == slice(None) for c in cut[axis + 1:])
     assert np.array_equal(np.concatenate(runs), grid.reshape(-1))
-
-
-def _chunks(a, sizes):
-    i = 0
-    for s in sizes:
-        yield a[i:i + s]
-        i += s
-
-
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 8191, 8192, 8193,
-                               32767, 32768, 32769, 867_504, 3_000_017])
-def test_streamed_sum_equals_ndarray_sum(n):
-    rng = np.random.default_rng(n)
-    # magnitudes over 16 decades: every summation order rounds differently
-    a = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
-    row = 37 if n < 100_000 else 1733
-    ragged = rng.integers(1, 2 * studies._BLOCK, n // 2 + 1)
-    chunkings = {"one row": [row] * (n // row + 1),
-                 "ragged": ragged[:np.searchsorted(ragged.cumsum(), n) + 1],
-                 "above one block": [3 * studies._BLOCK] * (n // 98304 + 1)}
-    if n < 40_000:
-        chunkings["single values"] = [1] * n
-    expected = float(a.sum())
-    for name, sizes in chunkings.items():
-        got = studies.streamed_sum(_chunks(a, sizes), n)
-        assert got == expected, (
-            f"n={n}, {name} chunks: streamed sum {got!r} != ndarray.sum "
-            f"{expected!r}; numpy {np.__version__}'s float64 summation tree "
-            f"is not the pairwise tree the stream follows")
-
-
-def test_streamed_sum_follows_numpy_tree_not_chunk_order():
-    # a sum of chunk sums differs: the test above can tell orders apart
-    a = np.random.default_rng(0).standard_normal(8193) * 1e8
-    chunk_sums = sum(float(c.sum()) for c in _chunks(a, [37] * 222))
-    assert chunk_sums != float(a.sum())
 
 
 def test_pairing_worker_holds_one_block_of_cells():
@@ -458,14 +468,16 @@ def test_stationarity_requires_torus_acknowledgement():
 def test_stationarity_small_run():
     plan = ExperimentPlan(epsilon_grid=(0.1,), replicas=30, seed=0,
                           geometry_policy="torus", L=32)
-    res = stationarity_study(plan, checkpoints=(0, 1, 2))
-    assert res.assertions == {"flat_start_zero_gradient": True}
+    res = stationarity_study(plan, checkpoints=(0, 1, 2, 4))
+    assert set(res.assertions) == {"flat_start_zero_gradient",
+                                   "p99_no_growth_trend"}
+    assert res.assertions["flat_start_zero_gradient"]
     rows = res.tables["quantiles"]
-    assert [r["t"] for r in rows] == [0, 1, 2]
+    assert [r["t"] for r in rows] == [0, 1, 2, 4]
     assert rows[0]["abs_q99"] == 0.0
     assert rows[1]["abs_q99"] > 0.0
     assert rows[0]["pooled_count"] == 32 * 30
-    assert len(res.tables["ks_distances"]) == 2
+    assert len(res.tables["ks_distances"]) == 3
     # the geometry is reported once, under plan
     assert "geometry_policy" not in res.summary and "L" not in res.summary
     assert (res.summary["plan"]["geometry_policy"],

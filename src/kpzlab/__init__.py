@@ -26,8 +26,7 @@ from .studies import (ExperimentPlan, GaussianBump, StudyResult,
                       drift_bound_study, gradient_scaling_study,
                       remainder_ratio_study, stationarity_study,
                       whitenoise_pairing_study)
-from .walk import (WalkDistribution, backward_walk_distribution,
-                   derivative_fd, derivative_via_walk)
+from .walk import backward_walk_distribution, derivative_fd
 
 __all__ = [
     "__version__",
@@ -43,6 +42,5 @@ __all__ = [
     "ExperimentPlan", "GaussianBump", "StudyResult",
     "drift_bound_study", "gradient_scaling_study", "remainder_ratio_study",
     "stationarity_study", "whitenoise_pairing_study",
-    "WalkDistribution", "backward_walk_distribution", "derivative_fd",
-    "derivative_via_walk",
+    "backward_walk_distribution", "derivative_fd",
 ]

@@ -159,9 +159,7 @@ def check_assumptions(phi: DrivingFunction,
     checks.append(CheckResult("zero_at_origin", z <= tol, float(z)))
 
     # full permutation symmetry on random permutations
-    worst = 0.0
-    for row in perm_err:
-        worst = max(worst, float(row.max()))
+    worst = float(perm_err.max())
     checks.append(CheckResult("permutation_symmetry", worst <= tol, worst))
 
     # monotonicity: every gradient component nonnegative at every sample

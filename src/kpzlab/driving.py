@@ -12,6 +12,7 @@ Built-ins:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -179,8 +180,8 @@ class GeneralizedKpzDriving(DrivingFunction):
     def __init__(self, d: int, coupling: float | None = None):
         super().__init__(d)
         self.coupling = float(coupling) if coupling is not None else 1.0 / (16.0 * d)
-        if not self.coupling > 0:
-            raise ValueError("coupling must be positive")
+        if not (math.isfinite(self.coupling) and self.coupling > 0):
+            raise ValueError("coupling must be positive and finite")
 
     def value_many(self, U: np.ndarray) -> np.ndarray:
         # psi of the gaps from |U - ubar|, computed once: 2|x| - 1 goes

@@ -45,8 +45,8 @@ class NoiseSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown noise family {self.family!r}, "
                              f"expected one of {FAMILIES}")
-        if not (self.scale > 0):
-            raise ValueError("noise scale must be positive")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError("noise scale must be positive and finite")
 
     @property
     def sigma(self) -> float:

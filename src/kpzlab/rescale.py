@@ -62,6 +62,7 @@ class ScalingScheme:
                 a, b, g = values.values()
                 factors = {
                     "gamma/alpha": g / a, "beta^2/alpha": b * b / a,
+                    "beta^2/(alpha gamma)": b * b / (a * g),
                     "gamma/beta^2": g / (b * b),
                     "gamma^2/beta^2": g * g / (b * b),
                     "beta^d gamma^2/alpha": b ** d * g * g / a,

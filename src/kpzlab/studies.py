@@ -483,15 +483,11 @@ class GaussianBump:
 
     def squared_norm(self) -> float:
         """Exact integral of f^2 over t > 0, x in R^d."""
-        from scipy import special
-        a = self.amplitude
-        wt = self.width_t
-        tfac = wt * math.sqrt(math.pi / 2.0) / 2.0 * \
-            (1.0 + special.erf(math.sqrt(2.0) * self.center_t / wt))
-        out = a * a * tfac
-        for w in self.width_x:
-            out *= w * math.sqrt(math.pi / 2.0)
-        return float(out)
+        out = self.amplitude * self.amplitude * self.squared_axis_mass(
+            0.0, math.inf, self.center_t, self.width_t)
+        for c, w in zip(self.center_x, self.width_x):
+            out *= self.squared_axis_mass(-math.inf, math.inf, c, w)
+        return out
 
     def support_halfwidth(self) -> float:
         """Radius (in scaled units) beyond which |f| < SUPPORT_THRESHOLD * A."""
@@ -519,30 +515,25 @@ class GaussianBump:
 def _pairing_cells(fn: GaussianBump, alpha: float, beta: float,
                    coverage: float = 0.9999):
     """Cell index ranges and the per-axis factors of the exact cell
-    averages of the pairing sum."""
+    averages of the pairing sum.
+
+    Axis 0 is time, in cells of width alpha from cell 1 on (the noise
+    starts after t = 0); each space axis has cells of width beta over the
+    bump's support. Cell k of an axis of width h spans ((k-1)h, kh].
+    """
     half = fn.support_halfwidth()
-    t_hi = fn.center_t + fn.width_t * half
-    m_max = max(1, int(math.ceil(t_hi / alpha)))
-    m = np.arange(1, m_max + 1)
-    t_edges = np.concatenate([[0.0], m * alpha])  # cell (m-1)a < t <= m a
-    t_int = fn.axis_integrals(t_edges, fn.center_t, fn.width_t)
-
-    v_ranges = []
-    x_ints = []
-    for c, w in zip(fn.center_x, fn.width_x):
-        lo = c - w * half
-        hi = c + w * half
-        v = np.arange(int(math.ceil(lo / beta)), int(math.ceil(hi / beta)) + 1)
-        edges = np.concatenate([[(v[0] - 1) * beta], v * beta])
-        v_ranges.append(v)
-        x_ints.append(fn.axis_integrals(edges, c, w))
-
-    # coverage of the squared norm by the truncated window, exact via erf
-    t_mass = fn.squared_axis_mass(0.0, float(m_max) * alpha, fn.center_t,
-                                  fn.width_t)
-    covered = t_mass
-    for vr, c, w in zip(v_ranges, fn.center_x, fn.width_x):
-        covered *= fn.squared_axis_mass((vr[0] - 1) * beta, vr[-1] * beta, c, w)
+    ranges, factors = [], []
+    covered = 1.0
+    for i, (c, w) in enumerate(zip((fn.center_t, *fn.center_x),
+                                   (fn.width_t, *fn.width_x))):
+        h = beta if i else alpha
+        first = math.ceil((c - w * half) / h) if i else 1
+        k = np.arange(first, max(first, math.ceil((c + w * half) / h)) + 1)
+        edges = np.concatenate([[(k[0] - 1) * h], k * h])
+        ranges.append(k)
+        factors.append(fn.axis_integrals(edges, c, w) / h)
+        # coverage of the squared norm by the truncated window, exact via erf
+        covered *= fn.squared_axis_mass(edges[0], edges[-1], c, w)
     covered *= fn.amplitude ** 2
     total = fn.squared_norm()
     if covered < coverage * total:
@@ -552,8 +543,8 @@ def _pairing_cells(fn: GaussianBump, alpha: float, beta: float,
 
     # separable cell averages: the product of these per-axis averages,
     # amplitude once; the pairing contracts them axis by axis (_contract)
-    return m, v_ranges, [fn.amplitude * (t_int / alpha),
-                         *(ints / beta for ints in x_ints)]
+    factors[0] = fn.amplitude * factors[0]
+    return ranges[0], ranges[1:], factors
 
 
 def _cell_blocks(shape: Tuple[int, ...]):

@@ -12,40 +12,15 @@ derivative_fd reruns the evolution it is given with one draw shifted.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .driving import DrivingFunction, stencil_offsets
-from .lattice import (EvolutionConfig, HeightSlice, LatticeGeometry, capture,
-                      evolve)
+from .lattice import EvolutionConfig, HeightSlice, capture, evolve
 
 WEIGHT_TOL = 1e-12
-
-
-@dataclass
-class WalkDistribution:
-    """Exact occupation law of the backward walk anchored at (t, x).
-
-    masses[k] is the distribution over torus sites at time s = t - k,
-    stored as a full lattice array; masses[0] is a point mass at x.
-    """
-
-    geometry: LatticeGeometry
-    t: int
-    x: Tuple[int, ...]
-    masses: List[np.ndarray]
-
-    def mass_at(self, s: int, y) -> float:
-        if not (0 <= s <= self.t):
-            raise ValueError(f"walk time {s} outside [0, {self.t}]")
-        return float(self.masses[self.t - s][self.geometry.index(y)])
-
-    def total_mass(self, s: int) -> float:
-        if not (0 <= s <= self.t):
-            raise ValueError(f"walk time {s} outside [0, {self.t}]")
-        return float(self.masses[self.t - s].sum())
 
 
 def _gradient_field(phi: DrivingFunction, slice_: HeightSlice) -> np.ndarray:
@@ -63,8 +38,9 @@ def _gradient_field(phi: DrivingFunction, slice_: HeightSlice) -> np.ndarray:
 
 def backward_walk_distribution(slices: Sequence[HeightSlice],
                                phi: DrivingFunction, t: int,
-                               x) -> WalkDistribution:
-    """Propagate the walk's law from (t, x) down to time 0.
+                               x) -> List[np.ndarray]:
+    """The walk's law from (t, x) at each time s = 0..t: masses[s] is a
+    full lattice array, masses[t] the point mass at x.
 
     slices[s] is the slice at time s, as capture(config, range(t)) yields
     them; slices 0 ... t-1 must be present. Masses are conserved exactly
@@ -75,10 +51,9 @@ def backward_walk_distribution(slices: Sequence[HeightSlice],
         raise ValueError(f"the walk from t={t} needs the slices at "
                          f"t = 0..{need - 1} in order")
     g = slices[0].geometry
-    xs = g.wrap(x)
     offs = stencil_offsets(g.d)
     cur = np.zeros(g.shape)
-    cur[g.index(xs)] = 1.0
+    cur[g.index(x)] = 1.0
     masses = [cur]
     for s in range(t, 0, -1):
         G = _gradient_field(phi, slices[s - 1])
@@ -92,15 +67,7 @@ def backward_walk_distribution(slices: Sequence[HeightSlice],
             nxt += np.roll(W, off[axis], axis=axis)
         cur = nxt
         masses.append(cur)
-    return WalkDistribution(g, t, xs, masses)
-
-
-def derivative_via_walk(dist: WalkDistribution, s: int, y,
-                        epsilon: float) -> float:
-    """d f(t,x) / d z_{s,y} = epsilon * P(walk at y at time s); s in [1, t]."""
-    if not (1 <= s <= dist.t):
-        raise ValueError("noise layers run from 1 to t")
-    return epsilon * dist.mass_at(s, y)
+    return masses[::-1]
 
 
 def derivative_fd(config: EvolutionConfig, x, s: int, y,
@@ -120,16 +87,17 @@ def derivative_fd(config: EvolutionConfig, x, s: int, y,
 
 
 def derivative_pairs(config: EvolutionConfig, x):
-    """derivative_via_walk against derivative_fd for f(T, x), T = config.T:
-    ([(s, y, walk, fd)] over the cone, s = 1..T and |y - x|_1 <= T - s,
-    and [|eps * total_mass(s) - eps|] for s = 1..T)."""
+    """The walk derivative d f(T, x) / d z_{s,y} = eps * P(walk at y at
+    time s) against derivative_fd, T = config.T: ([(s, y, walk, fd)] over
+    the cone, s = 1..T and |y - x|_1 <= T - s, and [|eps * mass(s) - eps|]
+    for s = 1..T)."""
     eps, T, g = config.epsilon, config.T, config.geometry
-    dist = backward_walk_distribution(list(capture(config, range(T + 1))),
-                                      config.phi, T, x)
-    pairs = [(s, y, derivative_via_walk(dist, s, y, eps),
+    masses = backward_walk_distribution(list(capture(config, range(T + 1))),
+                                        config.phi, T, x)
+    pairs = [(s, y, eps * float(masses[s][g.index(y)]),
               derivative_fd(config, x, s, y))
              for s in range(1, T + 1) for y in _l1_ball(tuple(x), T - s, g.d)]
-    return pairs, [abs(eps * dist.total_mass(s) - eps)
+    return pairs, [abs(eps * float(masses[s].sum()) - eps)
                    for s in range(1, T + 1)]
 
 

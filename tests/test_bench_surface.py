@@ -5,11 +5,15 @@ and methods at every kpzlab import site, and its workloads spot-check the
 vectorized noise against the scalar path. These tests load both modules
 from their files (without writing bytecode next to them) and run those
 two entry points, so a rename or a broken noise view fails here first.
+The last test runs the benchmark's own correctness check on each workload.
 """
 import importlib
 import importlib.util
 import inspect
+import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import numpy as np
@@ -18,7 +22,8 @@ import pytest
 from kpzlab import cli, config, noise, output
 from kpzlab.noise import make_noise
 
-BENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+BENCH = ROOT / "perfbench"
 
 
 def _load(monkeypatch, name):
@@ -125,3 +130,20 @@ def test_traced_write_csv_bytes_equal_the_file(monkeypatch, tmp_path):
     assert m["output.write_csv.calls"] == 1
     assert m["output.write_csv.bytes"] == \
         (tmp_path / "simulate-0.csv").stat().st_size > 0
+
+
+@pytest.mark.parametrize("workload", ["studies", "commands"])
+def test_traced_benchmark_pass_is_correct(workload):
+    # the benchmark's traced run at the reference seed checks every
+    # operation against perfbench/reference.json, every traced pass's
+    # digests against the verified pass, and the traced step calls, site
+    # updates and grid draws against the plan's counts (trace_selftest)
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "0", "--trace", "1", "--seconds", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    tail = "\n".join(proc.stdout.splitlines()[-20:]) + proc.stderr[-2000:]
+    assert proc.returncode == 0, tail
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, tail

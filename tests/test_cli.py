@@ -255,9 +255,16 @@ def test_side_misconfiguration_exits_2_before_any_run(tmp_path, capsys,
      "scheme.c=inf"),
     (["check-phi", "--set", "model.phi=gkpz", "--set",
       "model.coupling=nan"], "model.coupling=nan"),
+    (["check-phi", "--set", "model.phi=gkpz", "--set",
+      "model.coupling=inf"], "model.coupling=inf"),
+    (["simulate", "--set", "model.phi=gkpz", "--set", "model.coupling=inf",
+      "--set", "plan.t=3"], "model.coupling=inf"),
+    (["simulate", "--set", "model.noise_scale=inf", "--set", "plan.t=3"],
+     "model.noise_scale=inf"),
 ])
 def test_refusals_name_their_key(tmp_path, capsys, monkeypatch, argv, key):
-    # a value no run takes, or a --set [model] key the run does not read
+    # a value no run takes (an infinite coupling or noise scale among
+    # them), or a --set [model] key the run does not read
     # (model.coupling is read under model.phi=gkpz only, and check-phi draws
     # no noise), exits 2 naming its key before any replica runs
     _fail_on_any_run(monkeypatch)
@@ -516,7 +523,22 @@ def test_decompose_flat_first_step(tmp_path, capsys):
       "--set", "plan.replicas=2"],
      ["alpha = 1.47", "eps = 0.0375", "scheme.preset=2d-exponential",
       "scheme.c=1.0"]),
-], ids=["overflowing-alpha", "subnormal-alpha"])
+    # alpha = gamma = 1e-200 at eps = 0.1: alpha gamma, the divisor of
+    # lambda, underflows to zero; remainder reads eps = 0.2 first
+    (["decompose", "--set", "scheme.alpha_exp=200", "--set",
+      "scheme.gamma_exp=200", "--set", "plan.epsilon=0.1", "--set",
+      "plan.t=3", "--set", "plan.replicas=1"],
+     ["divides by an underflowed zero", "eps = 0.1",
+      "scheme.preset=power-law", "scheme.alpha_exp=200.0",
+      "scheme.gamma_exp=200.0"]),
+    (["remainder", "--set", "scheme.alpha_exp=200", "--set",
+      "scheme.gamma_exp=200", "--set", "plan.epsilon_grid=0.2 0.1",
+      "--set", "plan.replicas=30"],
+     ["divides by an underflowed zero", "eps = 0.1",
+      "scheme.preset=power-law", "scheme.alpha_exp=200.0",
+      "scheme.gamma_exp=200.0"]),
+], ids=["overflowing-alpha", "subnormal-alpha", "underflowed-lambda-divisor",
+        "underflowed-lambda-divisor-on-grid"])
 def test_scheme_no_run_can_use_is_refused(tmp_path, capsys, monkeypatch,
                                           argv, named):
     # refused with exit 2 before any replica runs, naming the scheme keys

@@ -351,6 +351,20 @@ def test_audit_blocks_keep_nan(monkeypatch):
     assert reports[0]["checks"][0]["worst"] == "nan"
 
 
+def test_audit_permutation_check_keeps_nan():
+    # NaN on the stencils whose middle value is large, so the permuted
+    # evaluations are NaN wherever the value or its permutation is: the
+    # worst permutation error is NaN, and the check fails
+    def spiky(u):
+        return float("nan") if u[1] > 4.0 else float(u.mean())
+
+    rep = check_assumptions(CallableDriving(1, spiky, name="spiky"),
+                            samples=2_000, seed=3)
+    perm = {c.name: c for c in rep.checks}["permutation_symmetry"]
+    assert not perm.passed
+    assert math.isnan(perm.worst)
+
+
 @pytest.mark.parametrize("samples", [100_000, 2_003, 9])
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("default_block", [True, False])

@@ -314,6 +314,10 @@ def test_coefficients_dataclass_fields():
     # beta is normal, but beta^2 underflows to zero
     (dict(alpha_exp=2, beta_exp=1, beta_coef=1e-170), 0.5,
      "divides by an underflowed zero"),
+    # alpha and gamma are normal, but alpha gamma, the divisor of the
+    # lambda coefficient, underflows to zero
+    (dict(alpha_exp=200, beta_exp=1, gamma_exp=200), 0.1,
+     "divides by an underflowed zero at eps = 0.1"),
 ])
 def test_check_at_refuses_values_no_run_can_use(kw, eps, named):
     with pytest.raises(ValueError, match=re.escape(named)):

@@ -18,9 +18,8 @@ from .lattice import (ConeWrapWarning, EvolutionConfig, HeightSlice,
                       LatticeGeometry, capture, evolve, min_cone_side,
                       slice_columns, step)
 from .noise import NoiseModel, NoiseSpec, make_noise, replica_noise
-from .rescale import (Coefficients, DecompositionSample, ScalingScheme,
-                      coefficients, decompose, evolve_and_decompose,
-                      macro_terms, make_scheme)
+from .rescale import (DecompositionSample, ScalingScheme, decompose,
+                      evolve_and_decompose, macro_terms, make_scheme)
 from .rng import derive_seed, hash_keys, mix64
 from .studies import (ExperimentPlan, GaussianBump, StudyResult,
                       drift_bound_study, gradient_scaling_study,
@@ -36,8 +35,8 @@ __all__ = [
     "ConeWrapWarning", "EvolutionConfig", "HeightSlice", "LatticeGeometry",
     "capture", "evolve", "min_cone_side", "slice_columns", "step",
     "NoiseModel", "NoiseSpec", "make_noise", "replica_noise",
-    "Coefficients", "DecompositionSample", "ScalingScheme", "coefficients",
-    "decompose", "evolve_and_decompose", "macro_terms", "make_scheme",
+    "DecompositionSample", "ScalingScheme", "decompose",
+    "evolve_and_decompose", "macro_terms", "make_scheme",
     "derive_seed", "hash_keys", "mix64",
     "ExperimentPlan", "GaussianBump", "StudyResult",
     "drift_bound_study", "gradient_scaling_study", "remainder_ratio_study",

@@ -305,12 +305,21 @@ def _refuse_bad_read_values(cfg: Dict[str, Dict], command: str,
                             reads: Tuple[str, ...]) -> None:
     """Refuse, naming the key, a value the command reads that no run takes.
 
-    These are the single-run keys, which no ExperimentPlan field holds;
-    ExperimentPlan checks the keys it holds, and studies.GaussianBump the
-    [test_function] section. decompose and walk-check read the step into
-    time plan.t, so they need t >= 1.
+    These are the single-run keys, which no ExperimentPlan field holds,
+    and a gkpz coupling above 1/(8d), where phi stops being monotone
+    (sup|psi'| = 2): a plan cannot tell check-phi, which audits such a
+    phi, from the commands that run it. ExperimentPlan checks the other
+    keys it holds, and studies.GaussianBump the [test_function] section.
+    decompose and walk-check read the step into time plan.t, so they
+    need t >= 1.
     """
-    p = cfg["plan"]
+    m, p = cfg["model"], cfg["plan"]
+    top = 1.0 / (8 * max(m["d"], 1))
+    if "model.coupling" in reads and command != "check-phi" and \
+            (m["coupling"] or 0.0) > top:
+        raise ConfigError(f"model.coupling={m['coupling']!r} exceeds 1/(8d) = "
+                          f"{top!r}, above which gkpz is not monotone; only "
+                          f"check-phi takes it")
     if "plan.epsilon" in reads and not 0 < p["epsilon"] <= 1:
         raise ConfigError(f"plan.epsilon must lie in (0, 1], "
                           f"got {p['epsilon']}")

@@ -15,8 +15,10 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import os
 import re
+import sys
 import tempfile
 from typing import Dict, Iterable, Iterator, Mapping
 
@@ -134,23 +136,37 @@ def write_csv(path: str, columns: Mapping[str, object]) -> None:
     _atomic_write(path, emit)
 
 
-def _json_default(o):
-    if isinstance(o, (np.floating,)):
-        return float(o)
-    if isinstance(o, (np.integer,)):
-        return int(o)
-    if isinstance(o, (np.bool_,)):
-        return bool(o)
-    if isinstance(o, np.ndarray):
-        return o.tolist()
+def _plain(o, path: str, nonfinite: list):
+    """o with numpy values and dataclasses as plain ones, and each
+    non-finite float as None, its path appended to nonfinite."""
     if dataclasses.is_dataclass(o) and not isinstance(o, type):
-        return dataclasses.asdict(o)
-    raise TypeError(f"cannot serialize {type(o).__name__}")
+        o = dataclasses.asdict(o)
+    elif isinstance(o, (np.ndarray, np.generic)):
+        o = o.tolist()
+    if isinstance(o, dict):
+        return {k: _plain(v, f"{path}.{k}" if path else str(k), nonfinite)
+                for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_plain(v, f"{path}[{i}]", nonfinite) for i, v in enumerate(o)]
+    if isinstance(o, float) and not math.isfinite(o):
+        nonfinite.append(path)
+        return None
+    return o
 
 
-def write_json(path: str, obj) -> None:
+def write_json(path: str, doc: dict) -> None:
+    """doc as strict JSON (RFC 8259): each NaN or infinite float is null,
+    and its path ("report.height_std") is listed under a top-level
+    "nonfinite" key and printed on stderr."""
+    nonfinite: list = []
+    doc = _plain(doc, "", nonfinite)
+    if nonfinite:
+        doc["nonfinite"] = nonfinite
+        print(f"warning: {path}: non-finite values written as null: "
+              f"{', '.join(nonfinite)}", file=sys.stderr)
+
     def emit(fh):
-        json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
     _atomic_write(path, emit)

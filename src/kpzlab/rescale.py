@@ -21,7 +21,6 @@ view; studies.decomposition_row, the one decomposition sampler, calls both.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, Sequence, Tuple
 
@@ -40,43 +39,13 @@ class ScalingScheme:
 
     def validate_on_grid(self, grid: Sequence[float]) -> None:
         """alpha and beta must shrink along the grid, which the caller has
-        checked is strictly decreasing, at each eps of which check_at has
-        found them positive."""
+        checked is strictly decreasing, at each eps of which
+        ExperimentPlan.scheme_at has found them positive."""
         a = [self.alpha(e) for e in grid]
         b = [self.beta(e) for e in grid]
         if any(a2 >= a1 for a1, a2 in zip(a, a[1:])) or \
            any(b2 >= b1 for b1, b2 in zip(b, b[1:])):
             raise ValueError("alpha and beta must decrease along the grid")
-
-    def check_at(self, epsilon: float, d: int) -> None:
-        """Refuse (ValueError) a scheme that no run can use at epsilon:
-        alpha, beta or gamma that overflows or is not a finite, positive,
-        normal float, or a factor of macro_terms that is not finite."""
-        try:
-            values = {"alpha": self.alpha(epsilon),
-                      "beta": self.beta(epsilon),
-                      "gamma": self.gamma(epsilon)}
-            bad = [f"{k} = {v!r}" for k, v in values.items()
-                   if not (math.isfinite(v) and v >= sys.float_info.min)]
-            if not bad:
-                a, b, g = values.values()
-                factors = {
-                    "gamma/alpha": g / a, "beta^2/alpha": b * b / a,
-                    "beta^2/(alpha gamma)": b * b / (a * g),
-                    "gamma/beta^2": g / (b * b),
-                    "gamma^2/beta^2": g * g / (b * b),
-                    "beta^d gamma^2/alpha": b ** d * g * g / a,
-                    "1/(sqrt(alpha) beta^(d/2))":
-                        1.0 / (math.sqrt(a) * b ** (d / 2.0))}
-                bad = [f"{k} = {v!r}" for k, v in factors.items()
-                       if not math.isfinite(v)]
-        except OverflowError as e:
-            bad = [f"an overflow ({e.args[-1]})"]
-        except ZeroDivisionError:
-            bad = ["a macro factor that divides by an underflowed zero"]
-        if bad:
-            raise ValueError(f"the scheme gives {', '.join(bad)} at "
-                             f"eps = {epsilon!r} (d = {d})")
 
 
 def intermediate_disorder_1d() -> ScalingScheme:
@@ -116,31 +85,6 @@ def make_scheme(preset: str, **kw) -> ScalingScheme:
     if preset == "power-law":
         return power_law(**kw)
     raise ValueError(f"unknown scheme preset {preset!r}")
-
-
-@dataclass(frozen=True)
-class Coefficients:
-    """Macroscopic equation coefficients for one (scheme, eps, phi, noise)."""
-
-    nu: float
-    lam: float
-    D: float
-
-
-def coefficients(scheme: ScalingScheme, epsilon: float, d: int,
-                 hessian: HessianAtOrigin, sigma: float) -> Coefficients:
-    """nu = beta^2/((2d+1) alpha), lambda = 2(q-r) beta^2/(alpha gamma),
-    D = sigma^2 eps^2 beta^d gamma^2 / alpha."""
-    a = scheme.alpha(epsilon)
-    b = scheme.beta(epsilon)
-    g = scheme.gamma(epsilon)
-    if hessian.degenerate:
-        raise ValueError("degenerate driving function: q, r or q - r is "
-                         "zero, no gradient coefficient exists")
-    nu = b * b / ((2 * d + 1) * a)
-    lam = 2.0 * hessian.q_minus_r * b * b / (a * g)
-    Dco = sigma * sigma * epsilon * epsilon * b ** d * g * g / a
-    return Coefficients(nu=nu, lam=lam, D=Dco)
 
 
 @dataclass(frozen=True)
@@ -208,7 +152,11 @@ def macro_terms(sample: DecompositionSample, scheme: ScalingScheme,
                 d: int) -> Dict[str, float]:
     """The decompose CSV's macro columns of a sample, at its epsilon.
 
-    nu, lambda and D_coef are the coefficients (refused when degenerate),
+    The one place that forms a quotient of alpha, beta and gamma. The
+    coefficients, refused when phi's hessian is degenerate, are
+    nu              = beta^2/((2d+1) alpha),
+    lambda          = 2(q-r) beta^2/(alpha gamma),
+    D_coef          = sigma^2 eps^2 beta^d gamma^2/alpha,
     time_derivative = (gamma/alpha) * increment,
     laplacian_term  = nu * (2d+1) (gamma/beta^2) A,
     grad_sq_term    = (lambda/2) * gamma^2/((q-r) beta^2) B,
@@ -216,18 +164,23 @@ def macro_terms(sample: DecompositionSample, scheme: ScalingScheme,
     remainder       = (gamma/alpha) * D,
     macro_residual  = time_derivative - (the four terms): zero up to rounding.
     """
+    if hessian.degenerate:
+        raise ValueError("degenerate driving function: q, r or q - r is "
+                         "zero, no gradient coefficient exists")
     epsilon = sample.epsilon
     a = scheme.alpha(epsilon)
     b = scheme.beta(epsilon)
     g = scheme.gamma(epsilon)
-    co = coefficients(scheme, epsilon, d, hessian, sigma)
+    nu = b * b / ((2 * d + 1) * a)
+    lam = 2.0 * hessian.q_minus_r * b * b / (a * g)
+    Dco = sigma * sigma * epsilon * epsilon * b ** d * g * g / a
     xi = sample.C / (epsilon * sigma * math.sqrt(a) * b ** (d / 2.0))
-    m = {"nu": co.nu, "lambda": co.lam, "D_coef": co.D, "xi": xi,
+    m = {"nu": nu, "lambda": lam, "D_coef": Dco, "xi": xi,
          "time_derivative": (g / a) * sample.increment,
-         "laplacian_term": co.nu * (2 * d + 1) * g / (b * b) * sample.A,
-         "grad_sq_term": (co.lam / 2.0) * g * g
+         "laplacian_term": nu * (2 * d + 1) * g / (b * b) * sample.A,
+         "grad_sq_term": (lam / 2.0) * g * g
                          / (hessian.q_minus_r * b * b) * sample.B,
-         "noise_term": math.sqrt(co.D) * xi,
+         "noise_term": math.sqrt(Dco) * xi,
          "remainder": (g / a) * sample.D}
     m["macro_residual"] = m["time_derivative"] - (
         m["laplacian_term"] + m["grad_sq_term"] + m["noise_term"]

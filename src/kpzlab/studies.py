@@ -35,8 +35,8 @@ from .config import scheme_params as config_scheme_params
 from .driving import DrivingFunction, make_driving
 from .lattice import EvolutionConfig, LatticeGeometry, capture, evolve
 from .noise import _BLOCK, NoiseModel, replica_noise
-from .rescale import (ScalingScheme, evolve_and_decompose, macro_terms,
-                      make_scheme)
+from .rescale import (DecompositionSample, ScalingScheme,
+                      evolve_and_decompose, macro_terms, make_scheme)
 from .rng import derive_seed
 
 
@@ -137,15 +137,34 @@ class ExperimentPlan:
             in SCHEME_READS.get(self.scheme_preset, {}).items())
 
     def scheme_at(self, epsilons: Sequence[float]) -> ScalingScheme:
-        """The scheme, refused unless it is usable (check_at) at each of
-        the epsilons a command reads."""
-        scheme = self.scheme()
+        """The scheme, refused at any of the epsilons a command reads where
+        alpha, beta or gamma is not a finite, positive, normal float or,
+        unless phi's hessian is degenerate, a macro_terms column of a unit
+        sample (A = B = C = D = 1) is not finite; the refusal names each."""
+        scheme, hess = self.scheme(), self.phi().hessian_origin()
         for eps in epsilons:
-            try:
-                scheme.check_at(eps, self.d)
-            except ValueError as e:
-                raise ConfigError(f"{e}, which no run can use, under "
-                                  f"{self._scheme_keys()}") from e
+            # float64 arithmetic: what overflows or divides by zero is inf
+            # or NaN, not an exception, so each column can be named
+            with np.errstate(all="ignore"):
+                values = {k: np.float64(getattr(scheme, k)(np.float64(eps)))
+                          for k in ("alpha", "beta", "gamma")}
+                bad = {k: v for k, v in values.items()
+                       if not (math.isfinite(v) and v >= np.finfo(v).tiny)}
+                if not bad and not hess.degenerate:
+                    unit = DecompositionSample(eps, 0, self.center_site(),
+                                               1.0, 1.0, 1.0, 1.0, 4.0)
+                    fixed = ScalingScheme(*(lambda e, v=v: v
+                                            for v in values.values()))
+                    bad = {k: v for k, v in macro_terms(
+                        unit, fixed, self.noise_for(0).sigma, hess,
+                        self.d).items() if not math.isfinite(v)}
+            if bad:
+                named = ", ".join(f"{k} = {float(v)!r}"
+                                  for k, v in bad.items())
+                raise ConfigError(f"the scheme gives {named} at eps = {eps!r} "
+                                  f"(d = {self.d}), which no run can use, "
+                                  f"under {self._scheme_keys()}, "
+                                  f"model.noise_scale={self.noise_scale!r}")
         return scheme
 
     def scheme_on_grid(self) -> ScalingScheme:

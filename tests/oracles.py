@@ -4,12 +4,14 @@ None is used by the package itself; each recomputes a quantity by a
 route that shares no code path with the one under test. The scalar draw
 path here is the reference for the package's array draws, and
 CallableDriving is the driving function of a plain callable, with
-finite-difference derivatives. The whole-grid pairing, as a plain sum
+finite-difference derivatives. read_strict_json is a JSON parser that
+refuses what RFC 8259 does. The whole-grid pairing, as a plain sum
 and as an axis-by-axis contraction, is the reference for the white-noise
 study's blocked contraction.
 """
 import csv
 import itertools
+import json
 import math
 from typing import Callable, List, Sequence, Tuple
 
@@ -254,6 +256,17 @@ def csv_writer_rows(path, rows: Sequence[dict]) -> None:
         w.writerow(fieldnames)
         for r in rows:
             w.writerow([fmt_value(r.get(k, "")) for k in fieldnames])
+
+
+def _no_constant(token: str):
+    raise ValueError(f"{token} is not JSON (RFC 8259)")
+
+
+def read_strict_json(path):
+    """A JSON file read by a parser that refuses NaN, Infinity and
+    -Infinity, as RFC 8259 and JavaScript's JSON.parse do."""
+    with open(path) as fh:
+        return json.load(fh, parse_constant=_no_constant)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ from kpzlab.driving import make_driving
 from kpzlab.lattice import (EvolutionConfig, LatticeGeometry, capture,
                             min_cone_side)
 from kpzlab.noise import make_noise
-from kpzlab.rescale import (coefficients, decompose, intermediate_disorder_1d,
-                            macro_terms)
+from kpzlab.rescale import (DecompositionSample, decompose,
+                            intermediate_disorder_1d, macro_terms)
 from kpzlab.studies import ExperimentPlan
 from kpzlab.walk import derivative_pairs
 from oracles import polymer_path_sum, zero_layer_shift
@@ -274,7 +274,9 @@ def test_criterion_11_coefficients_are_scale_free():
     hess = make_driving("polymer", 1).hessian_origin()
     scheme = intermediate_disorder_1d()
     for eps in (0.5, 0.3, 0.2, 0.1, 0.05):
-        co = coefficients(scheme, eps, 1, hess, 1.0)
-        assert abs(co.nu - 1.0 / 3.0) <= 1e-12
-        assert abs(co.lam - 2.0 / 3.0) <= 1e-12
-        assert abs(co.D - 1.0) <= 1e-12
+        unit = DecompositionSample(epsilon=eps, t=0, x=(0,), A=1.0, B=1.0,
+                                   C=1.0, D=1.0, increment=4.0)
+        m = macro_terms(unit, scheme, 1.0, hess, 1)
+        assert abs(m["nu"] - 1.0 / 3.0) <= 1e-12
+        assert abs(m["lambda"] - 2.0 / 3.0) <= 1e-12
+        assert abs(m["D_coef"] - 1.0) <= 1e-12

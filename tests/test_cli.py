@@ -27,7 +27,7 @@ from kpzlab.lattice import (ConeWrapWarning, EvolutionConfig, LatticeGeometry,
 from kpzlab.noise import replica_noise
 from kpzlab.output import sha256_text
 from kpzlab.studies import ExperimentPlan, remainder_ratio_study
-from oracles import csv_writer_rows
+from oracles import csv_writer_rows, read_strict_json
 
 
 def read_doc(path):
@@ -514,7 +514,7 @@ def test_decompose_flat_first_step(tmp_path, capsys):
     # 0.1 ** -400 overflows a float: a power-law alpha no run can use
     (["remainder", "--set", "scheme.alpha_exp=-400", "--set",
       "plan.replicas=30", "--set", "plan.epsilon_grid=0.2,0.1"],
-     ["an overflow", "eps = 0.1", "scheme.preset=power-law",
+     ["alpha = inf", "eps = 0.1", "scheme.preset=power-law",
       "scheme.alpha_exp=-400.0"]),
     # at eps = 0.0375 the 2d-exponential alpha = exp(-711) is subnormal, and
     # gamma/alpha overflows to inf in every macro column
@@ -528,17 +528,21 @@ def test_decompose_flat_first_step(tmp_path, capsys):
     (["decompose", "--set", "scheme.alpha_exp=200", "--set",
       "scheme.gamma_exp=200", "--set", "plan.epsilon=0.1", "--set",
       "plan.t=3", "--set", "plan.replicas=1"],
-     ["divides by an underflowed zero", "eps = 0.1",
+     ["lambda = inf", "eps = 0.1",
       "scheme.preset=power-law", "scheme.alpha_exp=200.0",
       "scheme.gamma_exp=200.0"]),
     (["remainder", "--set", "scheme.alpha_exp=200", "--set",
       "scheme.gamma_exp=200", "--set", "plan.epsilon_grid=0.2 0.1",
       "--set", "plan.replicas=30"],
-     ["divides by an underflowed zero", "eps = 0.1",
+     ["lambda = inf", "eps = 0.1",
       "scheme.preset=power-law", "scheme.alpha_exp=200.0",
       "scheme.gamma_exp=200.0"]),
+    # sigma^2 = 1e400 overflows in D_coef
+    (["decompose", "--set", "plan.t=5", "--set", "plan.replicas=2", "--set",
+      "model.noise_scale=1e200"],
+     ["D_coef = inf", "eps = 0.1", "model.noise_scale=1e+200"]),
 ], ids=["overflowing-alpha", "subnormal-alpha", "underflowed-lambda-divisor",
-        "underflowed-lambda-divisor-on-grid"])
+        "underflowed-lambda-divisor-on-grid", "overflowing-noise-coefficient"])
 def test_scheme_no_run_can_use_is_refused(tmp_path, capsys, monkeypatch,
                                           argv, named):
     # refused with exit 2 before any replica runs, naming the scheme keys
@@ -548,6 +552,76 @@ def test_scheme_no_run_can_use_is_refused(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert all(n in err for n in named), err
     assert not list(tmp_path.iterdir())
+
+
+def test_scheme_quotients_are_not_checked_under_a_degenerate_phi(tmp_path):
+    # ew forms no macro column, so the lambda divisor that underflows to
+    # zero above is no refusal; decompose writes no macro column either
+    assert run_decompose(tmp_path, "--set", "model.phi=ew", "--set",
+                         "scheme.alpha_exp=200", "--set",
+                         "scheme.gamma_exp=200") == 0
+    assert "coefficients" not in read_doc(tmp_path / "decompose-0.json")[
+        "report"]
+
+
+@pytest.mark.parametrize("argv, threshold", [
+    (["simulate", "--set", "plan.t=3"], "1/(8d) = 0.125"),
+    (["remainder", "--set", "plan.replicas=30"], "1/(8d) = 0.125"),
+    (["walk-check", "--set", "model.d=2", "--set", "model.coupling=0.07"],
+     "1/(8d) = 0.0625"),
+])
+def test_gkpz_coupling_above_the_monotone_threshold_is_refused(
+        tmp_path, capsys, monkeypatch, argv, threshold):
+    # above 1/(8d) gkpz is not monotone, outside the model class: every
+    # command but check-phi refuses it before any run
+    _fail_on_any_run(monkeypatch)
+    argv = argv[:1] + ["--set", "model.phi=gkpz", "--set",
+                       "model.coupling=0.5"] + argv[1:]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "model.coupling" in err and threshold in err, err
+    assert not list(tmp_path.iterdir())
+
+
+def test_gkpz_coupling_at_the_threshold_runs_and_check_phi_audits_above(
+        tmp_path, capsys):
+    for d, coupling in ((1, 0.125), (2, 0.0625)):
+        assert main(["simulate", "--out", str(tmp_path), "--set", "plan.t=3",
+                     "--set", f"model.d={d}", "--set", "model.phi=gkpz",
+                     "--set", f"model.coupling={coupling}"]) == 0
+    assert main(["check-phi", "--out", str(tmp_path), "--set",
+                 "model.phi=gkpz", "--set", "model.coupling=0.5"]) == 1
+    assert "assertion monotonicity: FAIL" in capsys.readouterr().out
+    assert read_strict_json(tmp_path / "check-phi-0.json")["assertions"][
+        "monotonicity"] is False
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("argv, rc, nonfinite", [
+    # ew has no witness constants: three NaN fields
+    (["check-phi", "--set", "model.phi=ew"], 1,
+     ["report.witness.threshold_M", "report.witness.constant_c",
+      "report.witness.radius"]),
+    # heights of order 1e307 overflow their variance
+    (["simulate", "--set", "plan.t=3", "--set", "model.noise_scale=1e308"],
+     0, ["report.height_std"]),
+])
+def test_non_finite_results_are_written_as_strict_json(
+        tmp_path, capsys, argv, rc, nonfinite):
+    # each NaN or infinity is null, and its path is listed in the
+    # artifact and on stderr; a NaN result still fails its assertion
+    assert main(argv + ["--out", str(tmp_path)]) == rc
+    doc = read_strict_json(tmp_path / f"{argv[0]}-0.json")
+    assert doc["nonfinite"] == nonfinite
+    for path in nonfinite:
+        *keys, last = path.split(".")
+        node = doc
+        for k in keys:
+            node = node[k]
+        assert node[last] is None
+    err = capsys.readouterr().err
+    assert all(path in err for path in nonfinite), err
+    assert all(doc["assertions"].values()) == (rc == 0)
 
 
 def test_worst_rel_propagates_nan():

@@ -4,6 +4,7 @@ The columnar CSV writer is checked byte for byte against the csv.writer
 row oracle in tests/oracles.py, on both sides of its chunk edges.
 """
 import json
+import math
 import os
 import tracemalloc
 
@@ -12,7 +13,7 @@ import pytest
 
 from kpzlab.output import (_CHUNK_ROWS, fmt_value, rows_to_columns,
                            sha256_text, write_csv, write_json, _atomic_write)
-from oracles import csv_writer_rows
+from oracles import csv_writer_rows, read_strict_json
 
 
 def test_fmt_value_round_trips():
@@ -167,6 +168,28 @@ def test_write_json_handles_numpy(tmp_path):
                    "b": np.bool_(True), "arr": np.arange(3)})
     doc = json.loads(p.read_text())
     assert doc == {"f": 0.5, "i": 2, "b": True, "arr": [0, 1, 2]}
+
+
+def test_write_json_finite_documents_keep_their_bytes(tmp_path):
+    # a document with no non-finite float is written as json.dump writes it
+    doc = {"b": [1, 2.5, (0.1, -3e-300)], "a": {"x": None, "y": "text",
+                                                "z": True, "w": 1 / 3}}
+    p = tmp_path / "t.json"
+    write_json(p, doc)
+    assert p.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_write_json_nulls_non_finite_values(tmp_path, capsys):
+    p = tmp_path / "t.json"
+    write_json(p, {"report": {"s": np.float64(np.inf), "ok": 1.0,
+                              "v": [0.0, math.nan], "a": np.array([-np.inf])},
+                   "flag": False})
+    doc = read_strict_json(p)
+    assert doc["report"] == {"s": None, "ok": 1.0, "v": [0.0, None],
+                             "a": [None]}
+    assert doc["nonfinite"] == ["report.s", "report.v[1]", "report.a[0]"]
+    err = capsys.readouterr().err
+    assert "report.s, report.v[1], report.a[0]" in err
 
 
 def test_atomic_write_leaves_no_temp_on_failure(tmp_path):

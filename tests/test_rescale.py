@@ -3,7 +3,9 @@
 The four-piece split of a one-step increment is checked on hand-built
 stencils, on degenerate dynamics, and against the macroscopic identity;
 the Laplacian term must equal nu times the discrete Laplacian of the
-rescaled field at every cell interior, up to rounding.
+rescaled field at every cell interior, up to rounding. The coefficients
+nu, lambda and D_coef are macro_terms columns, and a plan refuses a
+scheme exactly when a column of a unit sample is not finite.
 """
 import itertools
 import math
@@ -11,17 +13,27 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kpzlab.driving import (EdwardsWilkinsonDriving, PolymerDriving,
                             make_driving, stencil_offsets)
 from kpzlab.lattice import (EvolutionConfig, HeightSlice, LatticeGeometry,
                             capture, min_cone_side, step)
 from kpzlab.noise import make_noise
-from kpzlab.rescale import (Coefficients, DecompositionSample, coefficients,
-                            decompose, exponential_2d,
+from kpzlab.config import POWER_LAW_KEYS, SCHEMA, ConfigError
+from kpzlab.rescale import (DecompositionSample, decompose, exponential_2d,
                             intermediate_disorder_1d, macro_terms,
                             make_scheme, power_law)
+from kpzlab.studies import ExperimentPlan
 from oracles import scalar_sample
+
+
+def _unit_columns(scheme, eps, d, hess, sigma):
+    """macro_terms of a unit sample (A = B = C = D = 1) at eps."""
+    s = DecompositionSample(epsilon=eps, t=0, x=(0,) * d, A=1.0, B=1.0,
+                            C=1.0, D=1.0, increment=4.0)
+    return macro_terms(s, scheme, sigma, hess, d)
 
 # ---------------------------------------------------------------------------
 # schemes
@@ -80,34 +92,34 @@ def test_coefficients_weak_noise_window_d1():
     hess = PolymerDriving(1).hessian_origin()
     sch = intermediate_disorder_1d()
     for eps in (0.5, 0.3, 0.1, 0.05, 0.01):
-        co = coefficients(sch, eps, 1, hess, sigma=1.0)
-        assert co.nu == pytest.approx(1 / 3, abs=1e-12)
-        assert co.lam == pytest.approx(2 / 3, abs=1e-12)
-        assert co.D == pytest.approx(1.0, abs=1e-12)
+        m = _unit_columns(sch, eps, 1, hess, sigma=1.0)
+        assert m["nu"] == pytest.approx(1 / 3, abs=1e-12)
+        assert m["lambda"] == pytest.approx(2 / 3, abs=1e-12)
+        assert m["D_coef"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_coefficients_gamma_homogeneity():
     hess = PolymerDriving(1).hessian_origin()
     one = power_law(alpha_exp=2, beta_exp=1, gamma_coef=1.0)
     two = power_law(alpha_exp=2, beta_exp=1, gamma_coef=2.0)
-    c1 = coefficients(one, 0.2, 1, hess, 1.0)
-    c2 = coefficients(two, 0.2, 1, hess, 1.0)
-    assert c2.nu == pytest.approx(c1.nu)
-    assert c2.lam == pytest.approx(c1.lam / 2)
-    assert c2.D == pytest.approx(4 * c1.D)
+    c1 = _unit_columns(one, 0.2, 1, hess, 1.0)
+    c2 = _unit_columns(two, 0.2, 1, hess, 1.0)
+    assert c2["nu"] == pytest.approx(c1["nu"])
+    assert c2["lambda"] == pytest.approx(c1["lambda"] / 2)
+    assert c2["D_coef"] == pytest.approx(4 * c1["D_coef"])
 
 
 def test_coefficients_d2():
     hess = PolymerDriving(2).hessian_origin()
     sch = power_law(alpha_exp=2, beta_exp=1)  # beta^2 = alpha
-    co = coefficients(sch, 0.3, 2, hess, 1.0)
-    assert co.nu == pytest.approx(1 / 5, abs=1e-12)
+    assert _unit_columns(sch, 0.3, 2, hess, 1.0)["nu"] == pytest.approx(
+        1 / 5, abs=1e-12)
 
 
 def test_coefficients_reject_degenerate():
     hess = EdwardsWilkinsonDriving(1).hessian_origin()
     with pytest.raises(ValueError, match="degenerate"):
-        coefficients(intermediate_disorder_1d(), 0.2, 1, hess, 1.0)
+        _unit_columns(intermediate_disorder_1d(), 0.2, 1, hess, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +230,10 @@ def test_macro_terms_are_the_decompose_columns():
     assert list(m) == ["nu", "lambda", "D_coef", "xi", "time_derivative",
                        "laplacian_term", "grad_sq_term", "noise_term",
                        "remainder", "macro_residual"]
-    co = coefficients(sch, 0.2, 2, hess, 0.5)
-    assert (m["nu"], m["lambda"], m["D_coef"]) == (co.nu, co.lam, co.D)
+    # the coefficients do not depend on the sample
+    co = _unit_columns(sch, 0.2, 2, hess, 0.5)
+    assert (m["nu"], m["lambda"], m["D_coef"]) == (co["nu"], co["lambda"],
+                                                   co["D_coef"])
 
 
 def test_macro_terms_scale_each_piece():
@@ -287,7 +301,7 @@ def test_laplacian_term_equals_discrete_laplacian_in_cells(name, d):
                               range(6)))
         a, b, gam = sch.alpha(eps), sch.beta(eps), sch.gamma(eps)
         F = _rescaled(slices, a, b, gam)
-        nu = coefficients(sch, eps, d, hess, nm.sigma).nu
+        nu = _unit_columns(sch, eps, d, hess, nm.sigma)["nu"]
         for m in range(1, 5):
             for v in itertools.product(range(g.lo, g.lo + g.L), repeat=d):
                 s = macro_terms(decompose(slices[m], slices[m + 1], phi, nm,
@@ -299,27 +313,111 @@ def test_laplacian_term_equals_discrete_laplacian_in_cells(name, d):
                 assert abs(s["laplacian_term"] - oracle) <= 1e-13 * scale
 
 
-def test_coefficients_dataclass_fields():
-    co = Coefficients(nu=0.1, lam=0.2, D=0.3)
-    assert (co.nu, co.lam, co.D) == (0.1, 0.2, 0.3)
+def _plan(d=2, phi_name="polymer", coupling=None, noise_scale=math.sqrt(3),
+          **kw):
+    """A plan on the power-law scheme with the keyword values kw."""
+    params = {k: SCHEMA["scheme"][k][1] for k in POWER_LAW_KEYS}
+    return ExperimentPlan(d=d, phi_name=phi_name, coupling=coupling,
+                          noise_scale=noise_scale,
+                          scheme_params={**params, **kw})
 
 
 @pytest.mark.parametrize("kw, eps, named", [
-    (dict(alpha_exp=-400, beta_exp=1), 0.1, "an overflow"),
-    (dict(alpha_exp=2, beta_exp=1, gamma_coef=-1.0), 0.5, "gamma = -1.0"),
-    (dict(alpha_exp=2, beta_exp=1, beta_coef=1e-310), 0.5, "beta = 5e-311"),
+    # 0.1 ** -400 overflows a float
+    (dict(alpha_exp=-400), 0.1, "alpha = inf"),
+    (dict(gamma_coef=-1.0), 0.5, "gamma = -1.0"),
+    (dict(beta_coef=1e-310), 0.5, "beta = 5e-311"),
     # every value normal, but gamma^2 overflows in the D coefficient
-    (dict(alpha_exp=2, beta_exp=1, gamma_coef=1e200), 0.5,
-     "beta^d gamma^2/alpha = inf"),
-    # beta is normal, but beta^2 underflows to zero
-    (dict(alpha_exp=2, beta_exp=1, beta_coef=1e-170), 0.5,
-     "divides by an underflowed zero"),
+    (dict(gamma_coef=1e200), 0.5, "D_coef = inf"),
+    # beta is normal, but beta^2 underflows to zero: 0/0 in the Laplacian
+    (dict(beta_coef=1e-170), 0.5, "laplacian_term = nan"),
     # alpha and gamma are normal, but alpha gamma, the divisor of the
     # lambda coefficient, underflows to zero
-    (dict(alpha_exp=200, beta_exp=1, gamma_exp=200), 0.1,
-     "divides by an underflowed zero at eps = 0.1"),
+    (dict(alpha_exp=200, gamma_exp=200), 0.1, "lambda = inf"),
+    # sigma^2 = 1e400 overflows in the D coefficient, and the refusal
+    # names the noise scale
+    (dict(noise_scale=1e200), 0.1, "D_coef = inf"),
+    (dict(noise_scale=1e200), 0.1, "model.noise_scale=1e+200"),
 ])
-def test_check_at_refuses_values_no_run_can_use(kw, eps, named):
-    with pytest.raises(ValueError, match=re.escape(named)):
-        power_law(**kw).check_at(eps, 2)
-    power_law(alpha_exp=2, beta_exp=1).check_at(eps, 2)
+def test_scheme_at_refuses_values_no_run_can_use(kw, eps, named):
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        _plan(**kw).scheme_at((eps,))
+    _plan().scheme_at((eps,))
+
+
+# random power-law schemes: exponents and coefficients whose values stay
+# normal on eps in [0.05, 1] (alpha >= 0.1 * 0.05^6 > 1e-9)
+_TAME = dict(alpha_exp=st.floats(0.0, 6.0), beta_exp=st.floats(0.0, 6.0),
+             gamma_exp=st.floats(-3.0, 3.0), alpha_coef=st.floats(0.1, 10.0),
+             beta_coef=st.floats(0.1, 10.0), gamma_coef=st.floats(0.1, 10.0))
+
+
+def _close(x, y, ulps=8):
+    return abs(x - y) <= ulps * math.ulp(y)
+
+
+@given(kw=st.fixed_dictionaries(_TAME), eps=st.floats(0.05, 1.0),
+       d=st.integers(1, 3), phi_name=st.sampled_from(["polymer", "gkpz"]),
+       sigma=st.floats(0.1, 10.0))
+@settings(max_examples=300, deadline=None)
+def test_every_macro_factor_is_gamma_over_alpha(kw, eps, d, phi_name, sigma):
+    # nu(2d+1)gamma/beta^2, (lambda/2)gamma^2/((q-r)beta^2) and
+    # sqrt(D)/(eps sigma sqrt(alpha) beta^(d/2)) each equal gamma/alpha
+    hess = make_driving(phi_name, d).hessian_origin()
+    sch = power_law(**kw)
+    a, b, g = sch.alpha(eps), sch.beta(eps), sch.gamma(eps)
+    m = _unit_columns(sch, eps, d, hess, sigma)
+    k = g / a
+    assert _close(m["nu"] * (2 * d + 1) * g / b ** 2, k)
+    assert _close(m["lambda"] / 2 * g ** 2 / (hess.q_minus_r * b ** 2), k)
+    assert _close(math.sqrt(m["D_coef"])
+                  / (eps * sigma * math.sqrt(a) * b ** (d / 2)), k)
+    assert _close(m["time_derivative"], 4 * k)
+
+
+def _unusable(plan, eps):
+    """Whether some scheme value or unit-sample column is not finite, found
+    with Python floats, where a division by zero or an overflowing power
+    raises instead of giving inf or NaN."""
+    sch = plan.scheme()
+    try:
+        values = (sch.alpha(eps), sch.beta(eps), sch.gamma(eps))
+        if not all(math.isfinite(v) and v >= 2.2250738585072014e-308
+                   for v in values):
+            return True
+        hess = plan.phi().hessian_origin()
+        if hess.degenerate:
+            return False
+        m = _unit_columns(sch, eps, plan.d, hess, plan.noise_for(0).sigma)
+    except (ZeroDivisionError, OverflowError):
+        return True
+    return not all(map(math.isfinite, m.values()))
+
+
+# power-law schemes from tame to unusable: extreme exponents and
+# coefficients overflow, underflow or reach a subnormal value
+_WILD = dict(
+    alpha_exp=st.one_of(st.floats(0.0, 8.0), st.floats(-400.0, 400.0)),
+    beta_exp=st.one_of(st.floats(0.0, 8.0), st.floats(-200.0, 200.0)),
+    gamma_exp=st.one_of(st.floats(-4.0, 4.0), st.floats(-400.0, 400.0)),
+    alpha_coef=st.sampled_from([1.0, 3.0, 1e-300, 1e300, 1e-310]),
+    beta_coef=st.sampled_from([1.0, 0.5, 1e-170, 1e160, 1e-300]),
+    gamma_coef=st.sampled_from([1.0, 2.0, 1e-200, 1e200, -1.0]))
+
+
+@given(kw=st.fixed_dictionaries(_WILD), eps=st.floats(0.01, 1.0),
+       d=st.integers(1, 3),
+       phi_name=st.sampled_from(["polymer", "gkpz", "ew"]),
+       noise_scale=st.sampled_from([math.sqrt(3), 1e-200, 1e200]))
+@settings(max_examples=400, deadline=None)
+def test_scheme_at_refuses_exactly_the_unusable(kw, eps, d, phi_name,
+                                                noise_scale):
+    # under ew, whose hessian is degenerate, no column is formed, so only
+    # alpha, beta and gamma are checked
+    plan = _plan(d=d, phi_name=phi_name, noise_scale=noise_scale, **kw)
+    try:
+        plan.scheme_at((eps,))
+        refused = False
+    except ConfigError:
+        refused = True
+    assert refused == _unusable(plan, eps)

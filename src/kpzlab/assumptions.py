@@ -23,6 +23,7 @@ from typing import Dict, Iterator, List, Tuple
 import numpy as np
 
 from .driving import _PHI_BLOCK, DrivingFunction, HessianAtOrigin
+from .noise import blocks
 from .rng import derive_seed
 
 DEFAULT_TOL = 1e-9
@@ -103,9 +104,9 @@ def _sample_stencils(rng: np.random.Generator, n: int, samples: int,
         streams.append(np.random.Generator(bits))
     rng.bit_generator.advance(n * count + count)
 
-    def blocks():
-        for c0 in range(0, count, block):
-            c1 = min(c0 + block, count)
+    def stencil_blocks():
+        for (cols,) in blocks((count,), block):
+            c0, c1 = cols.start, cols.stop
             wide = max(0, min(c1, samples) - c0)
             U = np.empty((n, c1 - c0))
             for i in range(n):
@@ -115,7 +116,7 @@ def _sample_stencils(rng: np.random.Generator, n: int, samples: int,
                     -1e-3, 1e-3, size=c1 - c0 - wide)
             yield U, streams[-1].uniform(-2 * DEFAULT_RADIUS,
                                          2 * DEFAULT_RADIUS, size=c1 - c0)
-    return count, blocks()
+    return count, stencil_blocks()
 
 
 def check_assumptions(phi: DrivingFunction,

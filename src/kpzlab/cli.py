@@ -2,10 +2,10 @@
 
 Each command writes <command>-<seed>.csv and .json into the output
 directory (atomic rename), prints one line per assertion, and exits 0 only
-if every assertion passed. A refusal (a config.ConfigError, raised before
-any replica runs) exits 2. A run fault (an ArithmeticError such as
-non-finite heights, or any other ValueError raised inside a run) exits 3.
-Neither writes an artifact.
+if every assertion passed and every report value is finite. A refusal (a
+config.ConfigError, raised before any replica runs) exits 2. A run fault
+(an ArithmeticError such as non-finite heights, a MemoryError or any other
+ValueError raised inside a run) exits 3. Neither writes an artifact.
 
 Every handler in COMMANDS takes a resolved config and a worker count, so
 the acceptance tests run config.CRITERIA through the same handlers. Each
@@ -30,7 +30,8 @@ from .config import ConfigError, dump_resolved, load_config
 # perfbench/workloads.py (_cli_side) sizes the commands' work from this name
 from .config import resolve_side as resolve_side
 from .lattice import evolve, slice_columns
-from .output import rows_to_columns, sha256_text, write_csv, write_json
+from .output import (nonfinite_paths, rows_to_columns, sha256_text,
+                     write_csv, write_json)
 from .studies import (ExperimentPlan, GaussianBump, drift_bound_study,
                       gradient_scaling_study, remainder_ratio_study,
                       stationarity_study, whitenoise_pairing_study)
@@ -233,8 +234,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ArithmeticError, ValueError) as e:
-        print(f"error: run fault: {e}", file=sys.stderr)
+    except (ArithmeticError, ValueError, MemoryError) as e:
+        oom = "out of memory: " if isinstance(e, MemoryError) else ""
+        print(f"error: run fault: {oom}{e}", file=sys.stderr)
         return 3
 
     seed = cfg["run"]["seed"]
@@ -260,13 +262,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         "phases": {**phases, "run": {"wall_s": t_run - t_start},
                    "export": {"wall_s": t_export - t_run}},
     }
-    doc = {"manifest": manifest, "assertions": assertions,
-           "passed": all(assertions.values()), "report": payload}
+    doc = {"manifest": manifest, "assertions": assertions, "report": payload}
+    # a non-finite report value fails the run (write_json prints its path)
+    passed = all(assertions.values()) and not nonfinite_paths(doc)
+    doc["passed"] = passed
     write_json(json_path, doc)
 
     for name, ok in assertions.items():
         print(f"assertion {name}: {'PASS' if ok else 'FAIL'}")
-    status = 0 if all(assertions.values()) else 1
+    status = 0 if passed else 1
     print(f"{args.command}: {'ok' if status == 0 else 'FAILED'} "
           f"({manifest['wall_time_s']:.2f}s) -> {csv_path}, {json_path}")
     return status

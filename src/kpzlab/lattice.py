@@ -17,13 +17,11 @@ capture() hashes the layers ahead of time in blocks of about _BLOCK draws
 hands each layer's row to step(), which only does the arithmetic. Each
 block's last slice is checked for nonfinite heights.
 
-step() evaluates phi in row blocks (axis 0) of at most _PHI_BLOCK sites,
-or one row when a row is larger: each block builds only its own rows of
-the stencil stack, with the wrapped edge rows, so the stack and the
-temporaries of value_many stay in a 2 MiB L2 cache instead of streaming a
-(2d+1, L, ..., L) stack through memory. Phi acts on each stencil on its
-own, so the blocked slice is bit for bit the unblocked one. A lattice of
-at most _PHI_BLOCK sites is one block.
+step() evaluates phi one block of noise.blocks(shape, _PHI_BLOCK) at a
+time, each block building only its own box of the stencil stack, so the
+stack and the temporaries of value_many stay in a 2 MiB L2 cache. Phi acts
+on each stencil on its own, so the blocked slice is bit for bit the
+unblocked one.
 """
 from __future__ import annotations
 
@@ -35,7 +33,7 @@ from typing import Dict, Iterable, Iterator, List, Tuple
 import numpy as np
 
 from .driving import _PHI_BLOCK, DrivingFunction
-from .noise import _BLOCK, NoiseModel, Site
+from .noise import _BLOCK, NoiseModel, Site, blocks
 
 
 class ConeWrapWarning(UserWarning):
@@ -107,54 +105,36 @@ def _site_axes(d: int, L: int) -> Tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=32)
-def _row_blocks(d: int, L: int) -> Tuple[Tuple[int, int], ...]:
-    """Row ranges [r0, r1) along axis 0 of at most _PHI_BLOCK sites each,
-    or of one row when a row is larger: a row is never cut.
-
-    One range, (0, L), when the whole lattice fits.
-    """
-    rows = max(1, _PHI_BLOCK // L ** (d - 1))
-    return tuple((r0, min(r0 + rows, L)) for r0 in range(0, L, rows))
+def _phi_blocks(d: int, L: int) -> Tuple[Tuple[tuple, tuple], ...]:
+    """step's blocks of the lattice, blocks((L,) * d, _PHI_BLOCK), each as
+    its slices and as its stencil_stack box."""
+    return tuple((cut, tuple((s.start, s.stop) for s in cut))
+                 for cut in blocks((L,) * d, _PHI_BLOCK))
 
 
-# one entry per row block: a lattice of more than 1024 blocks (d = 1 past
-# L = 2^23, d = 2 from L = 2731, d = 3 from L = 1025) rebuilds its pairs
-# on every step
+# one entry per box: a lattice of more than 1024 phi blocks (at least
+# n_sites / _PHI_BLOCK of them) rebuilds its pairs on every step
 @lru_cache(maxsize=1024)
-def _shift_pairs(d: int, L: int, r0: int, r1: int
+def _shift_pairs(L: int, box: Tuple[Tuple[int, int], ...]
                  ) -> Tuple[Tuple[tuple, tuple], ...]:
-    """(destination, source) index pairs that fill rows r0..r1-1 of a
-    stencil stack.
+    """(destination, source) index pairs that fill the box's stencil stack.
 
     Row 0 holds x, row 2i+1 holds x + e_i and row 2i+2 holds x - e_i along
-    axis i: each is one bulk slice copy plus the one wrapped edge, as
-    np.roll would move them. Along axis 0 the neighbors of the block's
-    first and last rows come from the rows around it, or from the far
-    edge of the torus when the block touches one.
+    axis i: each is one bulk copy of the box shifted one site along its
+    axis plus, where the shift leaves the torus, the one wrapped edge
+    cell, as np.roll would move them.
     """
-    n = r1 - r0
-    rows = slice(r0, r1)
-    pairs = [((0,), (rows,))]
-    if r1 < L:
-        pairs.append(((1,), (slice(r0 + 1, r1 + 1),)))
-    else:
-        pairs += [((1, slice(0, n - 1)), (slice(r0 + 1, L),)),
-                  ((1, slice(n - 1, n)), (slice(0, 1),))]
-    if r0 > 0:
-        pairs.append(((2,), (slice(r0 - 1, r1 - 1),)))
-    else:
-        pairs += [((2, slice(1, n)), (slice(0, r1 - 1),)),
-                  ((2, slice(0, 1)), (slice(L - 1, L),))]
-    for axis in range(1, d):
-        lead = (slice(None),) * axis
-        src = (rows,) + (slice(None),) * (axis - 1)
-        head, tail = slice(0, L - 1), slice(1, L)
-        first, last = slice(0, 1), slice(L - 1, L)
-        up, down = 2 * axis + 1, 2 * axis + 2
-        pairs += [((up,) + lead + (head,), src + (tail,)),
-                  ((up,) + lead + (last,), src + (first,)),
-                  ((down,) + lead + (tail,), src + (head,)),
-                  ((down,) + lead + (first,), src + (last,))]
+    src = tuple(slice(a, b) for a, b in box)
+    pairs = [((0,), src)]
+    for i, (a, b) in enumerate(box):
+        for row, s, edge, wrap in ((2 * i + 1, 1, b - a - 1, 0),
+                                   (2 * i + 2, -1, 0, L - 1)):
+            lo, hi = max(a + s, 0), min(b + s, L)
+            moves = [(slice(lo - a - s, hi - a - s), slice(lo, hi))]
+            if hi - lo < b - a:
+                moves.append((slice(edge, edge + 1), slice(wrap, wrap + 1)))
+            pairs += [((row,) + (slice(None),) * i + (dst,),
+                       src[:i] + (cut,) + src[i + 1:]) for dst, cut in moves]
     return tuple(pairs)
 
 
@@ -180,22 +160,23 @@ class HeightSlice:
         return float(self.values[self.geometry.index(x)])
 
     def stencil_at(self, x) -> np.ndarray:
-        """Heights over the closed neighborhood of x, stencil order: x's
-        column of the one-row stencil stack of its row."""
-        i = self.geometry.index(x)
-        return self.stencil_stack(i[0], i[0] + 1)[(slice(None), 0) + i[1:]]
+        """Heights over the closed neighborhood of x, stencil order: the
+        stencil stack of the single-site box of x."""
+        box = tuple((i, i + 1) for i in self.geometry.index(x))
+        return self.stencil_stack(box).reshape(-1)
 
-    def stencil_stack(self, r0: int = 0, r1: int | None = None) -> np.ndarray:
-        """Heights over the closed neighborhood of rows r0..r1-1, stencil
-        order; the defaults give every site.
-
-        Shape (2d+1, r1-r0) + (L,) * (d-1): row 0 is the slice itself, rows
-        2i+1 and 2i+2 hold the values at x + e_i and x - e_i (torus wrap).
+    def stencil_stack(self, box: Tuple[Tuple[int, int], ...] | None = None
+                      ) -> np.ndarray:
+        """Heights over the closed neighborhood of each site of box, a
+        (start, stop) index pair per axis (default: the whole lattice), in
+        stencil order, of shape (2d+1,) + the box's shape: row 0 is the
+        slice itself, rows 2i+1 and 2i+2 hold the values at x + e_i and
+        x - e_i (torus wrap).
         """
         g, vals = self.geometry, self.values
-        r1 = g.L if r1 is None else r1
-        U = np.empty((2 * g.d + 1, r1 - r0) + vals.shape[1:])
-        for dst, src in _shift_pairs(g.d, g.L, r0, r1):
+        box = ((0, g.L),) * g.d if box is None else box
+        U = np.empty((2 * g.d + 1,) + tuple(b - a for a, b in box))
+        for dst, src in _shift_pairs(g.L, box):
             U[dst] = vals[src]
         return U
 
@@ -222,16 +203,15 @@ def step(slice_: HeightSlice, phi: DrivingFunction, epsilon: float,
     """One growth update: phi over each stencil plus epsilon times z.
 
     z is the noise layer t+1, drawn by capture(), the only caller of step().
-    The new slice is filled in row blocks of at most _PHI_BLOCK sites (or
-    one row when a row is larger), so each block's stencil stack and phi
-    temporaries stay in L2; the result is bit for bit that of one phi call
-    on the whole stack.
+    The new slice is filled one block of blocks(shape, _PHI_BLOCK) at a
+    time, so each block's stencil stack and phi temporaries stay in L2;
+    the result is bit for bit that of one phi call on the whole stack.
     """
     g = slice_.geometry
     new = np.empty(g.shape)
-    for r0, r1 in _row_blocks(g.d, g.L):
-        np.add(phi.value_many(slice_.stencil_stack(r0, r1)),
-               epsilon * z[r0:r1], out=new[r0:r1])
+    for cut, box in _phi_blocks(g.d, g.L):
+        np.add(phi.value_many(slice_.stencil_stack(box)), epsilon * z[cut],
+               out=new[cut])
     return HeightSlice(g, slice_.t + 1, new)
 
 
@@ -256,9 +236,8 @@ def capture(config: EvolutionConfig,
     cur = HeightSlice.flat(g, t=0)
     if 0 in keep:
         yield cur
-    for t0 in range(1, config.T + 1, k):
-        t_last = min(t0 + k, config.T + 1) - 1
-        layers = np.arange(t0, t_last + 1, dtype=np.int64)
+    for (ts,) in blocks((config.T,), k):
+        layers = np.arange(ts.start + 1, ts.stop + 1, dtype=np.int64)
         z = config.noise.sample_spacetime(layers.reshape((-1,) + (1,) * g.d),
                                           axes)
         block = []

@@ -5,12 +5,17 @@ sites and layers, mean zero, bounded, continuous. The one edit is an
 additive shift of single draws (perturb_at), which a finite difference in
 one noise variable needs; a shifted view shares the base draws and costs
 O(#shifts) memory regardless of lattice size.
+
+blocks(shape, limit) is the one rule that cuts a grid into cache-sized
+blocks: the keyed draws, the growth step's phi evaluations, the noise
+layers drawn ahead, the white-noise pairing's cells, the audit's stencil
+batch and the CSV rows all use it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +30,36 @@ DEFAULT_SCALE = math.sqrt(3.0)  # uniform on [-sqrt3, sqrt3]: sigma = 1
 # elements hashed per block: the block's uint64 and float64 scratch arrays
 # (256 KiB each) stay in a 1-2 MB L2 cache across the passes of the chain
 _BLOCK = 1 << 15
+
+
+def blocks(shape: Tuple[int, ...], limit: Optional[int] = None
+           ) -> List[Tuple[slice, ...]]:
+    """Blocks of at most limit cells (default _BLOCK, read at call time)
+    that tile the C-order grid of this shape in order, each one slice per
+    axis with explicit bounds: whole rows of the leading axis together or,
+    where one row holds more than limit cells, each of its rows along the
+    next axis cut the same way, down to single cells if need be.
+    """
+    limit = _BLOCK if limit is None else limit
+    if math.prod(shape) == 0:
+        return []
+    axis, inner = 0, math.prod(shape[1:])
+    while inner > limit:
+        axis += 1
+        inner //= shape[axis]
+    step, n = max(1, limit // inner), shape[axis]
+    rest = tuple(slice(0, m) for m in shape[axis + 1:])
+    return [tuple(slice(p, p + 1) for p in prefix)
+            + (slice(i, min(i + step, n)),) + rest
+            for prefix in np.ndindex(*shape[:axis])
+            for i in range(0, n, step)]
+
+
+def cut(a: np.ndarray, box: Tuple[slice, ...]) -> np.ndarray:
+    """Key array a's part under box, a block of the grid a aligns with from
+    the right; axes of extent 1 stay whole, so an open mesh stays open."""
+    box = box[len(box) - a.ndim:]
+    return a[tuple(s if m > 1 else slice(None) for s, m in zip(box, a.shape))]
 
 
 def _as_site(x) -> Site:
@@ -110,8 +145,8 @@ class NoiseModel:
 
         times and coords may form a full or an open mesh; with times of
         shape (M, 1, ...) each time row is hashed once and broadcast over
-        space. Returns the draws over the broadcast shape, computed in row
-        blocks, written into out when given (a float64 array of that
+        space. Returns the draws over the broadcast shape, computed in
+        blocks(shape), written into out when given (a float64 array of that
         shape, which a caller drawing many blocks reuses); no cell's value
         depends on the blocking or the mesh form.
         """
@@ -132,14 +167,9 @@ class NoiseModel:
     def _draws(self, key_arrays,
                out: Optional[np.ndarray] = None) -> np.ndarray:
         """Keyed draws over the broadcast shape of key_arrays, into out if
-        given.
-
-        Grids of up to _BLOCK elements are hashed in one call. Larger ones
-        are cut along their leading axis of extent > 1 into blocks of about
-        _BLOCK elements, so the scratch of each block stays in cache (a
-        single (1, L, L) layer is cut along its rows); every block is
-        hashed, mapped to floats and written into one preallocated output.
-        """
+        given: in one hash call up to _BLOCK elements, else one block of
+        blocks(shape) at a time, each key array cut to the block, so each
+        block's scratch stays in cache."""
         shape = np.broadcast(*key_arrays).shape
         if out is None:
             out = np.empty(shape)
@@ -149,19 +179,10 @@ class NoiseModel:
         if out.size <= _BLOCK:
             self._fill(hash_keys_vec(self.spec.seed, key_arrays), out)
             return out
-        axis = next(i for i, n in enumerate(shape) if n > 1)
-        rows = max(1, _BLOCK // (out.size // shape[axis]))
-        # key arrays align with the output from the right; only those
-        # spanning the cut axis are cut, the rest broadcast to each block
-        lead = (slice(None),) * axis
-        cut = [a.ndim > out.ndim - 1 - axis
-               and a.shape[axis - out.ndim + a.ndim] != 1 for a in key_arrays]
-        for r0 in range(0, shape[axis], rows):
-            rs = slice(r0, r0 + rows)
-            block = [a[(slice(None),) * (axis - out.ndim + a.ndim) + (rs,)]
-                     if c else a for a, c in zip(key_arrays, cut)]
-            self._fill(hash_keys_vec(self.spec.seed, block),
-                       out[lead + (rs,)])
+        for box in blocks(shape):
+            self._fill(hash_keys_vec(self.spec.seed,
+                                     [cut(a, box) for a in key_arrays]),
+                       out[box])
         return out
 
     def _fill(self, h: np.ndarray, dst: np.ndarray) -> None:

@@ -20,9 +20,11 @@ import os
 import re
 import sys
 import tempfile
-from typing import Dict, Iterable, Iterator, Mapping
+from typing import Dict, Iterable, Iterator, List, Mapping
 
 import numpy as np
+
+from .noise import blocks
 
 
 def fmt_value(v) -> str:
@@ -130,8 +132,8 @@ def write_csv(path: str, columns: Mapping[str, object]) -> None:
 
     def emit(fh):
         write(fh, [",".join(map(_quote, columns))])
-        for r0 in range(0, n, _CHUNK_ROWS):
-            write(fh, lines(r0, min(r0 + _CHUNK_ROWS, n)))
+        for (rows,) in blocks((n,), _CHUNK_ROWS):
+            write(fh, lines(rows.start, rows.stop))
 
     _atomic_write(path, emit)
 
@@ -152,6 +154,13 @@ def _plain(o, path: str, nonfinite: list):
         nonfinite.append(path)
         return None
     return o
+
+
+def nonfinite_paths(doc: dict) -> List[str]:
+    """Paths of doc's NaN and infinite floats, as write_json lists them."""
+    nonfinite: List[str] = []
+    _plain(doc, "", nonfinite)
+    return nonfinite
 
 
 def write_json(path: str, doc: dict) -> None:

@@ -34,7 +34,7 @@ from .config import (POWER_LAW_KEYS, SCHEMA, SCHEME_READS, ConfigError,
 from .config import scheme_params as config_scheme_params
 from .driving import DrivingFunction, make_driving
 from .lattice import EvolutionConfig, LatticeGeometry, capture, evolve
-from .noise import _BLOCK, NoiseModel, replica_noise
+from .noise import NoiseModel, blocks, cut, replica_noise
 from .rescale import (DecompositionSample, ScalingScheme,
                       evolve_and_decompose, macro_terms, make_scheme)
 from .rng import derive_seed
@@ -566,28 +566,6 @@ def _pairing_cells(fn: GaussianBump, alpha: float, beta: float,
     return ranges[0], ranges[1:], factors
 
 
-def _cell_blocks(shape: Tuple[int, ...]):
-    """The cut axis, and per-axis slices that cut the C-order grid of this
-    shape into contiguous runs of at most _BLOCK cells, in order.
-
-    Whole rows of the leading axis are taken together; where one row holds
-    more than _BLOCK cells, each of its rows along the next axis is cut
-    the same way, down to single cells if need be. That axis is the cut
-    axis: every block spans whole axes after it and one index of each axis
-    before it.
-    """
-    axis, inner = 0, math.prod(shape[1:])
-    while inner > _BLOCK:
-        axis += 1
-        inner //= shape[axis]
-    step = max(1, _BLOCK // inner)
-    rest = (slice(None),) * (len(shape) - axis - 1)
-    return axis, (tuple(slice(p, p + 1) for p in prefix)
-                  + (slice(i, i + step),) + rest
-                  for prefix in np.ndindex(*shape[:axis])
-                  for i in range(0, shape[axis], step))
-
-
 def _contract(a: np.ndarray, factors: Sequence[np.ndarray]):
     """a contracted with one factor per trailing axis, last axis first:
     each factor multiplies a in place along its last axis, which
@@ -608,27 +586,32 @@ def _pairing_worker(replica: int, plan: ExperimentPlan,
     """Pairings of one replica on every eps grid, one block of cells at a
     time.
 
-    Each block's draws are contracted over the axes after the cut axis
-    into an array of shape[:axis + 1] (one value per time layer when
-    blocks are whole layers), which the factors up to the cut axis then
-    contract.
+    The blocks are noise.blocks of the cell grid, each with its part of
+    the grid's open key mesh (noise.cut). Each block's draws are
+    contracted over the axes after the cut axis, the last one the blocks
+    do not span, into an array of shape[:axis + 1] (one value per time
+    layer when blocks are whole layers), which the factors up to the cut
+    axis then contract.
     """
     model = plan.noise_for(replica)
     out = []
     for axes, factors, coef in grids:
         shape = tuple(f.size for f in factors)
-        axis, cuts = _cell_blocks(shape)
-        # one draw buffer for every block: a fresh block-sized array per
-        # block costs a page fault per 4 KiB once freed memory is trimmed
-        buf = np.empty(min(_BLOCK, math.prod(shape)))
+        mesh, cuts = np.ix_(*axes), blocks(shape)
+        first = [s.stop - s.start for s in cuts[0]]
+        axis = max((i for i, n in enumerate(first) if n < shape[i]),
+                   default=0)
+        # one draw buffer for every block, the size of the first (largest):
+        # a fresh block-sized array per block costs a page fault per 4 KiB
+        # once freed memory is trimmed
+        buf = np.empty(math.prod(first))
         partial = np.empty(shape[:axis + 1])
-        for cut in cuts:
-            keys = [a[c].reshape((1,) * i + (-1,) + (1,) * (len(shape) - i - 1))
-                    for i, (a, c) in enumerate(zip(axes, cut))]
-            block = tuple(k.size for k in keys)
+        for box in cuts:
+            ext = tuple(s.stop - s.start for s in box)
+            keys = [cut(a, box) for a in mesh]
             z = model.sample_spacetime(
-                keys[0], keys[1:], out=buf[:math.prod(block)].reshape(block))
-            partial[cut[:axis + 1]] = _contract(z, factors[axis + 1:])
+                keys[0], keys[1:], out=buf[:math.prod(ext)].reshape(ext))
+            partial[box[:axis + 1]] = _contract(z, factors[axis + 1:])
         out.append(coef * float(_contract(partial, factors[:axis + 1])))
     return out
 

@@ -227,7 +227,7 @@ def unblocked_evolve(config: EvolutionConfig) -> HeightSlice:
     """The recursion with phi applied to the whole stencil stack at once.
 
     Each step is phi.value_many(stencil_stack()) + epsilon * z, with z
-    drawn layer by layer on a full site mesh: no row blocks, no layers
+    drawn layer by layer on a full site mesh: no phi blocks, no layers
     drawn ahead.
     """
     g = config.geometry

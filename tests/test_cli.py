@@ -604,12 +604,13 @@ def test_gkpz_coupling_at_the_threshold_runs_and_check_phi_audits_above(
       "report.witness.radius"]),
     # heights of order 1e307 overflow their variance
     (["simulate", "--set", "plan.t=3", "--set", "model.noise_scale=1e308"],
-     0, ["report.height_std"]),
+     1, ["report.height_std"]),
 ])
 def test_non_finite_results_are_written_as_strict_json(
         tmp_path, capsys, argv, rc, nonfinite):
     # each NaN or infinity is null, and its path is listed in the
-    # artifact and on stderr; a NaN result still fails its assertion
+    # artifact and on stderr; a NaN result still fails its assertion,
+    # and any non-finite value fails the run
     assert main(argv + ["--out", str(tmp_path)]) == rc
     doc = read_strict_json(tmp_path / f"{argv[0]}-0.json")
     assert doc["nonfinite"] == nonfinite
@@ -621,7 +622,37 @@ def test_non_finite_results_are_written_as_strict_json(
         assert node[last] is None
     err = capsys.readouterr().err
     assert all(path in err for path in nonfinite), err
-    assert all(doc["assertions"].values()) == (rc == 0)
+    assert doc["passed"] is False
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_non_finite_report_value_fails_the_run(tmp_path, capsys):
+    # simulate has no assertions, so only the non-finite height_std fails
+    # it: passed is false, the path is printed on stderr and the exit is 1
+    argv = ["simulate", "--out", str(tmp_path), "--set", "plan.t=3",
+            "--set", "model.noise_scale=1e308"]
+    assert main(argv) == 1
+    doc = read_strict_json(tmp_path / "simulate-0.json")
+    assert doc["assertions"] == {} and doc["passed"] is False
+    assert doc["report"]["height_std"] is None
+    out, err = capsys.readouterr()
+    assert "non-finite values written as null: report.height_std\n" in err
+    assert "simulate: FAILED" in out
+
+
+def test_out_of_memory_in_a_run_is_a_run_fault(tmp_path, capsys,
+                                              monkeypatch):
+    # a MemoryError raised inside a run exits 3 with no artifact; the
+    # allocation is only pretended, never made
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 133. GiB for an array with "
+                          "shape (133693, 133693) and data type float64")
+    monkeypatch.setattr(cli, "evolve", no_memory)
+    assert main(["simulate", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "error: run fault: out of memory: Unable to allocate 133. GiB for an "
+        "array with shape (133693, 133693) and data type float64\n")
+    assert not list(tmp_path.iterdir())
 
 
 def test_worst_rel_propagates_nan():

@@ -18,7 +18,7 @@ from kpzlab.driving import (_PHI_BLOCK, EdwardsWilkinsonDriving,
 from kpzlab.lattice import (ConeWrapWarning, EvolutionConfig, HeightSlice,
                             LatticeGeometry, _site_axes, capture, evolve,
                             min_cone_side, slice_columns, step)
-from kpzlab.noise import _BLOCK, NoiseModel, make_noise
+from kpzlab.noise import _BLOCK, NoiseModel, blocks, make_noise
 from kpzlab.rescale import evolve_and_decompose
 from oracles import (CallableDriving, polymer_path_sum, scalar_sample,
                      unblocked_evolve)
@@ -119,25 +119,42 @@ def _roll_stack(vals):
     return np.stack(U)
 
 
+def _boxes(d, L, rng):
+    """The whole lattice, every block step uses, single sites at every
+    corner, boxes that span one axis and so touch both of its torus edges,
+    and random boxes, each a (start, stop) pair per axis."""
+    boxes = [((0, L),) * d]
+    boxes += [tuple((s.start, s.stop) for s in cut)
+              for cut in blocks((L,) * d, _PHI_BLOCK)]
+    boxes += [tuple((c, c + 1) for c in corner)
+              for corner in itertools.product((0, L - 1), repeat=d)]
+    boxes += [tuple((0, L) if j == i else (L // 2, L // 2 + 1)
+                    for j in range(d)) for i in range(d)]
+    for _ in range(20):
+        starts = rng.integers(0, L, size=d)
+        boxes.append(tuple((int(a), int(rng.integers(a + 1, L + 1)))
+                           for a in starts))
+    return boxes
+
+
 @pytest.mark.parametrize("d,L", [(1, 3), (1, 4), (2, 3), (2, 6), (3, 3),
                                  (3, 4), (1, 20001), (2, 91), (2, 321),
                                  (3, 23)])
 def test_stencil_stack_equals_roll_oracle(d, L):
-    # the whole stack, every row block step uses, and one-row blocks on
-    # and next to both wrapped edges; stencil_at at every site, named by
-    # its canonical coordinates shifted by -1, 0 or 1 whole turns per axis
+    # every box of _boxes against the same part of the rolled stack, and
+    # stencil_at at every site, named by its canonical coordinates shifted
+    # by -1, 0 or 1 whole turns per axis
     g = LatticeGeometry(d, L)
     vals = np.random.default_rng(L + d).uniform(-1, 1, size=g.shape)
     sl = HeightSlice(g, 0, vals)
     ref = _roll_stack(vals)
     assert np.array_equal(sl.stencil_stack().view(np.uint64),
                           ref.view(np.uint64))
-    blocks = set(lattice_mod._row_blocks(d, L))
-    blocks |= {(0, 1), (1, 2), (L - 2, L - 1), (L - 1, L)}
-    for r0, r1 in sorted(blocks):
-        got = sl.stencil_stack(r0, r1)
-        assert np.array_equal(got.view(np.uint64),
-                              ref[:, r0:r1].view(np.uint64)), (r0, r1)
+    for box in _boxes(d, L, np.random.default_rng(d * L)):
+        got = sl.stencil_stack(box)
+        part = ref[(slice(None),) + tuple(slice(a, b) for a, b in box)]
+        assert got.shape == part.shape, box
+        assert np.array_equal(got.view(np.uint64), part.view(np.uint64)), box
     turns = np.random.default_rng(d).integers(-1, 2, size=(g.n_sites, d))
     for idx, k in zip(itertools.product(range(L), repeat=d), turns):
         x = tuple(int(i + g.lo + L * n) for i, n in zip(idx, k))
@@ -155,25 +172,24 @@ class _CountedPolymer(PolymerDriving):
         return super().value_many(U)
 
 
-@pytest.mark.parametrize("d,L,blocks", [
+@pytest.mark.parametrize("d,L,count", [
     (1, 8192, 1), (2, 90, 1), (3, 20, 1), (2, 81, 1), (1, 3, 1),
-    (1, 8193, 2), (2, 91, 2), (2, 321, 13), (3, 23, 2), (3, 91, 91)])
-def test_step_evaluates_phi_in_row_blocks(d, L, blocks):
-    # at most _PHI_BLOCK sites per phi call, or one row when a row is
-    # larger (91^2 sites at d=3 L=91); a lattice that fits is one call on
-    # the whole stack, the same one the unblocked update makes
+    (1, 8193, 2), (2, 91, 2), (2, 321, 13), (3, 23, 2), (3, 91, 182)])
+def test_step_evaluates_phi_in_blocks(d, L, count):
+    # at most _PHI_BLOCK sites per phi call, even where one row is larger
+    # (91^2 sites at d=3 L=91: two blocks per row); a lattice that fits is
+    # one call on the whole stack, the same one the unblocked update makes
     g = LatticeGeometry(d, L)
     phi = _CountedPolymer(d)
     sl = HeightSlice(g, 0, np.random.default_rng(d).uniform(size=g.shape))
     step(sl, phi, 0.5, np.zeros(g.shape))
-    assert len(phi.shapes) == blocks
-    assert sum(s[1] for s in phi.shapes) == L
-    assert all(s[0] == 2 * d + 1 and s[2:] == g.shape[1:] for s in phi.shapes)
+    assert len(phi.shapes) == count
+    assert sum(math.prod(s[1:]) for s in phi.shapes) == g.n_sites
+    assert all(s[0] == 2 * d + 1 and len(s) == d + 1 for s in phi.shapes)
     if g.n_sites <= _PHI_BLOCK:
         assert phi.shapes == [(2 * d + 1,) + g.shape]
     else:
-        assert all(math.prod(s[1:]) <= max(_PHI_BLOCK, L ** (d - 1))
-                   for s in phi.shapes)
+        assert all(math.prod(s[1:]) <= _PHI_BLOCK for s in phi.shapes)
 
 
 def _stencil_max(u):
@@ -184,8 +200,8 @@ def _stencil_max(u):
 @pytest.mark.parametrize("d,L", [(2, 321), (3, 23)])
 def test_blocked_evolve_equals_unblocked(phi_name, d, L):
     # ragged last blocks: 321 rows in blocks of 25, 23 rows in 15 + 8
-    assert len(lattice_mod._row_blocks(d, L)) > 1
-    assert L % lattice_mod._row_blocks(d, L)[0][1] != 0
+    cuts = blocks((L,) * d, _PHI_BLOCK)
+    assert len(cuts) > 1 and L % cuts[0][0].stop != 0
     if phi_name == "callable":
         phi, T = CallableDriving(d, _stencil_max, name="max"), 2
     else:

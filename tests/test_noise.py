@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kpzlab.noise as noise_mod
+from kpzlab.driving import _PHI_BLOCK
 from kpzlab.noise import (_BLOCK, DEFAULT_SCALE, FAMILIES, NoiseSpec,
                           _triangular_icdf, make_noise)
 from kpzlab.rng import (derive_seed, hash_keys, hash_keys_vec, mix64,
@@ -352,6 +353,103 @@ def test_edits_on_open_meshes_equal_full_meshes(family):
                         (1, 5, 5)):
             site = (int(st_full[1][i, j, k]), int(st_full[2][i, j, k]))
             assert got[i, j, k] == scalar_sample(nm, i + 1, site)
+
+
+# ---------------------------------------------------------------------------
+# blocks: the one rule that cuts a grid into cache-sized blocks
+
+SMALL_SHAPES = [(7, 5), (3, 400), (2, 30, 31), (1, 1, 701), (4, 3, 29),
+                (22, 22, 22), (1,), (0, 5), (5, 0)]
+LARGE_SHAPES = [(3, 40000), (2, 300, 300), (1, 1, 70001), (40, 30, 29)]
+
+
+def _check_tiling(shape, cuts, limit):
+    """cuts tile the grid in C order, each block within limit cells, with
+    explicit bounds on every axis."""
+    grid = np.arange(math.prod(shape)).reshape(shape)
+    for box in cuts:
+        assert len(box) == len(shape)
+        assert all(s.step is None and 0 <= s.start < s.stop <= n
+                   for s, n in zip(box, shape)), box
+    runs = [grid[box].reshape(-1) for box in cuts]
+    assert all(0 < r.size <= limit for r in runs)
+    flat = np.concatenate(runs) if runs else np.empty(0, dtype=grid.dtype)
+    assert np.array_equal(flat, grid.reshape(-1))
+    if 0 < grid.size <= limit:
+        assert len(cuts) == 1
+
+
+@pytest.mark.parametrize("limit", [1, 7, 97, _PHI_BLOCK, _BLOCK],
+                         ids=["1", "7", "97", "phi", "hash"])
+@pytest.mark.parametrize("shape", SMALL_SHAPES, ids=str)
+def test_blocks_tile_small_grids(shape, limit):
+    _check_tiling(shape, noise_mod.blocks(shape, limit), limit)
+
+
+@pytest.mark.parametrize("limit", [97, _PHI_BLOCK, _BLOCK],
+                         ids=["97", "phi", "hash"])
+@pytest.mark.parametrize("shape", LARGE_SHAPES, ids=str)
+def test_blocks_tile_large_grids(shape, limit):
+    _check_tiling(shape, noise_mod.blocks(shape, limit), limit)
+
+
+def test_blocks_cut_whole_rows_then_runs_within_a_row():
+    # whole leading rows while a row fits; past that one index of each
+    # axis before the cut axis and whole axes after it
+    blocks = noise_mod.blocks
+    assert blocks((5, 4), 8) == [(slice(0, 2), slice(0, 4)),
+                                 (slice(2, 4), slice(0, 4)),
+                                 (slice(4, 5), slice(0, 4))]
+    assert blocks((2, 5), 3) == [(slice(0, 1), slice(0, 3)),
+                                 (slice(0, 1), slice(3, 5)),
+                                 (slice(1, 2), slice(0, 3)),
+                                 (slice(1, 2), slice(3, 5))]
+    assert blocks((91, 91, 91), _PHI_BLOCK)[:2] == [
+        (slice(0, 1), slice(0, 90), slice(0, 91)),
+        (slice(0, 1), slice(90, 91), slice(0, 91))]
+
+
+def test_blocks_default_limit_is_read_at_call_time(monkeypatch):
+    shape = (6, 7, 8)
+    assert noise_mod.blocks(shape) == [tuple(slice(0, n) for n in shape)]
+    monkeypatch.setattr(noise_mod, "_BLOCK", 7)
+    assert noise_mod.blocks(shape) == noise_mod.blocks(shape, 7)
+    assert len(noise_mod.blocks(shape)) == 6 * 7 * 2
+
+
+@pytest.mark.parametrize("family", ["uniform", "triangular"])
+def test_draws_same_bits_for_any_block_size(monkeypatch, family):
+    # open and dense space-time meshes, a 0-d time key over an open and a
+    # dense space mesh, all with shifted draws: the same bits, and no hash
+    # call over _BLOCK keys, whatever _BLOCK is
+    nm = (make_noise(family, 1.3, seed=77).perturb_at(2, (0, 1), 0.5)
+          .perturb_at(4, (-3, 7), -1.25).perturb_at(2, (5, -3), 2.0))
+    times = np.arange(1, 5).reshape(4, 1, 1)
+    space = [c[np.newaxis] for c in _axes((9, 11))]
+    dense = np.broadcast_arrays(times, *space)
+    flat = np.meshgrid(*[a.ravel() for a in _axes((9, 11))], indexing="ij")
+    ref = nm.sample_spacetime(times, space)
+    ref_grid = nm.sample_grid(2, _axes((9, 11)))
+    for i, j, k in ((1, 3, 4), (3, 0, 10), (1, 8, 0), (0, 4, 4)):
+        site = (int(dense[1][i, j, k]), int(dense[2][i, j, k]))
+        assert ref[i, j, k] == scalar_sample(nm, i + 1, site)
+    sizes = []
+
+    def recorded(*args):
+        h = hash_keys_vec(*args)
+        sizes.append(h.size)
+        return h
+
+    monkeypatch.setattr(noise_mod, "hash_keys_vec", recorded)
+    for block in (1, 5, 64, 2 ** 15):
+        monkeypatch.setattr(noise_mod, "_BLOCK", block)
+        sizes.clear()
+        assert _same_bits(nm.sample_spacetime(times, space), ref)
+        assert _same_bits(nm.sample_spacetime(dense[0], dense[1:]), ref)
+        assert _same_bits(nm.sample_grid(2, _axes((9, 11))), ref_grid)
+        assert _same_bits(nm.sample_grid(2, flat), ref_grid)
+        assert max(sizes) <= block
+        assert sum(sizes) == 2 * ref.size + 2 * ref_grid.size
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ a new geometry rule has one place to change. Each builder's own module
 defines it without calling it. Likewise only studies.py calls
 evolve_and_decompose and macro_terms, so the decompose command and the
 remainder study sample their rows one way, and only lattice.capture calls
-step, so every evolution is read one way.
+step, so every evolution is read one way. noise.blocks is the one rule
+that cuts a grid into blocks: no other function steps through a range.
 """
 import ast
 import pathlib
@@ -58,9 +59,9 @@ def test_only_studies_samples_decompositions(path):
     assert _builder_calls(path.read_text(), SAMPLERS) == []
 
 
-def _callers(source: str, name: str) -> list:
-    """Names of the functions whose bodies call name; '<module>' for a
-    call outside any function."""
+def _call_owners(source: str, match) -> list:
+    """Names of the functions whose bodies make a call that match accepts;
+    '<module>' for a call outside any function."""
     tree = ast.parse(source)
     owner = {}
     for fn in ast.walk(tree):
@@ -68,9 +69,20 @@ def _callers(source: str, name: str) -> list:
             for node in ast.walk(fn):
                 owner.setdefault(node, fn.name)
     return [owner.get(node, "<module>") for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and name in (getattr(node.func, "id", None),
-                         getattr(node.func, "attr", None))]
+            if isinstance(node, ast.Call) and match(node)]
+
+
+def _callers(source: str, name: str) -> list:
+    """Names of the functions whose bodies call name."""
+    return _call_owners(source, lambda node: name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
+def _is_stepped_range(node: ast.Call) -> bool:
+    """range(start, stop, step) with a step other than -1: the loop of a
+    block cutter, not a countdown."""
+    return (getattr(node.func, "id", None) == "range" and len(node.args) == 3
+            and ast.unparse(node.args[2]) != "-1")
 
 
 def _names(source: str) -> set:
@@ -106,3 +118,33 @@ def test_only_capture_steps(path):
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_no_module_names_trajectory(path):
     assert "trajectory" not in _names(path.read_text())
+
+
+def test_scanner_finds_stepped_ranges():
+    src = ("def cutter(n):\n    return list(range(0, n, 8))\n"
+           "def countdown(t):\n    return list(range(t, 0, -1))\n"
+           "def plain(n):\n    return range(n), range(1, n)\n"
+           "x = range(0, 9, k)\n")
+    assert sorted(_call_owners(src, _is_stepped_range)) == ["<module>",
+                                                             "cutter"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_module_names_the_old_block_cutters(path):
+    assert not {"_row_blocks", "_cell_blocks"} & _names(path.read_text())
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_only_noise_blocks_cuts_a_grid(path):
+    expect = ["blocks"] if path.name == "noise.py" else []
+    assert _call_owners(path.read_text(), _is_stepped_range) == expect
+
+
+@pytest.mark.parametrize("name", ["lattice.py", "studies.py"])
+def test_lattice_and_studies_cut_through_noise_blocks(name):
+    tree = ast.parse((SRC / name).read_text())
+    imported = {a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "noise"
+                for a in node.names}
+    assert "blocks" in imported
+    assert _callers((SRC / name).read_text(), "blocks")

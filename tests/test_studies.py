@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import kpzlab.noise as noise_mod
 from kpzlab import studies
 from kpzlab.config import ConfigError, load_config
 from kpzlab.rng import derive_seed
@@ -392,27 +393,16 @@ def test_pairing_worker_same_bits_for_any_block_size(monkeypatch, d, width_t,
     m, v_ranges, factors = _pairing_cells(fn, alpha, beta)
     coef = math.sqrt(alpha) * beta ** (d / 2.0) / plan.noise_for(0).sigma
     grids = [([m + 1, *v_ranges], factors, coef)]
-    monkeypatch.setattr(studies, "_BLOCK", block)
+    monkeypatch.setattr(noise_mod, "_BLOCK", block)
+    # the cut axis: the last one the first block does not span whole
     shape = tuple(f.size for f in factors)
-    assert studies._cell_blocks(shape)[0] == cut_axis
+    first = noise_mod.blocks(shape)[0]
+    whole = [s.stop - s.start == n for s, n in zip(first, shape)]
+    assert all(whole[cut_axis + 1:])
+    assert not whole[cut_axis] or len(noise_mod.blocks(shape)) == 1
     got = [studies._pairing_worker(k, plan, grids)[0]
            for k in range(plan.replicas)]
     assert np.array_equal(got, full_grid_contraction(plan, fn, 0.5))
-
-
-@pytest.mark.parametrize("shape", [(7, 5), (3, 40000), (2, 300, 300),
-                                   (1, 1, 70001), (40, 30, 29)])
-def test_cell_blocks_cut_the_grid_into_contiguous_runs(shape):
-    grid = np.arange(math.prod(shape)).reshape(shape)
-    axis, cuts = studies._cell_blocks(shape)
-    cuts = list(cuts)
-    runs = [grid[cut].reshape(-1) for cut in cuts]
-    assert max(r.size for r in runs) <= studies._BLOCK
-    # one index of each axis before the cut axis, whole axes after it
-    for cut in cuts:
-        assert all(c.stop - c.start == 1 for c in cut[:axis])
-        assert all(c == slice(None) for c in cut[axis + 1:])
-    assert np.array_equal(np.concatenate(runs), grid.reshape(-1))
 
 
 def test_pairing_worker_holds_one_block_of_cells():

@@ -12,6 +12,7 @@ import math
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .lattice import min_cone_side
+from .rescale import PRESETS, preset_reads
 
 
 class ConfigError(ValueError):
@@ -70,8 +71,7 @@ SCHEMA: Dict[str, Dict[str, tuple]] = {
                         "variance uniform)"),
     },
     "scheme": {
-        "preset": (str, "power-law",
-                   "power-law | intermediate-disorder-1d | 2d-exponential"),
+        "preset": (str, "power-law", " | ".join(PRESETS)),
         "alpha_exp": (float, 2.0, "power-law: alpha = alpha_coef*eps^this"),
         "beta_exp": (float, 1.0, "power-law: beta = beta_coef*eps^this"),
         "gamma_exp": (float, 0.0, "power-law: gamma = gamma_coef*eps^this"),
@@ -193,8 +193,9 @@ def _find_line(path: str, section: str, key: Optional[str]) -> int:
                 return i
             in_section = s == f"[{section}]"
         elif key is not None and in_section:
+            # configparser lowercases key names, so compare them lowercased
             name = s.split("=", 1)[0].split(":", 1)[0].strip()
-            if name == key:
+            if name.lower() == key:
                 return i
     return 0
 
@@ -268,39 +269,6 @@ def _parse_value(sec: str, key: str, raw: str, where: Callable[[], str]):
         raise ConfigError(f"{where()}: bad value for {sec}.{key}: {e}") from e
 
 
-# the [scheme] keys the power-law preset reads, each its make_scheme keyword
-POWER_LAW_KEYS = ("alpha_exp", "beta_exp", "gamma_exp", "alpha_coef",
-                  "beta_coef", "gamma_coef")
-# preset -> the [scheme] keys it reads -> their make_scheme keywords
-SCHEME_READS: Dict[str, Dict[str, str]] = {
-    "power-law": {k: k for k in POWER_LAW_KEYS},
-    "2d-exponential": {"c": "C"},
-}
-
-
-def scheme_params(cfg: Dict[str, Dict]) -> Dict:
-    """Keyword arguments of rescale.make_scheme for the [scheme] section.
-
-    Refuses a preset built for one dimension (intermediate-disorder-1d,
-    2d-exponential) in another model.d, and a [scheme] key set away from
-    its default under a preset that does not read it.
-    """
-    s, d = cfg["scheme"], cfg["model"]["d"]
-    preset = s["preset"]
-    for name, preset_d in (("intermediate-disorder-1d", 1),
-                           ("2d-exponential", 2)):
-        if preset == name and d != preset_d:
-            raise ConfigError(f"scheme.preset={name} is a d={preset_d} "
-                              f"scheme, but model.d={d}")
-    reads = SCHEME_READS.get(preset, {})
-    for key in POWER_LAW_KEYS + ("c",):
-        if key not in reads and s[key] != SCHEMA["scheme"][key][1]:
-            raise ConfigError(f"scheme.{key}={s[key]!r} has no effect under "
-                              f"scheme.preset={preset}; leave it at its "
-                              f"default or choose a preset that reads it")
-    return {arg: s[key] for key, arg in reads.items()}
-
-
 def _refuse_bad_read_values(cfg: Dict[str, Dict], command: str,
                             reads: Tuple[str, ...]) -> None:
     """Refuse, naming the key, a value the command reads that no run takes.
@@ -331,13 +299,26 @@ def _refuse_bad_read_values(cfg: Dict[str, Dict], command: str,
 
 def _refuse_unread_scheme(cfg: Dict[str, Dict], command: str,
                           reads: Tuple[str, ...]) -> None:
-    """Refuse [scheme] keys off their defaults in runs that build no scheme."""
-    if "scheme" in reads:
-        return
+    """The one [scheme] refusal. A run that builds no scheme takes no
+    [scheme] key off its default; a run that builds one takes no preset
+    built for another model.d, and no key off its default that the
+    preset does not read (rescale.PRESETS states both)."""
+    s, d = cfg["scheme"], cfg["model"]["d"]
+    builds = "scheme" in reads
+    preset = PRESETS.get(s["preset"])  # the plan refuses an unknown name
+    if builds and preset and preset.d not in (None, d):
+        raise ConfigError(f"scheme.preset={s['preset']} is a d={preset.d} "
+                          f"scheme, but model.d={d}")
+    read = ("preset", *preset_reads(s["preset"])) if builds else ()
     for key, spec in SCHEMA["scheme"].items():
-        if cfg["scheme"][key] != spec[1]:
-            raise ConfigError(f"scheme.{key}={cfg['scheme'][key]!r} has no "
-                              f"effect on {command}, which builds no scheme")
+        if s[key] == spec[1] or key in read:
+            continue
+        if not builds:
+            raise ConfigError(f"scheme.{key}={s[key]!r} has no effect on "
+                              f"{command}, which builds no scheme")
+        raise ConfigError(f"scheme.{key}={s[key]!r} has no effect under "
+                          f"scheme.preset={s['preset']}; leave it at its "
+                          f"default or choose a preset that reads it")
 
 
 def dump_resolved(cfg: Dict[str, Dict]) -> str:

@@ -11,7 +11,6 @@ rows as Python objects and text, whatever the table's length.
 """
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -139,11 +138,9 @@ def write_csv(path: str, columns: Mapping[str, object]) -> None:
 
 
 def _plain(o, path: str, nonfinite: list):
-    """o with numpy values and dataclasses as plain ones, and each
-    non-finite float as None, its path appended to nonfinite."""
-    if dataclasses.is_dataclass(o) and not isinstance(o, type):
-        o = dataclasses.asdict(o)
-    elif isinstance(o, (np.ndarray, np.generic)):
+    """o with numpy values as plain ones, and each non-finite float as
+    None, its path appended to nonfinite."""
+    if isinstance(o, (np.ndarray, np.generic)):
         o = o.tolist()
     if isinstance(o, dict):
         return {k: _plain(v, f"{path}.{k}" if path else str(k), nonfinite)

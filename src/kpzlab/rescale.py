@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .driving import DrivingFunction, HessianAtOrigin
 from .lattice import EvolutionConfig, HeightSlice, _warn_if_wrapped, capture
@@ -48,13 +48,6 @@ class ScalingScheme:
             raise ValueError("alpha and beta must decrease along the grid")
 
 
-def intermediate_disorder_1d() -> ScalingScheme:
-    """alpha = eps^4, beta = eps^2, gamma = 1 (d=1 weak-noise window)."""
-    return ScalingScheme(alpha=lambda e: e ** 4,
-                         beta=lambda e: e ** 2,
-                         gamma=lambda e: 1.0)
-
-
 def exponential_2d(C: float = 1.0) -> ScalingScheme:
     """alpha = exp(-C/eps^2), beta = sqrt(alpha), gamma = 1/eps (d=2 regime)."""
     if not (C > 0 and math.isfinite(C)):
@@ -77,14 +70,36 @@ def power_law(alpha_exp: float, beta_exp: float, gamma_exp: float = 0.0,
                          gamma=lambda e: gamma_coef * e ** gamma_exp)
 
 
+class Preset(NamedTuple):
+    """A scheme preset: the model.d it is built for (None: any d), the
+    [scheme] keys it reads, each its builder keyword, and its builder."""
+
+    d: Optional[int]
+    reads: Dict[str, str]
+    build: Callable[..., ScalingScheme]
+
+
+# The one statement of each preset. The d=1 weak-noise window is the
+# power law alpha = eps^4, beta = eps^2, gamma = 1.
+PRESETS: Dict[str, Preset] = {
+    "power-law": Preset(None, {k: k for k in (
+        "alpha_exp", "beta_exp", "gamma_exp", "alpha_coef", "beta_coef",
+        "gamma_coef")}, power_law),
+    "intermediate-disorder-1d": Preset(1, {}, lambda: power_law(4.0, 2.0)),
+    "2d-exponential": Preset(2, {"c": "C"}, exponential_2d),
+}
+
+
+def preset_reads(preset: str) -> Dict[str, str]:
+    """The [scheme] keys a preset reads, each its builder keyword; none
+    for a name that make_scheme refuses."""
+    return PRESETS[preset].reads if preset in PRESETS else {}
+
+
 def make_scheme(preset: str, **kw) -> ScalingScheme:
-    if preset == "intermediate-disorder-1d":
-        return intermediate_disorder_1d()
-    if preset == "2d-exponential":
-        return exponential_2d(**kw)
-    if preset == "power-law":
-        return power_law(**kw)
-    raise ValueError(f"unknown scheme preset {preset!r}")
+    if preset not in PRESETS:
+        raise ValueError(f"unknown scheme preset {preset!r}")
+    return PRESETS[preset].build(**kw)
 
 
 @dataclass(frozen=True)

@@ -29,15 +29,21 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import (POWER_LAW_KEYS, SCHEMA, SCHEME_READS, ConfigError,
-                     resolve_side)
-from .config import scheme_params as config_scheme_params
+from .config import SCHEMA, ConfigError, resolve_side
 from .driving import DrivingFunction, make_driving
 from .lattice import EvolutionConfig, LatticeGeometry, capture, evolve
 from .noise import NoiseModel, blocks, cut, replica_noise
 from .rescale import (DecompositionSample, ScalingScheme,
-                      evolve_and_decompose, macro_terms, make_scheme)
+                      evolve_and_decompose, macro_terms, make_scheme,
+                      preset_reads)
 from .rng import derive_seed
+
+
+def _scheme_params(scheme: Dict) -> Dict:
+    """make_scheme's keywords: the values of the [scheme] keys that the
+    section's preset reads (rescale.PRESETS)."""
+    return {arg: scheme[key]
+            for key, arg in preset_reads(scheme["preset"]).items()}
 
 
 def _config_key(section: str, key: str):
@@ -52,8 +58,9 @@ class ExperimentPlan:
     """Declarative description of a study or of a single run.
 
     Each field but scheme_params names its config key and defaults to that
-    key's SCHEMA default; scheme_params is config.scheme_params, by default
-    the power-law keys at their defaults.
+    key's SCHEMA default; scheme_params holds make_scheme's keywords, the
+    values of the [scheme] keys the preset reads, by default the default
+    preset's keys at their defaults.
 
     schedule 'adversarial' probes t_eps = ceil(1/eps); 'macro-fixed' holds a
     macroscopic time fixed through the scheme, t_eps = ceil(macro_time/alpha).
@@ -73,8 +80,8 @@ class ExperimentPlan:
     noise_family: str = _config_key("model", "noise_family")
     noise_scale: float = _config_key("model", "noise_scale")
     scheme_preset: str = _config_key("scheme", "preset")
-    scheme_params: Dict = field(default_factory=lambda: {
-        k: SCHEMA["scheme"][k][1] for k in POWER_LAW_KEYS})
+    scheme_params: Dict = field(default_factory=lambda: _scheme_params(
+        {k: spec[1] for k, spec in SCHEMA["scheme"].items()}))
     schedule: str = _config_key("plan", "schedule")
     macro_time: float = _config_key("plan", "macro_time")
     geometry_policy: str = _config_key("plan", "geometry")
@@ -83,7 +90,7 @@ class ExperimentPlan:
     @classmethod
     def from_config(cls, cfg: Dict[str, Dict]) -> "ExperimentPlan":
         """The plan of a resolved config (config.load_config)."""
-        return cls(scheme_params=config_scheme_params(cfg),
+        return cls(scheme_params=_scheme_params(cfg["scheme"]),
                    **{f.name: cfg[f.metadata["section"]][f.metadata["key"]]
                       for f in fields(cls) if f.metadata})
 
@@ -134,7 +141,7 @@ class ExperimentPlan:
         """The [scheme] keys the preset reads, as key=value, for a refusal."""
         return f"scheme.preset={self.scheme_preset}" + "".join(
             f", scheme.{key}={self.scheme_params[arg]!r}" for key, arg
-            in SCHEME_READS.get(self.scheme_preset, {}).items())
+            in preset_reads(self.scheme_preset).items())
 
     def scheme_at(self, epsilons: Sequence[float]) -> ScalingScheme:
         """The scheme, refused at any of the epsilons a command reads where

@@ -102,8 +102,6 @@ def derivative_pairs(config: EvolutionConfig, x):
 
 
 def _l1_ball(center: Tuple[int, ...], radius: int, d: int):
-    if radius < 0:
-        return
     rng = range(-radius, radius + 1)
     for off in itertools.product(rng, repeat=d):
         if sum(abs(o) for o in off) <= radius:

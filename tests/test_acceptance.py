@@ -24,8 +24,8 @@ from kpzlab.driving import make_driving
 from kpzlab.lattice import (EvolutionConfig, LatticeGeometry, capture,
                             min_cone_side)
 from kpzlab.noise import make_noise
-from kpzlab.rescale import (DecompositionSample, decompose,
-                            intermediate_disorder_1d, macro_terms)
+from kpzlab.rescale import (DecompositionSample, decompose, macro_terms,
+                            make_scheme)
 from kpzlab.studies import ExperimentPlan
 from kpzlab.walk import derivative_pairs
 from oracles import polymer_path_sum, zero_layer_shift
@@ -130,7 +130,7 @@ def test_criterion_05_increment_decomposition_identities():
     eps = 0.3
     phi = make_driving("polymer", 1)
     hess = phi.hessian_origin()
-    scheme = intermediate_disorder_1d()
+    scheme = make_scheme("intermediate-disorder-1d")
     g = LatticeGeometry(1, 51)
     sigma = 1.0  # uniform noise at half-width sqrt(3)
     samples = []  # (lattice sample, its macro_terms) pairs
@@ -272,7 +272,7 @@ def test_criterion_11_coefficients_are_scale_free():
     (1/3, 2/3, 1) independent of eps, each within 1e-12.
     """
     hess = make_driving("polymer", 1).hessian_origin()
-    scheme = intermediate_disorder_1d()
+    scheme = make_scheme("intermediate-disorder-1d")
     for eps in (0.5, 0.3, 0.2, 0.1, 0.05):
         unit = DecompositionSample(epsilon=eps, t=0, x=(0,), A=1.0, B=1.0,
                                    C=1.0, D=1.0, increment=4.0)

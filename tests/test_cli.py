@@ -20,12 +20,13 @@ import kpzlab
 from kpzlab import cli, config, lattice, studies
 from kpzlab.assumptions import check_assumptions
 from kpzlab.cli import main, resolve_side
-from kpzlab.config import ConfigError, load_config
+from kpzlab.config import SCHEMA, ConfigError, load_config
 from kpzlab.driving import make_driving
 from kpzlab.lattice import (ConeWrapWarning, EvolutionConfig, LatticeGeometry,
                             evolve)
 from kpzlab.noise import replica_noise
 from kpzlab.output import sha256_text
+from kpzlab.rescale import PRESETS
 from kpzlab.studies import ExperimentPlan, remainder_ratio_study
 from oracles import csv_writer_rows, read_strict_json
 
@@ -213,6 +214,43 @@ def test_side_misconfiguration_exits_2_before_any_run(tmp_path, capsys,
     rc = main(argv + ["--out", str(tmp_path), "--workers", workers])
     assert rc == 2
     assert key in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def _preset_refusals():
+    """(argv, message) for each preset run in a model.d it is not built
+    for, and for each [scheme] key set off its default under a preset
+    that does not read it."""
+    cases = []
+    for name, preset in PRESETS.items():
+        argv = ["remainder", "--set", f"scheme.preset={name}"]
+        if preset.d is not None:
+            other = preset.d % 3 + 1
+            cases.append((argv + ["--set", f"model.d={other}"],
+                          f"scheme.preset={name} is a d={preset.d} scheme, "
+                          f"but model.d={other}"))
+        argv += ["--set", f"model.d={preset.d or 1}"]
+        for key, spec in SCHEMA["scheme"].items():
+            if key != "preset" and key not in preset.reads:
+                value = spec[1] + 1.0
+                cases.append((argv + ["--set", f"scheme.{key}={value!r}"],
+                              f"scheme.{key}={value!r} has no effect under "
+                              f"scheme.preset={name}; leave it at its "
+                              f"default or choose a preset that reads it"))
+    return cases
+
+
+PRESET_REFUSALS = _preset_refusals()
+
+
+@pytest.mark.parametrize("argv,message", PRESET_REFUSALS,
+                         ids=[" ".join(argv[2::2])
+                              for argv, _ in PRESET_REFUSALS])
+def test_preset_refusals_read_the_table(tmp_path, capsys, monkeypatch, argv,
+                                        message):
+    _fail_on_any_run(monkeypatch)
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -853,6 +891,20 @@ def test_unknown_key_reports_line(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert f"{bad}, line 2: unknown key 'replicsa' in [plan]" in err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[model]\n# comment\nFooBar = 1\n",
+     "line 3: unknown key 'foobar' in [model]"),
+    ("[model]\nD = two\n", "line 2: bad value for model.d"),
+], ids=["unknown key", "bad value"])
+def test_capitalised_key_reports_its_line(tmp_path, capsys, text, message):
+    # configparser lowercases key names, so the line lookup must too
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text)
+    rc = main(["simulate", "--config", str(bad)])
+    assert rc == 2
+    assert f"{bad}, {message}" in capsys.readouterr().err
 
 
 def test_unknown_section_rejected(tmp_path, capsys):

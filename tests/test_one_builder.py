@@ -9,11 +9,17 @@ evolve_and_decompose and macro_terms, so the decompose command and the
 remainder study sample their rows one way, and only lattice.capture calls
 step, so every evolution is read one way. noise.blocks is the one rule
 that cuts a grid into blocks: no other function steps through a range.
+rescale.PRESETS is the one statement of each scheme preset: a preset's
+name appears in src/kpzlab only as a PRESETS key, the SCHEMA default of
+scheme.preset and the whitenoise overlay's scheme.preset, so no module
+branches on a preset's name.
 """
 import ast
 import pathlib
 
 import pytest
+
+from kpzlab.rescale import PRESETS
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "kpzlab"
 BUILDERS = {"make_driving", "make_scheme", "replica_noise", "LatticeGeometry",
@@ -148,3 +154,61 @@ def test_lattice_and_studies_cut_through_noise_blocks(name):
                 for a in node.names}
     assert "blocks" in imported
     assert _callers((SRC / name).read_text(), "blocks")
+
+
+def _item(node: ast.Dict, key) -> ast.expr:
+    """The value of a dict literal's entry under the literal key."""
+    return next(v for k, v in zip(node.keys, node.values)
+                if ast.literal_eval(k) == key)
+
+
+def _allowed_preset_names(tree: ast.Module) -> set:
+    """The string constants that may name a preset: the keys of PRESETS,
+    the default of SCHEMA's scheme.preset and the whitenoise overlay's
+    scheme.preset."""
+    allowed = set()
+    for node in tree.body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+            continue
+        target = node.targets[0] if isinstance(node, ast.Assign) \
+            else node.target
+        name = getattr(target, "id", None)
+        if name == "PRESETS":
+            allowed |= set(node.value.keys)
+        elif name == "SCHEMA":
+            allowed.add(_item(_item(node.value, "scheme"), "preset").elts[1])
+        elif name == "COMMAND_OVERLAYS":
+            allowed.add(_item(_item(node.value, "whitenoise"),
+                              ("scheme", "preset")))
+    return allowed
+
+
+def _stray_preset_names(source: str, names) -> list:
+    """'line N: name' for each string constant that is one of the names
+    outside the places _allowed_preset_names allows."""
+    tree = ast.parse(source)
+    allowed = _allowed_preset_names(tree)
+    return [f"line {node.lineno}: {node.value}" for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in names
+            and node not in allowed]
+
+
+def test_scanner_finds_stray_preset_names():
+    src = ("PRESETS = {'flat': 1}\n"
+           "SCHEMA = {'scheme': {'preset': (str, 'flat', 'flat | x')}}\n"
+           "COMMAND_OVERLAYS = {'whitenoise': {('scheme', 'preset'):"
+           " 'flat'}}\n"
+           "def build(preset):\n"
+           "    return 1 if preset == 'flat' else 'flat: help'\n")
+    assert _stray_preset_names(src, {"flat"}) == ["line 5: flat"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_presets_are_named_only_in_the_table(path):
+    source = path.read_text()
+    assert _stray_preset_names(source, set(PRESETS)) == []
+    allowed = {node.value for node in _allowed_preset_names(ast.parse(source))
+               if isinstance(node, ast.Constant)}
+    expect = {"rescale.py": set(PRESETS),
+              "config.py": {"power-law", "intermediate-disorder-1d"}}
+    assert allowed == expect.get(path.name, set())

@@ -21,10 +21,9 @@ from kpzlab.driving import (EdwardsWilkinsonDriving, PolymerDriving,
 from kpzlab.lattice import (EvolutionConfig, HeightSlice, LatticeGeometry,
                             capture, min_cone_side, step)
 from kpzlab.noise import make_noise
-from kpzlab.config import POWER_LAW_KEYS, SCHEMA, ConfigError
+from kpzlab.config import ConfigError
 from kpzlab.rescale import (DecompositionSample, decompose, exponential_2d,
-                            intermediate_disorder_1d, macro_terms,
-                            make_scheme, power_law)
+                            macro_terms, make_scheme, power_law)
 from kpzlab.studies import ExperimentPlan
 from oracles import scalar_sample
 
@@ -40,7 +39,7 @@ def _unit_columns(scheme, eps, d, hess, sigma):
 
 
 def test_scheme_presets():
-    a = intermediate_disorder_1d()
+    a = make_scheme("intermediate-disorder-1d")
     assert a.alpha(0.1) == pytest.approx(1e-4)
     assert a.beta(0.1) == pytest.approx(1e-2)
     assert a.gamma(0.1) == 1.0
@@ -60,6 +59,21 @@ def test_scheme_presets():
         make_scheme("parabolic")
 
 
+def test_intermediate_disorder_is_the_old_scheme_bit_for_bit():
+    # the preset is power_law(4.0, 2.0); the scheme it replaced returned
+    # eps**4, eps**2 and 1.0, and every eps a run reads must keep its bits,
+    # as a float and as the np.float64 that ExperimentPlan.scheme_at passes
+    grids = [0.3, 0.25, 0.2, 0.1, 0.05, 0.025, 1.0, 5e-324, 2.2e-308]
+    draws = np.random.default_rng(28).uniform(0.0, 1.0, 100_000)
+    sch = make_scheme("intermediate-disorder-1d")
+    for e in grids + [1.0 - float(u) for u in draws]:
+        for x in (e, np.float64(e)):
+            got = [float(f(x)).hex() for f in (sch.alpha, sch.beta,
+                                                 sch.gamma)]
+            assert got == [float(x ** 4).hex(), float(x ** 2).hex(),
+                           (1.0).hex()], e
+
+
 def test_make_scheme_kwargs():
     sch = make_scheme("power-law", alpha_exp=2, beta_exp=1, gamma_exp=0.5,
                       alpha_coef=3.0)
@@ -70,7 +84,7 @@ def test_make_scheme_kwargs():
 
 
 def test_validate_on_grid():
-    sch = intermediate_disorder_1d()
+    sch = make_scheme("intermediate-disorder-1d")
     sch.validate_on_grid((0.3, 0.2, 0.1))
     # alpha grows along a rising grid (a plan refuses such a grid first)
     with pytest.raises(ValueError, match="decrease"):
@@ -90,7 +104,7 @@ def test_validate_on_grid():
 
 def test_coefficients_weak_noise_window_d1():
     hess = PolymerDriving(1).hessian_origin()
-    sch = intermediate_disorder_1d()
+    sch = make_scheme("intermediate-disorder-1d")
     for eps in (0.5, 0.3, 0.1, 0.05, 0.01):
         m = _unit_columns(sch, eps, 1, hess, sigma=1.0)
         assert m["nu"] == pytest.approx(1 / 3, abs=1e-12)
@@ -119,7 +133,8 @@ def test_coefficients_d2():
 def test_coefficients_reject_degenerate():
     hess = EdwardsWilkinsonDriving(1).hessian_origin()
     with pytest.raises(ValueError, match="degenerate"):
-        _unit_columns(intermediate_disorder_1d(), 0.2, 1, hess, 1.0)
+        _unit_columns(make_scheme("intermediate-disorder-1d"), 0.2, 1, hess,
+                      1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +221,7 @@ def test_macro_terms_reconstruct_time_derivative():
     # the four macroscopic terms are all (gamma/alpha) times the lattice
     # pieces, so their sum must reproduce the scaled increment exactly
     hess = PolymerDriving(1).hessian_origin()
-    sch = intermediate_disorder_1d()
+    sch = make_scheme("intermediate-disorder-1d")
     rng = np.random.default_rng(11)
     for _ in range(1000):
         A, B, C, D = rng.uniform(-1, 1, size=4) * rng.choice([1e-3, 1.0, 10.0])
@@ -238,7 +253,7 @@ def test_macro_terms_are_the_decompose_columns():
 
 def test_macro_terms_scale_each_piece():
     hess = PolymerDriving(1).hessian_origin()
-    sch = intermediate_disorder_1d()
+    sch = make_scheme("intermediate-disorder-1d")
     eps = 0.2
     ratio = sch.gamma(eps) / sch.alpha(eps)
     s = DecompositionSample(epsilon=eps, t=1, x=(0,), A=0.5, B=0.25, C=-0.3,
@@ -255,7 +270,7 @@ def test_macro_terms_scale_each_piece():
 def test_xi_value_scaling():
     # sigma 1, alpha 1e-4, beta 1e-2, d=1: xi is 1000 times the raw draw
     hess = PolymerDriving(1).hessian_origin()
-    sch = intermediate_disorder_1d()
+    sch = make_scheme("intermediate-disorder-1d")
     eps = 0.1
     s = DecompositionSample(epsilon=eps, t=3, x=(0,), A=0.0, B=0.0,
                             C=eps * 0.5, D=0.0, increment=eps * 0.5)
@@ -316,7 +331,7 @@ def test_laplacian_term_equals_discrete_laplacian_in_cells(name, d):
 def _plan(d=2, phi_name="polymer", coupling=None, noise_scale=math.sqrt(3),
           **kw):
     """A plan on the power-law scheme with the keyword values kw."""
-    params = {k: SCHEMA["scheme"][k][1] for k in POWER_LAW_KEYS}
+    params = ExperimentPlan().scheme_params
     return ExperimentPlan(d=d, phi_name=phi_name, coupling=coupling,
                           noise_scale=noise_scale,
                           scheme_params={**params, **kw})
